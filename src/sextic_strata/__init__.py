@@ -26,7 +26,6 @@ from .fields import GF, QQ, PrimeField, RationalField, parse_field
 from .forms import Form, common_factor, divides, forms_rank, monomial_basis, mult_map, variables
 from .kronecker import (
     KroneckerModule,
-    Polarization,
     SemistabilityResult,
     Witness,
     gaussian_binomial,
@@ -50,6 +49,7 @@ from .presentation import (
     h0_omega,
     h1,
     hilbert_polynomial,
+    is_injective,
     load,
     loads,
     profile,

@@ -173,14 +173,8 @@ class Form:
     def evaluate(self, point: Sequence) -> object:
         F = self.field
         x, y, z = (F.normalize(v) for v in point)
-        total = F.zero()
-        for (a, b, c), coeff in self.coeffs.items():
-            term = coeff
-            for base, exp in ((x, a), (y, b), (z, c)):
-                for _ in range(exp):
-                    term = F.mul(term, base)
-            total = F.add(total, term)
-        return total
+        total = sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.coeffs.items())
+        return F.normalize(total)
 
     def to_encoding(self) -> list:
         """Serialized as [[coeff, e_X, e_Y, e_Z], ...] in monomial order."""

@@ -118,11 +118,6 @@ class SemistabilityResult:
     checked: int = 0
     budget: int = 0
 
-    @property
-    def is_semistable_like(self) -> bool:
-        """True for a definite semistable verdict or budget-exhausted unknown."""
-        return self.verdict in ("semistable", "unknown")
-
 
 def _make_witness(K: KroneckerModule, S_rows: ScalarMatrix) -> Optional[Witness]:
     dim_S = S_rows.nrows
@@ -333,15 +328,6 @@ def moduli_dimension(q: int, m: int, n: int) -> int:
     if min(q, m, n) < 1:
         raise ValueError("q, m, n must be >= 1")
     return q * m * n - m * m - n * n + 1
-
-
-@dataclass(frozen=True)
-class Polarization:
-    """Positive weights (lambda_1, lambda_2, mu_1) for the 2 x 3 decorated setup."""
-
-    lam1: Fraction
-    lam2: Fraction
-    mu1: Fraction
 
 
 def polarization_valid_42(lam1, lam2, mu1) -> bool:

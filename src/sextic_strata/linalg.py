@@ -286,9 +286,3 @@ class ScalarMatrix:
         for i, pc in enumerate(pivots):
             x[pc] = R.entry(i, self.ncols)
         return x
-
-
-def rank_of_rows(field: Field, rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return ScalarMatrix(field, rows).rank()

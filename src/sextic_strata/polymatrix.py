@@ -5,6 +5,13 @@ but a constant total degree along every permutation, so determinants are
 again homogeneous.  Sizes never exceed 5x5 here, so determinants use
 cofactor expansion with memoized minors instead of fraction-free
 elimination.
+
+Injectivity does not need the expansion (`presentation.is_injective`
+evaluates the matrix at points and falls back to `det_poly` only when
+every probe lies on the curve).  `det_poly` is for callers that need the
+determinant itself: the `det` command and `construct_x5` (through
+`presentation.fitting_determinant`), criterion 8's roundtrip, and the
+X3 condition's maximal minors.
 """
 
 from __future__ import annotations

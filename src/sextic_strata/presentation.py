@@ -18,7 +18,11 @@ All cohomology is read off this two-term resolution:
 
 No Cech machinery is used anywhere; injectivity of phi (nonzero
 determinant) is what makes these formulas compute the cohomology of the
-cokernel sheaf.
+cokernel sheaf.  `is_injective` certifies it without expanding the
+determinant: phi evaluated at a point of the plane is a scalar matrix,
+and full rank there proves det phi != 0.  The symbolic determinant
+(`fitting_determinant`) is expanded only when every probe point lies on
+the curve det phi = 0, which is what keeps the check exact over F_2.
 """
 
 from __future__ import annotations
@@ -48,11 +52,6 @@ def chi_line_bundle(e: int) -> int:
 
 def h0_line_bundle(e: int) -> int:
     return dim_forms(e)
-
-
-def h2_line_bundle(e: int) -> int:
-    # Serre duality on the plane.
-    return dim_forms(-3 - e)
 
 
 @dataclass(frozen=True)
@@ -144,17 +143,46 @@ def validate(P: Presentation) -> List[str]:
 
     Checks per-cell homogeneity against the degree grid, the forced-zero
     cells with d_i < s_j, squareness, and injectivity (nonzero
-    determinant).  An empty list means the presentation is usable by every
-    operation in the package.
+    determinant, certified by `is_injective` at probe points and only
+    expanded symbolically when every probe lies on the curve).  An empty
+    list means the presentation is usable by every operation in the
+    package.
     """
     violations = validate_grid_only(P)
     if not P.is_square:
         violations.append(
             f"not square ({P.matrix.nrows}x{P.matrix.ncols}); cohomology operations unavailable"
         )
-    elif not violations and fitting_determinant(P).is_zero:
+    elif not violations and not is_injective(P):
         violations.append("not injective: det = 0")
     return violations
+
+
+# Probe points of `is_injective`, tried in order.  They reduce to the seven
+# distinct points of P^2(F_2), and to seven distinct points of P^2(F_p) for
+# p = 3, 5, 7, 11, 13 and 101, so no probe is wasted on a repeat there.
+PROBE_POINTS = ((5, 2, 6), (2, 1, 2), (2, 4, 3), (7, 3, 2), (3, 4, 7), (2, 1, 1), (7, 7, 5))
+
+
+def is_injective(P: Presentation) -> bool:
+    """Whether phi is injective as a sheaf map, i.e. det phi != 0; exact.
+
+    Evaluation at a point commutes with the determinant, so a probe point
+    where the scalar matrix phi(point) has full rank proves det phi != 0.
+    A nonzero determinant of degree D vanishes at a point of F_p^3 with
+    probability at most D/p (Schwartz 1980, Zippel 1979), so over F_101
+    the first probe almost always decides.  Only when phi has deficient
+    rank at every probe, which happens for det = 0 and for curves through
+    all the probes (over F_2 the form XY(X+Y) vanishes on the whole
+    plane), is the determinant expanded by `det_poly`.
+    """
+    _require_square(P)
+    n = P.matrix.nrows
+    for point in PROBE_POINTS:
+        values = [[f.evaluate(point) for f in row] for row in P.matrix.entries]
+        if ScalarMatrix(P.field, values, shape=(n, n)).rank() == n:
+            return True
+    return not det_poly(P.matrix).is_zero
 
 
 def _require_grid(P: Presentation) -> None:
@@ -359,7 +387,8 @@ def fitting_determinant(P: Presentation) -> Form:
     """Determinant of the matrix: the equation of the support curve.
 
     Homogeneous of degree sum(d_i) - sum(s_j); nonzero iff the matrix is
-    injective as a sheaf map.
+    injective as a sheaf map.  Callers that need only that bit use
+    `is_injective`, which rarely expands the determinant.
     """
     if not P.is_square:
         raise NotSquareError("Fitting determinant needs a square presentation")

@@ -20,7 +20,6 @@ from .polymatrix import PolyMatrix
 from .presentation import Presentation, fitting_determinant
 from .rng import SplitMix64, derive_seed
 from .strata import SHAPES, StratumLabel, validate_shape
-from .sampler_shapes import FORCED_CONSTANTS, FORCED_ZEROS
 
 
 @dataclass(frozen=True)
@@ -54,14 +53,16 @@ def _build_matrix(
     case: Optional[str],
 ) -> PolyMatrix:
     source, target = SHAPES[label]
-    zeros = set(FORCED_ZEROS[label])
-    constants = dict(FORCED_CONSTANTS[label])
-    if label is StratumLabel.X4:
+    # Cells of the normal form that are zero or constant beyond the grid.
+    zeros, constants = set(), {}
+    if label is StratumLabel.X2:
+        zeros = {(0, 3), (1, 3)}
+    elif label is StratumLabel.X4:
         if case == "i":
-            zeros |= {(0, 0), (0, 1), (1, 2), (2, 2)}
+            zeros = {(0, 0), (0, 1), (1, 2), (2, 2)}
             constants[(0, 2)] = 1
         else:
-            zeros |= {(0, 2)}
+            zeros = {(0, 2)}
     entries = []
     for i, d in enumerate(target):
         row = []

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations, islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .errors import (
@@ -49,9 +50,10 @@ from .kronecker import KroneckerModule, is_semistable, moduli_dimension, subspac
 from .linalg import ScalarMatrix
 from .polymatrix import maximal_minors
 from .presentation import (
+    CohomologyProfile,
     Presentation,
-    fitting_determinant,
     hilbert_polynomial,
+    is_injective,
     profile,
     validate,
     validate_grid_only,
@@ -95,6 +97,9 @@ PROFILE_TO_LABEL: Dict[Tuple[int, int, int], StratumLabel] = {
     (1, 3, 4): StratumLabel.X5,
 }
 
+# Rows whose matrix conditions the classifier checks on the canonical shape.
+GATED = (StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
+
 EXPECTED_PROFILES: Dict[StratumLabel, Tuple[int, int, int, int]] = {
     StratumLabel.X0: (0, 0, 0, 0),
     StratumLabel.X1: (0, 1, 0, 0),
@@ -129,12 +134,17 @@ def classify(P: Presentation) -> StratumLabel:
     conditions, so the cokernel is not semistable; it carries the profile
     and the violated conditions.
     """
+    return _classify(P)[0]
+
+
+def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile]:
+    """`classify`, also returning the profile it computed."""
     grid = validate_grid_only(P)
     if grid:
         raise InvalidPresentationError(grid)
     if not P.is_square:
         raise NotSquareError("classification needs a square presentation")
-    if fitting_determinant(P).is_zero:
+    if not is_injective(P):
         raise NotInjectiveError("matrix has det = 0; the cokernel is not one-dimensional")
     pr = profile(P)
     label = PROFILE_TO_LABEL.get((pr.a, pr.b, pr.c))
@@ -145,45 +155,34 @@ def classify(P: Presentation) -> StratumLabel:
             raise ProfileNotInTable(pr.as_tuple())
     elif pr.e != 0:
         raise ProfileNotInTable(pr.as_tuple())
-    violations = _semistability_violations(P, label)
-    if violations:
-        raise NotSemistable(pr.as_tuple(), violations)
-    return label
-
-
-def _semistability_violations(P: Presentation, label: StratumLabel) -> List[str]:
-    """The gated rows' matrix conditions, on the row's canonical shape only.
-
-    For X1 only the first forbidden pattern is sought, P1 first, so that
-    l1 = l2 = 0 never reaches the pencil search over every point of P^1.
-    """
-    src, tgt = SHAPES[label]
-    if P.source != src or P.target != tgt:
-        return []
-    if label is StratumLabel.X1:
-        pat = next(_x1_forbidden_patterns(P), None)
-        return [] if pat is None else [f"matrix is equivalent to forbidden pattern {pat.value}"]
-    if label is StratumLabel.X3:
-        return x3_conditions(P)
-    if label is StratumLabel.X5:
-        return x5_conditions(P)
-    return []
+    if label in GATED and not _wrong_shape(P, label):
+        violations = _conditions(P, label, first_x1_pattern=True)
+        if violations:
+            raise NotSemistable(pr.as_tuple(), violations)
+    return label, pr
 
 
 def classification_report(P: Presentation) -> dict:
-    """Structured classification result including shape-validator findings."""
-    label = classify(P)
-    pr = profile(P)
+    """Structured classification result including shape-validator findings.
+
+    Each quantity is computed once.  With det != 0 certified, its degree is
+    r = sum d_i - sum s_j of the Hilbert polynomial, and `validate(P)` is
+    empty.  The violations are `validate_shape`'s; on a gated row's
+    canonical shape the gate has just proved its conditions hold.
+    """
+    label, pr = _classify(P)
     hp = hilbert_polynomial(P)
-    det = fitting_determinant(P)
+    violations = _wrong_shape(P, label)
+    if not violations and label not in GATED:
+        violations = _conditions(P, label)
     return {
         "schema_version": 1,
         "kind": "classification",
         "label": label.value,
         "profile": pr.as_list(),
         "hilbert": hp.as_list(),
-        "det_degree": det.degree,
-        "violations": validate_shape(P, label),
+        "det_degree": hp.r,
+        "violations": violations,
     }
 
 
@@ -279,48 +278,48 @@ def _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) -> bool:
         a, b = kernel[0]
         return dependent_at(a, b)
 
-    # Kernel is the whole plane (l1 = l2 = 0): search P^1 over the field.
-    if field.kind == "prime":
-        p = field.p
-        for t in range(p):
-            if dependent_at(field.one(), field.from_int(t)):
-                return True
-        return dependent_at(field.zero(), field.one())
-    return _rational_pencil_degenerates(field, q11, q12, q21, q22, dependent_at)
+    # Kernel is the whole plane (l1 = l2 = 0): look for a rank-one member
+    # of the pencil.  P^1(F_2) has three points; elsewhere 2 is invertible.
+    if field.kind == "prime" and field.p == 2:
+        return any(dependent_at(a, b) for a, b in ((1, 0), (1, 1), (0, 1)))
+    return _pencil_has_rank_one_member(field, q11, q12, q21, q22, dependent_at)
 
 
-def _rational_pencil_degenerates(field, q11, q12, q21, q22, dependent_at) -> bool:
-    """Rational-point search for rank-one members of a 2 x 2 pencil of quadrics.
+def _pencil_has_rank_one_member(field, q11, q12, q21, q22, dependent_at) -> bool:
+    """Search for rank-one members of a 2 x 2 pencil of quadrics, char != 2.
 
     The dependency locus is cut out by binary quadratics (the 2 x 2 minors
-    of the stacked coefficient rows); candidates are the rational roots of
-    the first nonzero minor, each verified directly.
+    of the stacked coefficient rows); candidates are the roots in the field
+    of the first nonzero minor, each verified directly.  That is at most
+    two checks, however large the field.
     """
+    F = field
     u1, u2 = _coeff_col(q11, 2), _coeff_col(q12, 2)
     v1, v2 = _coeff_col(q21, 2), _coeff_col(q22, 2)
-    n = len(u1)
-    quadratics = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            alpha = u1[i] * v1[j] - u1[j] * v1[i]
-            beta = u1[i] * v2[j] + u2[i] * v1[j] - u1[j] * v2[i] - u2[j] * v1[i]
-            gamma = u2[i] * v2[j] - u2[j] * v2[i]
-            if alpha or beta or gamma:
-                quadratics.append((alpha, beta, gamma))
-    if not quadratics:
-        return dependent_at(Fraction(1), Fraction(0))
-    alpha, beta, gamma = quadratics[0]
+
+    def minor(x, y, i, j):
+        return F.sub(F.mul(x[i], y[j]), F.mul(x[j], y[i]))
+
+    quadratics = (
+        (minor(u1, v1, i, j), F.add(minor(u1, v2, i, j), minor(u2, v1, i, j)), minor(u2, v2, i, j))
+        for i, j in combinations(range(len(u1)), 2)
+    )
+    first = next((abc for abc in quadratics if not all(F.is_zero(x) for x in abc)), None)
+    if first is None:
+        return dependent_at(F.one(), F.zero())
+    alpha, beta, gamma = first
     candidates = []
-    if alpha == 0:
-        candidates.append((Fraction(1), Fraction(0)))
-        if beta != 0:
-            candidates.append((-gamma / beta, Fraction(1)))
+    if F.is_zero(alpha):
+        candidates.append((F.one(), F.zero()))
+        if not F.is_zero(beta):
+            candidates.append((F.neg(F.div(gamma, beta)), F.one()))
     else:
-        disc = beta * beta - 4 * alpha * gamma
-        root = _rational_sqrt(disc)
+        disc = F.sub(F.mul(beta, beta), F.mul(F.from_int(4), F.mul(alpha, gamma)))
+        root = _rational_sqrt(disc) if F.kind == "rational" else _sqrt_mod(disc, F.p)
         if root is not None:
-            candidates.append(((-beta + root) / (2 * alpha), Fraction(1)))
-            candidates.append(((-beta - root) / (2 * alpha), Fraction(1)))
+            two_alpha = F.mul(F.from_int(2), alpha)
+            candidates.append((F.div(F.sub(root, beta), two_alpha), F.one()))
+            candidates.append((F.div(F.neg(F.add(beta, root)), two_alpha), F.one()))
     return any(dependent_at(a, b) for a, b in candidates)
 
 
@@ -334,6 +333,29 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+def _sqrt_mod(x: int, p: int) -> Optional[int]:
+    """A square root of x modulo the odd prime p (Tonelli-Shanks), or None."""
+    x %= p
+    if x == 0:
+        return 0
+    if pow(x, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) -> bool:
@@ -502,31 +524,37 @@ def validate_shape(P: Presentation, label: StratumLabel) -> List[str]:
     Returns all violations as data; an empty list certifies the
     presentation as a normal-position member of the stratum's family.
     """
+    return _wrong_shape(P, label) or validate(P) or _conditions(P, label)
+
+
+def _wrong_shape(P: Presentation, label: StratumLabel) -> List[str]:
     src, tgt = SHAPES[label]
     if P.source != src or P.target != tgt:
         return [f"wrong twist shape: expected {src} -> {tgt}, got {P.source} -> {P.target}"]
-    violations = validate(P)
-    if violations:
-        return violations
+    return []
+
+
+def _conditions(P: Presentation, label: StratumLabel, first_x1_pattern: bool = False) -> List[str]:
+    """The row's matrix conditions on a valid presentation of its shape.
+
+    With `first_x1_pattern`, X1 reports only the first forbidden pattern,
+    P1 first, which is all the classifier's gate needs.
+    """
     if label is StratumLabel.X0:
-        if not x0_condition(P):
-            violations.append("phi_11 is not semistable as a Kronecker module")
-    elif label is StratumLabel.X1:
-        pats = x1_patterns(P)
-        for pat in sorted(p.value for p in pats):
-            violations.append(f"matrix is equivalent to forbidden pattern {pat}")
-    elif label is StratumLabel.X2:
-        violations.extend(x2_conditions(P))
-    elif label is StratumLabel.X3:
-        violations.extend(x3_conditions(P))
-    elif label is StratumLabel.X4:
+        return [] if x0_condition(P) else ["phi_11 is not semistable as a Kronecker module"]
+    if label is StratumLabel.X1:
+        pats = islice(_x1_forbidden_patterns(P), 1) if first_x1_pattern else x1_patterns(P)
+        return [f"matrix is equivalent to forbidden pattern {p.value}" for p in sorted(pats)]
+    if label is StratumLabel.X2:
+        return x2_conditions(P)
+    if label is StratumLabel.X3:
+        return x3_conditions(P)
+    if label is StratumLabel.X4:
         try:
-            violations.extend(x4_conditions(P))
+            return x4_conditions(P)
         except AmbiguousCaseError as exc:
-            violations.append(str(exc))
-    elif label is StratumLabel.X5:
-        violations.extend(x5_conditions(P))
-    return violations
+            return [str(exc)]
+    return x5_conditions(P)
 
 
 # ---------------------------------------------------------------------------

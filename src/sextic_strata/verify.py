@@ -17,7 +17,6 @@ full documented sizes.  Criteria:
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .presentation import (
     h0,
     h1,
     hilbert_polynomial,
+    is_injective,
     profile,
 )
 from .rng import SplitMix64, derive_seed
@@ -374,7 +374,7 @@ def criterion_9_negative_controls(seed: int, count: int = 100) -> CriterionResul
                         ]
                     )
                 P = Presentation(src3, tgt3, PolyMatrix(field, entries))
-                if not fitting_determinant(P).is_zero:
+                if is_injective(P):
                     break
             outcomes[_classify_outcome(P, StratumLabel.X3)] += 1
 
@@ -392,7 +392,7 @@ def criterion_9_negative_controls(seed: int, count: int = 100) -> CriterionResul
                 h = random_form(field, 4, rng)
                 g = random_form(field, 5, rng)
                 P = Presentation(src5, tgt5, PolyMatrix(field, [[h, l], [g, q]]))
-                if not fitting_determinant(P).is_zero:
+                if is_injective(P):
                     break
             outcomes[_classify_outcome(P, StratumLabel.X5)] += 1
 
@@ -438,11 +438,7 @@ def run_suite(
     construct_count: int = 100,
     negative_count: int = 100,
 ) -> List[CriterionResult]:
-    """Run one named suite; results come back sorted by criterion number.
-
-    Worker count for independent criteria is capped by the
-    SEXTIC_STRATA_THREADS environment variable (default: sequential).
-    """
+    """Run one named suite, one criterion after another in number order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     wanted = set(SUITES[suite])
@@ -450,32 +446,23 @@ def run_suite(
     if wanted & {1, 2, 3}:
         pool = generate_samples(seed, samples_per_stratum)
 
-    jobs = []
+    results = []
     if 1 in wanted:
-        jobs.append(lambda: criterion_1_table(pool))
+        results.append(criterion_1_table(pool))
     if 2 in wanted:
-        jobs.append(lambda: criterion_2_hilbert(pool))
+        results.append(criterion_2_hilbert(pool))
     if 3 in wanted:
-        jobs.append(lambda: criterion_3_duality(pool))
+        results.append(criterion_3_duality(pool))
     if 4 in wanted:
-        jobs.append(criterion_4_dimensions)
+        results.append(criterion_4_dimensions())
     if 5 in wanted:
-        jobs.append(criterion_5_windows)
+        results.append(criterion_5_windows())
     if 6 in wanted:
-        jobs.append(lambda: criterion_6_x1_oracle(seed, oracle_matrices))
+        results.append(criterion_6_x1_oracle(seed, oracle_matrices))
     if 7 in wanted:
-        jobs.append(lambda: criterion_7_kronecker(seed))
+        results.append(criterion_7_kronecker(seed))
     if 8 in wanted:
-        jobs.append(lambda: criterion_8_construct_x5(seed, construct_count))
+        results.append(criterion_8_construct_x5(seed, construct_count))
     if 9 in wanted:
-        jobs.append(lambda: criterion_9_negative_controls(seed, negative_count))
-
-    workers = int(os.environ.get("SEXTIC_STRATA_THREADS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda fn: fn(), jobs))
-    else:
-        results = [fn() for fn in jobs]
-    return sorted(results, key=lambda r: r.number)
+        results.append(criterion_9_negative_controls(seed, negative_count))
+    return results

@@ -156,11 +156,9 @@ def test_verify_dims_suite(capsys):
     assert "[PASS] criterion 5" in out
 
 
-def test_verify_respects_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SEXTIC_STRATA_THREADS", "2")
+def test_verify_prints_criteria_in_order(capsys):
     code, out = run(capsys, "verify", "--suite", "dims")
     assert code == 0
-    # output order is canonicalized regardless of worker scheduling
     assert out.index("criterion 4") < out.index("criterion 5")
 
 

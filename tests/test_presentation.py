@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sextic_strata.presentation as presentation
+import sextic_strata.strata as strata
 from sextic_strata.errors import NotSquareError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, variables
-from sextic_strata.polymatrix import PolyMatrix
+from sextic_strata.polymatrix import PolyMatrix, det_poly
 from sextic_strata.presentation import (
+    PROBE_POINTS,
     Presentation,
     dual,
     dumps,
@@ -17,6 +20,7 @@ from sextic_strata.presentation import (
     h0_omega,
     h1,
     hilbert_polynomial,
+    is_injective,
     loads,
     profile,
     validate,
@@ -250,6 +254,81 @@ def test_fitting_determinant_degree_six_on_all_shapes():
 def test_fitting_determinant_transpose_invariant():
     P = sample_of(StratumLabel.X2)
     assert fitting_determinant(dual(P)) == fitting_determinant(P)
+
+
+# ---------------------------------------------------------------------------
+# injectivity certificate
+# ---------------------------------------------------------------------------
+
+
+def _random_on_shape(label, field, rng, singular):
+    """Random entries on the label's grid; made singular on request.
+
+    "row": some row becomes a form multiple of another row (the form has
+    degree d_i - d_k, so the grid is kept); "column": a column is zeroed.
+    """
+    src, tgt = SHAPES[label]
+    ent = [[random_form(field, d - s, rng) if d >= s else Form.zero(field, d - s) for s in src] for d in tgt]
+    if singular == "row":
+        i, k = max((i, k) for i in range(len(tgt)) for k in range(len(tgt)) if i != k and tgt[i] >= tgt[k])
+        f = random_form(field, tgt[i] - tgt[k], rng)
+        ent[i] = [f * g for g in ent[k]]
+    elif singular == "column":
+        j = rng.next_below(len(src))
+        for i, d in enumerate(tgt):
+            ent[i][j] = Form.zero(field, d - src[j])
+    return Presentation(src, tgt, PolyMatrix(field, ent))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F101, QQ], ids=["F2", "F3", "F101", "QQ"])
+def test_is_injective_agrees_with_det_poly(field):
+    rng = SplitMix64(derive_seed(4242, field.p if field.kind == "prime" else 0))
+    seen = set()
+    for label in StratumLabel:
+        for singular in (None, None, "row", "column"):
+            P = _random_on_shape(label, field, rng, singular)
+            want = not det_poly(P.matrix).is_zero
+            assert is_injective(P) == want, (label, singular)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_probe_points_reduce_to_distinct_points():
+    def projective(point, p):
+        v = [c % p for c in point]
+        inv = pow(next(c for c in v if c), p - 2, p)
+        return tuple(c * inv % p for c in v)
+
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        assert len({projective(pt, p) for pt in PROBE_POINTS}) == len(PROBE_POINTS) == 7
+
+
+def test_is_injective_falls_back_to_det_poly_over_f2(monkeypatch):
+    # det = X*Y*(X+Y)*Z is nonzero but vanishes at all 7 points of P^2(F_2),
+    # so no probe has full rank and only the expansion can certify it
+    field = GF(2)
+    X, Y, Z = variables(field)
+    P = Presentation((-3, -1), (0, 0), PolyMatrix(field, [[X * Y * (X + Y), Form.zero(field, 1)], [Form.zero(field, 3), Z]]))
+    calls = []
+    monkeypatch.setattr(presentation, "det_poly", lambda M: calls.append(M) or det_poly(M))
+    assert is_injective(P)
+    assert len(calls) == 1
+    assert validate(P) == []
+
+
+def test_classification_report_expands_no_determinant(monkeypatch):
+    calls = []
+
+    def counting(P):
+        calls.append(P)
+        return fitting_determinant(P)
+
+    for module in (presentation, strata):
+        monkeypatch.setattr(module, "fitting_determinant", counting, raising=False)
+    for label in StratumLabel:
+        rep = strata.classification_report(sample_of(label, seed=23))
+        assert rep["label"] == label.value and rep["det_degree"] == 6
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

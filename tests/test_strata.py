@@ -6,7 +6,7 @@ import pytest
 
 from sextic_strata.errors import NotInjectiveError, NotSemistable, ProfileNotInTable, WrongShapeError
 from sextic_strata.fields import GF, QQ
-from sextic_strata.forms import Form, variables
+from sextic_strata.forms import Form, forms_rank, variables
 from sextic_strata.polymatrix import PolyMatrix
 from sextic_strata.presentation import Presentation, fitting_determinant, profile
 from sextic_strata.rng import SplitMix64, derive_seed
@@ -16,6 +16,7 @@ from sextic_strata.strata import (
     SHAPES,
     PatternId,
     StratumLabel,
+    _pencil_degenerates,
     classification_report,
     classify,
     stratum_dimensions,
@@ -209,14 +210,23 @@ def test_gate_verdict_is_orbit_invariant(label, field):
 
 
 def test_x1_gate_short_circuits_at_large_prime():
-    # l1 = l2 = 0 is P1; the gate must stop there instead of running the
-    # P2 pencil search over all p + 1 points of P^1, as x1_patterns does
+    # l1 = l2 = 0 is P1; the gate stops there without the P2-P4 tests
     P = _degenerate(StratumLabel.X1, GF(1_000_003), seed=92)
     t0 = time.perf_counter()
     with pytest.raises(NotSemistable) as exc:
         classify(P)
     assert time.perf_counter() - t0 < 10.0  # milliseconds here; minutes for the full search
     assert exc.value.violations == [GATE_VIOLATION[StratumLabel.X1]]
+
+
+def test_x1_patterns_bounded_at_large_prime():
+    # l1 = l2 = 0 sends P2 to the rank-one search over the whole pencil; it
+    # must not enumerate the p + 1 points of P^1
+    P = _degenerate(StratumLabel.X1, GF(1_000_003), seed=92)
+    t0 = time.perf_counter()
+    pats = x1_patterns(P)
+    assert time.perf_counter() - t0 < 10.0
+    assert PatternId.P1 in pats
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +356,44 @@ def test_x1_patterns_over_rationals():
         field=field,
     )
     assert PatternId.P2 not in x1_patterns(P3)
+
+
+def _pencil_degenerates_by_enumeration(field, q11, q12, q21, q22):
+    """Reference for the P2 test with l1 = l2 = 0: try every point of P^1."""
+    points = [(1, t) for t in range(field.p)] + [(0, 1)]
+    return any(
+        forms_rank([q11.scale(a) + q12.scale(b), q21.scale(a) + q22.scale(b)]) <= 1
+        for a, b in points
+    )
+
+
+def _pencil_with_rank_one_member(field, a, b, rng):
+    """Quadrics with a*q11 + b*q12 and a*q21 + b*q22 proportional."""
+    Q1 = random_form(field, 2, rng)
+    Q2 = Q1.scale(rng.next_below(field.p))
+    if b == 0:
+        return Q1.scale(field.inv(a)), random_form(field, 2, rng), Q2.scale(field.inv(a)), random_form(field, 2, rng)
+    q11, q21 = random_form(field, 2, rng), random_form(field, 2, rng)
+    inv_b = field.inv(b)
+    return q11, (Q1 - q11.scale(a)).scale(inv_b), q21, (Q2 - q21.scale(a)).scale(inv_b)
+
+
+@pytest.mark.parametrize("p", [3, 7, 101])
+def test_pencil_root_search_matches_enumeration(p):
+    field = GF(p)
+    rng = SplitMix64(derive_seed(77, p))
+    zero = Form.zero(field, 1)
+    seen = set()
+    for k in range(16):
+        member = ((1, 0), (0, 1), (1 + rng.next_below(p - 1), 1 + rng.next_below(p - 1)), None)[k % 4]
+        if member is None:
+            q = [random_form(field, 2, rng) for _ in range(4)]
+        else:
+            q = _pencil_with_rank_one_member(field, *member, rng)
+        want = _pencil_degenerates_by_enumeration(field, *q)
+        assert _pencil_degenerates(field, zero, zero, *q) == want, (k, member)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
