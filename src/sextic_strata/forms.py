@@ -270,9 +270,9 @@ def forms_rank(forms: Sequence[Form]) -> int:
 def divides(l: Form, q: Form) -> bool:
     """Whether the nonzero linear form l divides q.
 
-    Decided by a membership rank test: q is divisible by l iff its
-    coefficient vector lies in the image of multiplication by l on forms
-    of degree deg(q) - 1.
+    Decided by one linear solve: q is divisible by l iff its coefficient
+    vector lies in the image of multiplication by l on forms of degree
+    deg(q) - 1.
     """
     if l.is_zero or l.degree != 1:
         raise ValueError("divisor must be a nonzero linear form")
@@ -281,9 +281,7 @@ def divides(l: Form, q: Form) -> bool:
     d = q.degree
     if d < 1:
         return False
-    M = mult_map(l, d - 1)
-    aug = M.hstack(ScalarMatrix(q.field, [[c] for c in q.coefficient_vector()]))
-    return aug.rank() == M.rank()
+    return mult_map(l, d - 1).solve(q.coefficient_vector()) is not None
 
 
 def common_factor(q1: Form, q2: Form) -> bool:

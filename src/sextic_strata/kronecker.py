@@ -213,7 +213,6 @@ def echelon_bases(field: PrimeField, m: int, a: int) -> Iterator[ScalarMatrix]:
 def is_semistable(
     K: KroneckerModule,
     mode: str = "exact_smallfield",
-    budget: int = EXACT_LATTICE_BUDGET,
     trials: int = 200,
     rng=None,
 ) -> SemistabilityResult:
@@ -222,8 +221,8 @@ def is_semistable(
     exact_smallfield: exhaustive enumeration of the source subspace
     lattice over F_p, by increasing dimension and lexicographic pivot
     pattern; the first violating subspace (deterministic) becomes the
-    witness.  Raises BudgetExceededError when the lattice exceeds the
-    budget.
+    witness.  Raises BudgetExceededError when the lattice has more than
+    EXACT_LATTICE_BUDGET elements.
 
     randomized: two exact rank checks (dimension-1 kernel witnesses and
     the full-space span count) followed by random subspace trials; ends in
@@ -233,9 +232,9 @@ def is_semistable(
         if K.field.kind != "prime":
             raise ValueError("exact_smallfield needs a prime field")
         size = subspace_lattice_size(K.m, K.field.p)
-        if size > budget:
+        if size > EXACT_LATTICE_BUDGET:
             raise BudgetExceededError(
-                f"subspace lattice has {size} elements > budget {budget}"
+                f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
         checked = 0
         for a in range(1, K.m + 1):

@@ -67,15 +67,6 @@ class ScalarMatrix:
             m._set(i, i, field.one())
         return m
 
-    def copy(self) -> "ScalarMatrix":
-        m = ScalarMatrix.__new__(ScalarMatrix)
-        m.field, m.nrows, m.ncols = self.field, self.nrows, self.ncols
-        if self._np is not None:
-            m._np, m._rows = self._np.copy(), None
-        else:
-            m._np, m._rows = None, [row[:] for row in self._rows]
-        return m
-
     # -- element access (internal writes only during construction) ----
 
     def _set(self, i: int, j: int, v) -> None:

@@ -59,10 +59,7 @@ class PolyMatrix:
         return self.nrows == self.ncols
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        return PolyMatrix(self.field, zip(*self.entries))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix(self.field, [[self.entries[i][j] for j in cols] for i in rows])

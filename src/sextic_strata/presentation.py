@@ -6,12 +6,13 @@ A presentation encodes an exact sequence
 
 by its twist vectors and the matrix of homogeneous forms phi, where cell
 (i, j) has degree d_i - s_j (and is forced to vanish when d_i < s_j).
-All cohomology is read off this two-term resolution:
+A presentation whose matrix breaks this degree grid is not a resolution,
+so the constructor rejects it.  All cohomology is read off the resolution:
 
 * h^0(F(t)) is the corank of the induced map on global sections, because
   line bundles on the plane have no intermediate cohomology;
 * h^1(F(t)) is, by Serre duality h^2(O(e)) = h^0(O(-3-e)), the corank of
-  the transposed multiplication map on the dual section spaces;
+  the section map of the dual presentation at twist -1-t;
 * h^0(F owedge Omega^1(1)) is the kernel of the Euler-sequence contraction
   H^0(F)^3 -> H^0(F(1)), (s_1, s_2, s_3) |-> X s_1 + Y s_2 + Z s_3,
   computed on the explicit cokernel models of the section spaces.
@@ -50,10 +51,6 @@ def chi_line_bundle(e: int) -> int:
     return (e + 1) * (e + 2) // 2
 
 
-def h0_line_bundle(e: int) -> int:
-    return dim_forms(e)
-
-
 @dataclass(frozen=True)
 class HilbertPoly:
     """P(m) = r*m + chi for the one-dimensional sheaves in scope."""
@@ -85,7 +82,13 @@ class CohomologyProfile:
 
 
 class Presentation:
-    """Twist vectors plus the matrix of forms; immutable."""
+    """Twist vectors plus the matrix of forms; immutable.
+
+    Construction checks the matrix shape against the twists and every cell
+    against the degree grid, raising InvalidPresentationError with one
+    message per offending cell.  Rectangular presentations are allowed;
+    the cohomology operations reject them.
+    """
 
     __slots__ = ("field", "source", "target", "matrix", "metadata")
 
@@ -109,6 +112,9 @@ class Presentation:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "metadata", dict(metadata) if metadata else None)
+        bad = validate_grid_only(self)
+        if bad:
+            raise InvalidPresentationError(bad)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Presentation is immutable")
@@ -141,21 +147,17 @@ class Presentation:
 def validate(P: Presentation) -> List[str]:
     """All contract violations of a presentation, as data.
 
-    Checks per-cell homogeneity against the degree grid, the forced-zero
-    cells with d_i < s_j, squareness, and injectivity (nonzero
-    determinant, certified by `is_injective` at probe points and only
-    expanded symbolically when every probe lies on the curve).  An empty
-    list means the presentation is usable by every operation in the
-    package.
+    Checks squareness and injectivity (nonzero determinant, certified by
+    `is_injective` at probe points and only expanded symbolically when
+    every probe lies on the curve).  The degree grid needs no check here:
+    the constructor has enforced it.  An empty list means the presentation
+    is usable by every operation in the package.
     """
-    violations = validate_grid_only(P)
     if not P.is_square:
-        violations.append(
-            f"not square ({P.matrix.nrows}x{P.matrix.ncols}); cohomology operations unavailable"
-        )
-    elif not violations and not is_injective(P):
-        violations.append("not injective: det = 0")
-    return violations
+        return [f"not square ({P.matrix.nrows}x{P.matrix.ncols}); cohomology operations unavailable"]
+    if not is_injective(P):
+        return ["not injective: det = 0"]
+    return []
 
 
 # Probe points of `is_injective`, tried in order.  They reduce to the seven
@@ -185,14 +187,8 @@ def is_injective(P: Presentation) -> bool:
     return not det_poly(P.matrix).is_zero
 
 
-def _require_grid(P: Presentation) -> None:
-    bad = validate_grid_only(P)
-    if bad:
-        raise InvalidPresentationError(bad)
-
-
 def validate_grid_only(P: Presentation) -> List[str]:
-    """Degree-grid violations only (no squareness or determinant check)."""
+    """Degree-grid violations of the matrix; `Presentation` raises on any."""
     violations: List[str] = []
     M = P.matrix
     for i in range(M.nrows):
@@ -225,7 +221,6 @@ def hilbert_polynomial(P: Presentation) -> HilbertPoly:
     chi(F(m)) = sum_i chi(O(d_i + m)) - sum_j chi(O(s_j + m)); for square
     shapes the quadratic terms cancel and r = sum d_i - sum s_j.
     """
-    _require_grid(P)
     _require_square(P)
     r = sum(P.target) - sum(P.source)
     chi = sum(chi_line_bundle(d) for d in P.target) - sum(chi_line_bundle(s) for s in P.source)
@@ -243,7 +238,7 @@ def _layout(twists: Sequence[int], t: int) -> Tuple[List[int], int]:
     acc = 0
     for e in twists:
         offs.append(acc)
-        acc += h0_line_bundle(e + t)
+        acc += dim_forms(e + t)
     return offs, acc
 
 
@@ -266,28 +261,14 @@ def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
 
 
 def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
-    """Serre-dual multiplication map used by h1.
+    """Serre-dual multiplication map used by h1: `section_matrix(dual(P), -1 - t)`.
 
-    Block (j, i) is multiplication by phi_{ij} from H^0(O(-3 - d_i - t))
-    to H^0(O(-3 - s_j - t)); its rank equals the rank of the induced map
-    H^2(A(t)) -> H^2(B(t)).
+    The dual has twists -2 - d_i -> -2 - s_j and the transposed matrix, so
+    at twist -1 - t its block (j, i) is multiplication by phi_ij from
+    H^0(O(-3 - d_i - t)) to H^0(O(-3 - s_j - t)).  Its rank equals the
+    rank of the induced map H^2(A(t)) -> H^2(B(t)).
     """
-    src = [-3 - d - t for d in P.target]
-    dst = [-3 - s - t for s in P.source]
-    col_off, ncols = _layout(src, 0)
-    row_off, nrows = _layout(dst, 0)
-    M = ScalarMatrix.zeros(P.field, nrows, ncols)
-    for i, d in enumerate(P.target):
-        if -3 - d - t < 0:
-            continue
-        for j, s in enumerate(P.source):
-            if -3 - s - t < 0:
-                continue
-            f = P.matrix.entry(i, j)
-            if f.is_zero:
-                continue
-            M.paste(mult_map(f, -3 - d - t), row_off[j], col_off[i])
-    return M
+    return section_matrix(dual(P), -1 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +283,19 @@ def h0(P: Presentation, t: int) -> int:
     injectivity the section map has full column rank, which is what makes
     the formula compute the cokernel's sections.
     """
-    _require_grid(P)
     _require_square(P)
-    total = sum(h0_line_bundle(d + t) for d in P.target)
+    total = sum(dim_forms(d + t) for d in P.target)
     return total - section_matrix(P, t).rank()
 
 
 def h1(P: Presentation, t: int) -> int:
     """h^1(F(t)) via Serre duality on the two-term resolution.
 
-    h^1(F(t)) = sum_j h^0(O(-3 - s_j - t)) - rank of the transposed
-    multiplication map; satisfies h0 - h1 = P(t) for injective phi.
+    h^1(F(t)) = sum_j h^0(O(-3 - s_j - t)) - rank of the section map of
+    the dual at twist -1 - t; satisfies h0 - h1 = P(t) for injective phi.
     """
-    _require_grid(P)
     _require_square(P)
-    total = sum(h0_line_bundle(-3 - s - t) for s in P.source)
+    total = sum(dim_forms(-3 - s - t) for s in P.source)
     return total - dual_section_matrix(P, t).rank()
 
 
@@ -345,9 +324,8 @@ def h0_omega(P: Presentation) -> int:
 
         dim ker = 3*h^0(B) - 3*rank M_0 - rank [C | M_1] + rank M_1.
     """
-    _require_grid(P)
     _require_square(P)
-    b0 = sum(h0_line_bundle(d) for d in P.target)
+    b0 = sum(dim_forms(d) for d in P.target)
     M0 = section_matrix(P, 0)
     M1 = section_matrix(P, 1)
     C = _contraction_matrix(P)
@@ -377,7 +355,6 @@ def dual(P: Presentation) -> Presentation:
     -2 - t for each original twist t.  It is an involution, and the Euler
     characteristics satisfy chi(F) + chi(G) = r.
     """
-    _require_grid(P)
     new_source = tuple(-2 - d for d in P.target)
     new_target = tuple(-2 - s for s in P.source)
     return Presentation(new_source, new_target, P.matrix.transpose())

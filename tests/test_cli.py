@@ -75,6 +75,20 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_wrong_degree_cell_exit_code(tmp_path, capsys):
+    # cell (1,1) of the X5 grid is a quadric; give its first term a cubic exponent
+    f = tmp_path / "x5.json"
+    run(capsys, "sample", "--stratum", "X5", "--field", "p:101", "--seed", "7", "--out", str(f))
+    doc = json.loads(f.read_text())
+    doc["matrix"][1][1][0][1:] = [3, 0, 0]
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "classify", str(f))
+    assert code == 1
+    err = json.loads(out)
+    assert err["kind"] == "error" and err["error"] == "InvalidPresentationError"
+    assert "Traceback" not in out
+
+
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, "classify", "/nonexistent/path.json")
     assert code == 1

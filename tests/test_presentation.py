@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 import sextic_strata.presentation as presentation
 import sextic_strata.strata as strata
-from sextic_strata.errors import NotSquareError
+from sextic_strata.errors import InvalidPresentationError, NotSquareError
 from sextic_strata.fields import GF, QQ
-from sextic_strata.forms import Form, variables
+from sextic_strata.forms import Form, dim_forms, mult_map, variables
+from sextic_strata.linalg import ScalarMatrix
 from sextic_strata.polymatrix import PolyMatrix, det_poly
 from sextic_strata.presentation import (
     PROBE_POINTS,
@@ -60,8 +61,29 @@ def test_validate_flags_degree_mismatch():
     X, Y, Z = variables(field)
     src, tgt = SHAPES[StratumLabel.X5]
     M = PolyMatrix(field, [[X * X * X * X, X], [X * X * X * X * X, X]])  # (1,1) should be quadratic
-    violations = validate(Presentation(src, tgt, M))
-    assert any("degree mismatch at (1,1)" in v for v in violations)
+    with pytest.raises(InvalidPresentationError) as exc:
+        Presentation(src, tgt, M)
+    assert any("degree mismatch at (1,1)" in v for v in exc.value.violations)
+
+
+def _serre_dual_blocks(P, t):
+    """Reference: block (j, i) is phi_ij from H^0(O(-3-d_i-t)) to H^0(O(-3-s_j-t))."""
+    rows = [dim_forms(-3 - s - t) for s in P.source]
+    cols = [dim_forms(-3 - d - t) for d in P.target]
+    M = ScalarMatrix.zeros(P.field, sum(rows), sum(cols))
+    for i, d in enumerate(P.target):
+        for j, s in enumerate(P.source):
+            f = P.matrix.entry(i, j)
+            if cols[i] and rows[j] and not f.is_zero:
+                M.paste(mult_map(f, -3 - d - t), sum(rows[:j]), sum(cols[:i]))
+    return M
+
+
+def test_dual_section_matrix_is_serre_dual_assembly():
+    presentations = [sample_of(label) for label in StratumLabel] + [x5_example(QQ)]
+    for P in presentations:
+        for t in range(-5, 6):
+            assert presentation.dual_section_matrix(P, t) == _serre_dual_blocks(P, t)
 
 
 def test_validate_flags_det_zero():
@@ -82,8 +104,9 @@ def test_validate_flags_forced_zero():
     entries = [[X, Y, X, Form.zero(field, -1)]]
     for i in range(3):
         entries.append([Form.zero(field, 3)] * 2 + [X, Y])
-    P = Presentation(src, tgt, PolyMatrix(field, entries))
-    assert any("forced zero violated at (0,2)" in v for v in validate(P))
+    with pytest.raises(InvalidPresentationError) as exc:
+        Presentation(src, tgt, PolyMatrix(field, entries))
+    assert any("forced zero violated at (0,2)" in v for v in exc.value.violations)
     # a nonzero form cannot even be constructed with a negative degree tag
     with pytest.raises(ValueError):
         Form(field, -1, {(1, 0, 0): 1})

@@ -6,7 +6,8 @@ import pytest
 
 from sextic_strata.errors import NotInjectiveError, NotSemistable, ProfileNotInTable, WrongShapeError
 from sextic_strata.fields import GF, QQ
-from sextic_strata.forms import Form, forms_rank, variables
+from sextic_strata.forms import Form, divides, forms_rank, variables
+from sextic_strata.linalg import ScalarMatrix
 from sextic_strata.polymatrix import PolyMatrix
 from sextic_strata.presentation import Presentation, fitting_determinant, profile
 from sextic_strata.rng import SplitMix64, derive_seed
@@ -16,7 +17,9 @@ from sextic_strata.strata import (
     SHAPES,
     PatternId,
     StratumLabel,
+    _in_linear_ideal_slice,
     _pencil_degenerates,
+    _x4_syzygy_solvable,
     classification_report,
     classify,
     stratum_dimensions,
@@ -613,3 +616,61 @@ def test_stratum_dimensions_table():
         assert r.dim + r.codim == 37
         if r.base_dim is not None:
             assert r.base_dim + r.fibre_dim == r.dim
+
+
+# ---------------------------------------------------------------------------
+# span membership by one solve
+# ---------------------------------------------------------------------------
+
+
+def _in_span_by_two_ranks(field, cols, rhs):
+    """Reference membership test: rank [cols | rhs] == rank [cols]."""
+    M = ScalarMatrix(field, [list(r) for r in zip(*cols)])
+    aug = ScalarMatrix(field, [list(r) for r in zip(*cols, rhs)])
+    return aug.rank() == M.rank()
+
+
+@pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["GF3", "GF101", "QQ"])
+def test_span_membership_matches_two_rank_formula(field):
+    # divides, the P4 ideal-slice test and the X4 syzygy test each ask one
+    # span-membership question among quadrics.
+    rng = SplitMix64(derive_seed(4242, field.p if field.kind == "prime" else 0))
+    XYZ = variables(field)
+    zero = [field.zero()] * 6
+
+    def rand(d):
+        return random_form(field, d, rng)
+
+    def nonzero_linear():
+        while True:
+            l = rand(1)
+            if not l.is_zero:
+                return l
+
+    def vec(f):
+        return f.coefficient_vector() if not f.is_zero else zero
+
+    answers = {divides: set(), _in_linear_ideal_slice: set(), _x4_syzygy_solvable: set()}
+    for _ in range(12):
+        l1, l2, l = nonzero_linear(), rand(1), nonzero_linear()
+        u, v1, v2 = rand(1), rand(1), rand(1)
+        for q in (l1 * u, rand(2)):
+            want = _in_span_by_two_ranks(field, [vec(v * l1) for v in XYZ], vec(q))
+            assert divides(l1, q) == want
+            answers[divides].add(want)
+        for m in (l2, l1.scale(field.from_int(2))):
+            for q in (v1 * l1 + v2 * m, rand(2)):
+                cols = [vec(v * f) for f in (l1, m) for v in XYZ]
+                want = _in_span_by_two_ranks(field, cols, vec(q))
+                assert _in_linear_ideal_slice(field, q, l1, m) == want
+                answers[_in_linear_ideal_slice].add(want)
+        for q1, q2 in ((u * l1 + l * v1, u * l2 + l * v2), (rand(2), rand(2))):
+            cols = (
+                [vec(v * l1) + vec(v * l2) for v in XYZ]
+                + [vec(v * l) + zero for v in XYZ]
+                + [zero + vec(v * l) for v in XYZ]
+            )
+            want = _in_span_by_two_ranks(field, cols, vec(q1) + vec(q2))
+            assert _x4_syzygy_solvable(field, l1, l2, l, q1, q2) == want
+            answers[_x4_syzygy_solvable].add(want)
+    assert all(seen == {True, False} for seen in answers.values())
