@@ -6,9 +6,12 @@ complex numbers.  F_p (default p = 101) is the sampling workhorse, Q the
 audit field.
 
 Scalars are stored raw (`Fraction` over Q, canonical `int` in [0, p) over
-F_p); the field object carries the arithmetic.  This keeps matrices and
-coefficient dicts lightweight and lets the linear algebra pick a numpy
-backend for prime fields.
+F_p); the field object carries the arithmetic.  For the linear algebra
+each field also names the numpy dtype of its matrices (`dtype`), builds
+their canonical arrays (`array`) and reduces the results of array
+arithmetic (`reduce`).  Primes below 2**31 use int64, whose products of
+two canonical entries stay below 2**62; Q and larger primes use object
+arrays of exact Python scalars, so no field overflows.
 """
 
 from __future__ import annotations
@@ -16,21 +19,40 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Union
 
+import numpy as np
+
 from .errors import FieldMismatchError
 
 Scalar = Union[int, Fraction]
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Every composite below this bound fails the strong-probable-prime test to
+# one of the twelve bases above (Sorenson and Webster 2015).
+_MR_BOUND = 318_665_857_834_031_151_167_461
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided at or above {_MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -38,6 +60,18 @@ class RationalField:
     """The field Q with `Fraction` scalars."""
 
     kind = "rational"
+    dtype = object
+
+    def array(self, rows, shape) -> np.ndarray:
+        """The canonical object array of `Fraction` entries."""
+        return np.array([[Fraction(x) for x in row] for row in rows], dtype=object).reshape(shape)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def dot_dtype(self, n: int):
+        """Dtype in which a sum of n products of canonical entries is exact."""
+        return object
 
     def normalize(self, x: Any) -> Fraction:
         return Fraction(x)
@@ -76,9 +110,6 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def encode_coeff(self, a) -> str:
         a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -112,6 +143,18 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        self.dtype = np.int64 if p < 2**31 else object
+
+    def array(self, rows, shape) -> np.ndarray:
+        """The canonical array: entries reduced into [0, p)."""
+        return np.array(rows, dtype=self.dtype).reshape(shape) % self.p
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a % self.p
+
+    def dot_dtype(self, n: int):
+        """Dtype in which a sum of n products of canonical entries is exact."""
+        return np.int64 if n * (self.p - 1) ** 2 < 2**63 else object
 
     def normalize(self, x: Any) -> int:
         if isinstance(x, Fraction):
@@ -152,9 +195,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
 
     def encode_coeff(self, a) -> int:
         return a % self.p

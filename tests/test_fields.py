@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sextic_strata.fields import GF, QQ, field_from_json, parse_field
+from sextic_strata.fields import GF, QQ, _is_prime, field_from_json, parse_field
 
 
 def test_prime_field_requires_prime():
@@ -14,6 +15,22 @@ def test_prime_field_requires_prime():
         GF(100)
     assert GF(2).p == 2
     assert GF(32003).p == 32003
+
+
+def test_primality_is_fast_and_exact():
+    t0 = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - t0 < 1.0
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 142):
+        sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if sieve[n]]
+    for n in (561, 3215031751):  # Carmichael; strong pseudoprime to bases 2, 3, 5, 7
+        with pytest.raises(ValueError):
+            GF(n)
+    with pytest.raises(ValueError):
+        _is_prime(318_665_857_834_031_151_167_461)
 
 
 def test_canonical_representatives():

@@ -183,6 +183,15 @@ def test_divides_products(seed, d):
     assert divides(l, l * m)
 
 
+def test_divides_products_at_large_prime():
+    # coefficients near 2**40 overflowed the int64 elimination
+    field = GF(1099511627791)
+    rng = SplitMix64(1099)
+    for _ in range(30):
+        l, u = random_form(field, 1, rng), random_form(field, 1, rng)
+        assert divides(l, l * u)
+
+
 # ---------------------------------------------------------------------------
 # common factors, with an independent brute-force oracle over F_5
 # ---------------------------------------------------------------------------

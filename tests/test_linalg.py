@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +112,133 @@ def test_rref_pivots_deterministic():
     R1, p1 = M.rref()
     R2, p2 = M.rref()
     assert p1 == p2 and R1 == R2
+
+
+# ---------------------------------------------------------------------------
+# one payload for every field: large primes are exact
+# ---------------------------------------------------------------------------
+
+BIG = GF(1099511627791)  # above 2**40: int64 products of two entries overflow
+INT64_MAX_PRIME = GF(2**31 - 1)  # the largest prime with an int64 payload
+OBJECT_MIN_PRIME = GF(2**31 + 11)  # the smallest prime with an object payload
+
+
+def _ref_rref(field, rows, limit=None):
+    """Plain-Python Gauss-Jordan elimination, the reference for ScalarMatrix.rref."""
+    rows = [[field.normalize(x) for x in row] for row in rows]
+    nrows = len(rows)
+    limit = len(rows[0]) if limit is None else limit
+    pivots = []
+    r = 0
+    for c in range(limit):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(x, inv) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _ref_kernel(field, rows):
+    R, pivots = _ref_rref(field, rows)
+    basis = []
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        v = [field.zero()] * len(rows[0])
+        v[f] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(R[i][f])
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(field, rows, rhs):
+    ncols = len(rows[0])
+    R, pivots = _ref_rref(field, [row + [b] for row, b in zip(rows, rhs)], limit=ncols)
+    if any(row[ncols] != 0 for row in R[len(pivots):]):
+        return None
+    x = [field.zero()] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][ncols]
+    return x
+
+
+def _ref_matmul(field, A, B):
+    return [
+        [field.normalize(sum(A[i][k] * B[k][j] for k in range(len(B)))) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    data=st.data(),
+    field=st.sampled_from([QQ, GF(101), BIG]),
+)
+def test_elimination_matches_reference(shape, data, field):
+    nrows, ncols = shape
+    entry = st.integers(-(2**45), 2**45) | st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    rhs = data.draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    M = ScalarMatrix(field, rows)
+    R, pivots = M.rref()
+    ref_R, ref_pivots = _ref_rref(field, rows)
+    assert (R.to_lists(), pivots) == (ref_R, ref_pivots)
+    assert M.rank() == len(ref_pivots)
+    assert M.kernel_basis() == _ref_kernel(field, rows)
+    assert M.solve(rhs) == _ref_solve(field, rows, rhs)
+
+
+def test_large_prime_rank_and_matmul():
+    p = BIG.p
+    rng = random.Random(1099)
+    for _ in range(50):
+        U = [[rng.randrange(p) for _ in range(3)] for _ in range(6)]
+        V = [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+        UV = ScalarMatrix(BIG, U).matmul(ScalarMatrix(BIG, V))
+        assert UV.to_lists() == _ref_matmul(BIG, U, V)
+        assert UV.rank() == len(_ref_rref(BIG, UV.to_lists())[1]) == 3
+
+
+def test_large_prime_rref_of_invertible():
+    R, pivots = ScalarMatrix(BIG, [[3, 5], [7, 11]]).rref()
+    assert R == ScalarMatrix.identity(BIG, 2)
+    assert pivots == [0, 1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), BIG], ids=repr)
+def test_ragged_rows_rejected(field):
+    with pytest.raises(ValueError):
+        ScalarMatrix(field, [[1], [2, 3]])
+
+
+def test_payload_dtype_follows_field():
+    for field in (GF(2), GF(3), GF(101), INT64_MAX_PRIME):
+        assert ScalarMatrix(field, [[1, 2]]).a.dtype == np.int64
+        assert ScalarMatrix.zeros(field, 2, 2).a.dtype == np.int64
+    for field in (QQ, OBJECT_MIN_PRIME, BIG):
+        assert ScalarMatrix(field, [[1, 2]]).a.dtype == object
+
+
+@pytest.mark.parametrize("field", [INT64_MAX_PRIME, OBJECT_MIN_PRIME, BIG], ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 4096])
+def test_matmul_exact_across_dtype_bounds(field, n):
+    # entries p - 1 make every product as large as a canonical product can be;
+    # at p = 2**31 - 1 the guard keeps n <= 2 in int64 and moves n = 4096 to
+    # object copies
+    A = [[field.p - 1] * n]
+    B = [[field.p - 1] for _ in range(n)]
+    got = ScalarMatrix(field, A).matmul(ScalarMatrix(field, B))
+    assert got.to_lists() == _ref_matmul(field, A, B) == [[n % field.p]]
+    assert got.a.dtype == field.dtype

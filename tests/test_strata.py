@@ -222,6 +222,15 @@ def test_x1_gate_short_circuits_at_large_prime():
     assert exc.value.violations == [GATE_VIOLATION[StratumLabel.X1]]
 
 
+def test_x5_gate_exact_at_large_prime():
+    # q = l * u: an int64 elimination overflowed here and labelled these X5
+    for seed in range(30):
+        P = _degenerate(StratumLabel.X5, GF(1099511627791), seed=seed)
+        with pytest.raises(NotSemistable) as exc:
+            classify(P)
+        assert exc.value.violations == [GATE_VIOLATION[StratumLabel.X5]]
+
+
 def test_x1_patterns_bounded_at_large_prime():
     # l1 = l2 = 0 sends P2 to the rank-one search over the whole pencil; it
     # must not enumerate the p + 1 points of P^1
