@@ -162,7 +162,7 @@ def cmd_cohomology(args) -> int:
 def cmd_kron_check(args) -> int:
     P = _load_presentation(args.file)
     K = KroneckerModule(P.matrix)
-    res = is_semistable(K, mode=args.mode)
+    res = is_semistable(K)
     doc = {
         "schema_version": 1,
         "kind": "kronecker_check",
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = kron.add_subparsers(dest="kron_command", required=True)
     p = ksub.add_parser("check", help="semistability of an all-linear matrix")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["exact_smallfield", "randomized"], default="exact_smallfield")
     p.set_defaults(fn=cmd_kron_check)
     p = ksub.add_parser("window", help="polarization window sweep")
     p.add_argument("--grid", type=int, default=700)

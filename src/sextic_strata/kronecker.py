@@ -7,14 +7,13 @@ vectors of M applied to S), the slope test reads
 
     m * dim T >= n * dim S      for every S    <=>   M is semistable,
 
-with equality allowed (strict inequality everywhere is stability).  Over
-a small prime field the full subspace lattice is enumerable, giving an
-exact decision with an explicit destabilizing witness; over large fields
-a randomized search returns either a verified witness or
-"unknown-leaning-semistable" with the budget recorded.  A semistable
-verdict on a reduction mod p certifies semistability over Q (instability
-is Zariski-closed and defined over the prime field); instability over Q
-always requires an explicit witness.
+with equality allowed (strict inequality everywhere is stability).  With
+M = X*A + Y*B + Z*C, a destabilizing S shrinks S (x) k^n into T (x) k^m
+under every blow-up element sum A_i (x) E_i (E_i in M_{m x n}), so one of
+full rank nm proves semistability (King 1994; Derksen-Weyman 2000); the
+second Wong sequence of a rank-deficient one yields a destabilizing pair
+that `verify_witness` re-checks (Ivanyos-Qiao-Subrahmanyam 2017).  Over a
+small prime field, enumerating the subspace lattice is the reference.
 """
 
 from __future__ import annotations
@@ -24,13 +23,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .fields import Field, PrimeField
 from .forms import Form
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix
+from .rng import SplitMix64
 
 EXACT_LATTICE_BUDGET = 10_000_000
+CERTIFICATE_TRIES = 8
+# blow-up elements come from this fixed stream, never from the caller's
+CERTIFICATE_SEED = 0x5EED
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +117,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class SemistabilityResult:
-    verdict: str  # "semistable" | "unstable" | "unknown"
+    verdict: str  # "semistable" | "unstable"
     mode: str
     witness: Optional[Witness] = None
     checked: int = 0
@@ -145,16 +150,12 @@ def verify_witness(K: KroneckerModule, w: Witness) -> bool:
     S = ScalarMatrix(F, [list(r) for r in w.S_basis])
     if S.rank() != w.dim_S or w.dim_S == 0:
         return False
-    if w.dim_T:
-        T = ScalarMatrix(F, [list(r) for r in w.T_basis])
-        if T.rank() != w.dim_T:
-            return False
     A, B, C = K.coefficient_slices()
     St = S.transpose()
     images = A.matmul(St).hstack(B.matmul(St)).hstack(C.matmul(St)).transpose()
     if w.dim_T:
         T = ScalarMatrix(F, [list(r) for r in w.T_basis])
-        if T.vstack(images).rank() != w.dim_T:
+        if T.rank() != w.dim_T or T.vstack(images).rank() != w.dim_T:
             return False
     elif not images.is_zero():
         return False
@@ -210,23 +211,20 @@ def echelon_bases(field: PrimeField, m: int, a: int) -> Iterator[ScalarMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def is_semistable(
-    K: KroneckerModule,
-    mode: str = "exact_smallfield",
-    trials: int = 200,
-    rng=None,
-) -> SemistabilityResult:
-    """Decide semistability of a Kronecker module.
+def is_semistable(K: KroneckerModule, mode: str = "certificate") -> SemistabilityResult:
+    """Decide semistability of a Kronecker module; every verdict is certified.
+
+    certificate: up to CERTIFICATE_TRIES random blow-up elements; rank nm
+    proves "semistable" (`checked` counts the tries).  Otherwise the Wong
+    sequence of the highest-rank one gives an "unstable" witness; failing
+    that, exact_smallfield decides if the lattice fits its budget, and
+    BudgetExceededError is raised if not.  Nothing is accepted by default.
 
     exact_smallfield: exhaustive enumeration of the source subspace
     lattice over F_p, by increasing dimension and lexicographic pivot
     pattern; the first violating subspace (deterministic) becomes the
     witness.  Raises BudgetExceededError when the lattice has more than
     EXACT_LATTICE_BUDGET elements.
-
-    randomized: two exact rank checks (dimension-1 kernel witnesses and
-    the full-space span count) followed by random subspace trials; ends in
-    "unstable" with a witness or "unknown" with the budget recorded.
     """
     if mode == "exact_smallfield":
         if K.field.kind != "prime":
@@ -245,58 +243,59 @@ def is_semistable(
                     return SemistabilityResult("unstable", mode, w, checked, size)
         return SemistabilityResult("semistable", mode, None, checked, size)
 
-    if mode == "randomized":
-        return _randomized_search(K, trials, rng)
-
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _randomized_search(K: KroneckerModule, trials: int, rng) -> SemistabilityResult:
+    if mode != "certificate":
+        raise ValueError(f"unknown mode {mode!r}")
     F = K.field
-    A, B, C = K.coefficient_slices()
-    checked = 0
-
-    # Exact check 1: source vectors killed outright (dim T = 0 witnesses)
-    # are the kernel of the stacked coefficient matrix.
-    stacked = A.vstack(B).vstack(C)
-    for v in stacked.kernel_basis():
-        S = ScalarMatrix(F, [v])
-        w = _make_witness(K, S)
-        if w is not None:
-            return SemistabilityResult("unstable", "randomized", w, checked + 1, trials)
-    checked += 1
-
-    # Exact check 2: the full source space against the total span.
-    full = ScalarMatrix.identity(F, K.m)
-    w = _make_witness(K, full)
-    checked += 1
+    slices = K.coefficient_slices()
+    rng = SplitMix64(CERTIFICATE_SEED)
+    bound = F.p if F.kind == "prime" else 19
+    best_rank, best = -1, None
+    for tries in range(1, CERTIFICATE_TRIES + 1):
+        Es = [ScalarMatrix(F, [[rng.next_below(bound) for _ in range(K.n)] for _ in range(K.m)])
+              for _ in slices]
+        rank = _blowup_element(slices, Es).rank()
+        if rank == K.n * K.m:
+            return SemistabilityResult("semistable", mode, None, tries, CERTIFICATE_TRIES)
+        if rank > best_rank:
+            best_rank, best = rank, Es
+    w = _wong_witness(K, best)
     if w is not None:
-        return SemistabilityResult("unstable", "randomized", w, checked, trials)
+        return SemistabilityResult("unstable", mode, w, CERTIFICATE_TRIES, CERTIFICATE_TRIES)
+    if F.kind == "prime" and subspace_lattice_size(K.m, F.p) <= EXACT_LATTICE_BUDGET:
+        return is_semistable(K, mode="exact_smallfield")
+    raise BudgetExceededError(f"no certificate in {CERTIFICATE_TRIES} tries and the subspace "
+                              f"lattice over {F!r} is past the budget {EXACT_LATTICE_BUDGET}")
 
-    if rng is None:
-        from .rng import SplitMix64
 
-        rng = SplitMix64(0x5EED)
-    if F.kind != "prime":
-        # Random rational subspaces drawn with small integer entries.
-        def draw():
-            return Fraction(rng.next_below(19) - 9)
-    else:
-        def draw():
-            return rng.next_below(F.p)
+def _blowup_element(slices, Es) -> ScalarMatrix:
+    """The (n*m) x (m*n) matrix sum_i slices[i] (x) Es[i]."""
+    F = slices[0].field
+    dt = F.dot_dtype(len(slices))
+    total = sum(np.kron(A.a.astype(dt, copy=False), E.a.astype(dt, copy=False))
+                for A, E in zip(slices, Es))
+    return ScalarMatrix(F, F.reduce(total), total.shape)
 
-    for _ in range(trials):
-        a = 1 + rng.next_below(K.m)
-        rows = [[draw() for _ in range(K.m)] for _ in range(a)]
-        S = ScalarMatrix(F, rows)
-        R, pivots = S.rref()
-        if len(pivots) != a:
-            continue
-        checked += 1
-        w = _make_witness(K, S)
-        if w is not None:
-            return SemistabilityResult("unstable", "randomized", w, checked, trials)
-    return SemistabilityResult("unknown", "randomized", None, checked, trials)
+
+def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:
+    """The limit of the second Wong sequence of G = sum A_i (x) E_i, if destabilizing.
+
+    The blow-up maps U onto minimal_span(S) (x) k^m, S the column span of U
+    read as m x n matrices; G^-1 (T (x) k^m) = ker sum (Q A_i) (x) E_i, Q's
+    rows spanning the annihilator of T.
+    """
+    F, n, m = K.field, K.n, K.m
+    slices = K.coefficient_slices()
+    dim_T, T_basis = 0, []
+    while True:
+        Q = ScalarMatrix(F, ScalarMatrix(F, T_basis, shape=(dim_T, n)).kernel_basis(), (n - dim_T, n))
+        U = _blowup_element([Q.matmul(A) for A in slices], Es).kernel_basis()
+        cols = [[u[j * n + b] for j in range(m)] for u in U for b in range(n)]
+        R, pivots = ScalarMatrix(F, cols, shape=(len(cols), m)).rref()
+        S = ScalarMatrix(F, R.to_lists()[:len(pivots)], shape=(len(pivots), m))
+        dim_next, T_basis = K.minimal_span(S)
+        if dim_next == dim_T:
+            return _make_witness(K, S)
+        dim_T = dim_next
 
 
 def transform(K: KroneckerModule, g: ScalarMatrix, h: ScalarMatrix) -> KroneckerModule:

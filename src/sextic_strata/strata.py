@@ -19,13 +19,14 @@ conditions on the matrix:
 The classifier's domain is semistable sheaves.  It maps the profile of a
 valid injective presentation to the unique row above and rejects every
 other profile.  When the presentation has exactly the row's twist shape
-and the row is X1, X3 or X5, it also checks that row's matrix conditions
-and rejects a cokernel that fails them as not semistable.  On those three
-shapes every entry is a form of positive degree, so each condition is
-invariant under Aut(source) x Aut(target) and needs no normal position.
-X0 (a randomized Kronecker search over large fields), X2 and X4 (whose
-conditions need normal position) are not gated yet; their conditions are
-validators used by samplers and audits.
+and the row is X0, X1, X3 or X5, it also checks that row's matrix
+conditions and rejects a cokernel that fails them as not semistable.  On
+those four shapes each condition is invariant under Aut(source) x
+Aut(target) and needs no normal position: X1, X3 and X5 have only forms
+of positive degree, and X0's condition is the certified Kronecker
+decision on the linear block, which the group moves by GL_4 x GL_5.
+X2 and X4 (whose conditions need normal position) are not gated yet;
+their conditions are validators used by samplers and audits.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     WrongShapeError,
 )
 from .forms import Form, dim_forms, forms_rank, divides, common_factor, variables
-from .kronecker import KroneckerModule, is_semistable, moduli_dimension, subspace_lattice_size
+from .kronecker import KroneckerModule, is_semistable, moduli_dimension
 from .linalg import ScalarMatrix
 from .polymatrix import maximal_minors
 from .presentation import (
@@ -101,7 +102,7 @@ PROFILE_TO_LABEL: Dict[Tuple[int, int, int], StratumLabel] = {
 }
 
 # Rows whose matrix conditions the classifier checks on the canonical shape.
-GATED = (StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
+GATED = (StratumLabel.X0, StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
 
 
 def _require_shape(P: Presentation, label: StratumLabel) -> None:
@@ -122,7 +123,7 @@ def classify(P: Presentation) -> StratumLabel:
     signals the cokernel is not a semistable sheaf with Hilbert polynomial
     6m+1, or an arithmetic bug, and carries the offending profile.  Raises
     its subclass NotSemistable when the presentation has the canonical
-    X1, X3 or X5 twist shape of its row but fails that row's matrix
+    X0, X1, X3 or X5 twist shape of its row but fails that row's matrix
     conditions, so the cokernel is not semistable; it carries the profile
     and the violated conditions.
     """
@@ -183,21 +184,15 @@ def classification_report(P: Presentation) -> dict:
 def x0_condition(P: Presentation) -> bool:
     """Semistability of the 4 x 5 linear block as a Kronecker module.
 
-    Exact lattice enumeration when the field is small enough, otherwise
-    the randomized witness search (120 trials from its default seed); a
-    verdict of "unknown" after the trial budget counts as
-    semistable-leaning acceptance (instability always comes with a
-    verified witness, never by default).
+    The certified decision of `kronecker.is_semistable`: a full-rank
+    blow-up element proves semistability and a verified witness proves
+    instability.  Raises BudgetExceededError when neither certificate
+    appears and the field is too large to enumerate; nothing is accepted
+    by default.
     """
     _require_shape(P, StratumLabel.X0)
-    block = P.matrix.submatrix(range(4), range(5))
-    K = KroneckerModule(block)
-    field = P.field
-    if field.kind == "prime" and subspace_lattice_size(5, field.p) <= 200_000:
-        res = is_semistable(K, mode="exact_smallfield")
-    else:
-        res = is_semistable(K, mode="randomized", trials=120)
-    return res.verdict != "unstable"
+    K = KroneckerModule(P.matrix.submatrix(range(4), range(5)))
+    return is_semistable(K).verdict == "semistable"
 
 
 def x1_patterns(P: Presentation) -> Set[PatternId]:

@@ -10,7 +10,7 @@ full documented sizes.  Criteria:
  4. dimension arithmetic   fibration identities with exact summands
  5. polarization windows   (1/4, 1/2), (3/7, 1/2) and (0, 1/5) on the grid
  6. X1 oracle equivalence  fast pattern tests vs exhaustive orbit search, F_2
- 7. Kronecker oracle       exact verdicts re-verified; block forms unstable
+ 7. Kronecker oracle       exact verdicts re-verified and certified; block forms unstable
  8. X5 constructor         determinant roundtrip, bit-exact
  9. negative controls      degenerate X3/X5 constructions vs the classifier
 """
@@ -277,6 +277,13 @@ def criterion_7_kronecker(seed: int, random_modules: int = 60) -> CriterionResul
         field = GF(3)
         problems = []
         unstable_seen = 0
+
+        def decide(K, what):
+            res, cert = is_semistable(K, mode="exact_smallfield"), is_semistable(K)
+            if cert.verdict != res.verdict or (cert.witness and not verify_witness(K, cert.witness)):
+                problems.append(f"{what}: certified decision disagrees with enumeration")
+            return res
+
         for k in range(random_modules):
             rng = SplitMix64(derive_seed(seed, 800_000 + k))
             n, m = (4, 5) if k % 2 == 0 else (3, 2)
@@ -284,7 +291,7 @@ def criterion_7_kronecker(seed: int, random_modules: int = 60) -> CriterionResul
                 [random_form(field, 1, rng) for _ in range(m)] for _ in range(n)
             ]
             K = KroneckerModule(PolyMatrix(field, entries))
-            res = is_semistable(K, mode="exact_smallfield")
+            res = decide(K, f"module {k}")
             if res.verdict == "unstable":
                 unstable_seen += 1
                 if not verify_witness(K, res.witness):
@@ -293,7 +300,7 @@ def criterion_7_kronecker(seed: int, random_modules: int = 60) -> CriterionResul
         for idx, dims in enumerate(block_dims):
             rng = SplitMix64(derive_seed(seed, 900_000 + idx))
             K = _block_module(field, dims, rng)
-            res = is_semistable(K, mode="exact_smallfield")
+            res = decide(K, f"block module {dims}")
             if res.verdict != "unstable":
                 problems.append(f"block module {dims} not reported unstable")
                 continue
@@ -304,7 +311,7 @@ def criterion_7_kronecker(seed: int, random_modules: int = 60) -> CriterionResul
                 problems.append(f"block module {dims}: witness fails re-verification")
         detail = (
             f"{random_modules} exact F_3 modules ({unstable_seen} unstable, all witnesses "
-            f"re-verified), block forms {block_dims} unstable with matching dims"
+            f"re-verified, certified verdicts agree), block forms {block_dims} unstable with matching dims"
         )
         if problems:
             detail += "; " + problems[0]

@@ -135,13 +135,15 @@ def test_kron_check(tmp_path, capsys):
     P = Presentation((-2, -2), (-1, -1, -1), PolyMatrix(field, [[X, z], [Y, X], [Z, Y]]))
     f = tmp_path / "kron.json"
     save(P, f)
-    code, out = run(capsys, "kron", "check", str(f), "--mode", "exact_smallfield")
+    code, out = run(capsys, "kron", "check", str(f))
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "semistable"
 
 
-def test_kron_check_budget_exit(tmp_path, capsys):
+def test_kron_check_budget_exit(tmp_path, capsys, monkeypatch):
+    from sextic_strata import kronecker
+    from sextic_strata.linalg import ScalarMatrix
     from sextic_strata.rng import SplitMix64
     from sextic_strata.sampler import random_form
 
@@ -151,8 +153,21 @@ def test_kron_check_budget_exit(tmp_path, capsys):
     P = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(field, rows))
     f = tmp_path / "big.json"
     save(P, f)
-    code, out = run(capsys, "kron", "check", str(f), "--mode", "exact_smallfield")
+    code, out = run(capsys, "kron", "check", str(f))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "semistable"
+    # with every blow-up element zero neither certificate can appear, and the
+    # GF(101) lattice is past the enumeration budget: exit 3, never a verdict
+    monkeypatch.setattr(
+        kronecker,
+        "_blowup_element",
+        lambda slices, Es: ScalarMatrix.zeros(
+            field, slices[0].nrows * Es[0].nrows, slices[0].ncols * Es[0].ncols
+        ),
+    )
+    code, out = run(capsys, "kron", "check", str(f))
     assert code == 3
+    assert json.loads(out)["error"] == "BudgetExceededError"
 
 
 def test_kron_window(capsys):
@@ -192,21 +207,20 @@ def test_det_pretty_on_constructed_example(tmp_path, capsys):
     assert json.loads(out)["pretty"] == "X^6 + Y^6"
 
 
-def test_kron_check_randomized_mode(tmp_path, capsys):
+def test_kron_check_unstable_block_module(tmp_path, capsys):
     from sextic_strata.rng import SplitMix64
-    from sextic_strata.sampler import random_form
+    from sextic_strata.verify import _block_module
 
     field = GF(101)
-    rng = SplitMix64(9)
-    rows = [[random_form(field, 1, rng) for _ in range(5)] for _ in range(4)]
-    P = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(field, rows))
+    K = _block_module(field, (3, 2), SplitMix64(9))
+    P = Presentation((-2,) * 5, (-1,) * 4, K.matrix)
     f = tmp_path / "mod.json"
     save(P, f)
-    code, out = run(capsys, "kron", "check", str(f), "--mode", "randomized")
+    code, out = run(capsys, "kron", "check", str(f))
     assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] in ("unknown", "unstable")
-    assert doc["budget"] > 0
+    assert (doc["verdict"], doc["mode"]) == ("unstable", "certificate")
+    assert (doc["witness"]["dimS"], doc["witness"]["dimT"]) == (3, 2)
 
 
 def test_human_rendering(tmp_path, capsys):

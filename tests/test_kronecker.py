@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sextic_strata.errors import BudgetExceededError
-from sextic_strata.fields import GF
+from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, variables
 from sextic_strata.kronecker import (
     KroneckerModule,
@@ -96,16 +96,33 @@ def test_spec_3x2_module_semistable():
     assert res.checked == 5
 
 
-def test_exact_agrees_with_randomized_when_definite():
-    for k in range(20):
-        K = random_module(F3, 3, 2, derive_seed(55, k))
-        exact = is_semistable(K, mode="exact_smallfield")
-        rand = is_semistable(K, mode="randomized", trials=80, rng=SplitMix64(k))
-        if rand.verdict == "unstable":
-            assert exact.verdict == "unstable"
-            assert verify_witness(K, rand.witness)
-        if exact.verdict == "unstable":
-            assert verify_witness(K, exact.witness)
+@pytest.mark.parametrize("p", [2, 3])
+def test_certificate_agrees_with_enumeration(p):
+    field = GF(p)
+    fallbacks = 0
+    for k in range(100):
+        n, m = (4, 5) if k % 2 == 0 else (3, 2)
+        K = random_module(field, n, m, derive_seed(55 + p, k))
+        cert = is_semistable(K)
+        assert cert.verdict == is_semistable(K, mode="exact_smallfield").verdict
+        if cert.witness is not None:
+            assert verify_witness(K, cert.witness)
+        fallbacks += cert.mode == "exact_smallfield"
+    if p == 2:
+        # over F_2 random blow-up elements are often singular; enumeration decides
+        assert fallbacks >= 1
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["F101", "QQ"])
+def test_certificate_block_witness_dims(field):
+    from sextic_strata.verify import _block_module
+
+    for idx, dims in enumerate([(1, 0), (2, 1), (3, 2), (4, 3)]):
+        K = _block_module(field, dims, SplitMix64(derive_seed(31, idx)))
+        res = is_semistable(K)
+        assert (res.verdict, res.mode) == ("unstable", "certificate")
+        assert (res.witness.dim_S, res.witness.dim_T) == dims
+        assert verify_witness(K, res.witness)
 
 
 def test_orbit_invariance_of_verdict():

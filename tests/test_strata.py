@@ -112,11 +112,12 @@ def test_classification_report_schema():
 
 
 # ---------------------------------------------------------------------------
-# semistability gate of the classifier (X1, X3, X5 canonical shapes)
+# semistability gate of the classifier (X0, X1, X3, X5 canonical shapes)
 # ---------------------------------------------------------------------------
 
-GATED = (StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
+GATED = (StratumLabel.X0, StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
 GATE_VIOLATION = {
+    StratumLabel.X0: "phi_11 is not semistable as a Kronecker module",
     StratumLabel.X1: "matrix is equivalent to forbidden pattern P1",
     StratumLabel.X3: "phi_11 entries dependent",
     StratumLabel.X5: "l divides q",
@@ -131,14 +132,19 @@ def _entry(field, degree, rng):
 def _degenerate(label, field, seed):
     """Generic entries on the label's shape with one condition broken, det != 0.
 
-    X1: l1 = l2 = 0 (pattern P1); X3: phi_11 = (l, 3l); X5: q = l * u.
+    X0: phi_11 vanishes on rows 1-3 of columns 0-1, a (dim S, dim T) = (2, 1)
+    destabilizing block; X1: l1 = l2 = 0 (pattern P1); X3: phi_11 = (l, 3l);
+    X5: q = l * u.
     """
     rng = SplitMix64(seed)
     src, tgt = SHAPES[label]
     while True:
         ent = [[_entry(field, d - s, rng) for s in src] for d in tgt]
         l = random_form(field, 1, rng)
-        if label is StratumLabel.X1:
+        if label is StratumLabel.X0:
+            for i in (1, 2, 3):
+                ent[i][0] = ent[i][1] = Form.zero(field, 1)
+        elif label is StratumLabel.X1:
             ent[0][1] = ent[0][2] = Form.zero(field, 1)
         elif label is StratumLabel.X3:
             ent[0][0], ent[0][1] = l, l.scale(3)
