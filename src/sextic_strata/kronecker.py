@@ -13,7 +13,9 @@ under every blow-up element sum A_i (x) E_i (E_i in M_{m x n}), so one of
 full rank nm proves semistability (King 1994; Derksen-Weyman 2000); the
 second Wong sequence of a rank-deficient one yields a destabilizing pair
 that `verify_witness` re-checks (Ivanyos-Qiao-Subrahmanyam 2017).  Over a
-small prime field, enumerating the subspace lattice is the reference.
+small prime field, enumerating the subspace lattice is the reference; it
+takes dim T of a whole chunk of echelon bases from one matrix product and
+one batched rank elimination, in the frozen order of `echelon_chunks`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .polymatrix import PolyMatrix
 from .rng import SplitMix64
 
 EXACT_LATTICE_BUDGET = 10_000_000
+# echelon bases per batched rank elimination in exact_smallfield; small
+# enough that every array of a chunk stays well under a megabyte
+ENUMERATION_CHUNK = 512
 CERTIFICATE_TRIES = 8
 # blow-up elements come from this fixed stream, never from the caller's
 CERTIFICATE_SEED = 0x5EED
@@ -182,13 +187,16 @@ def subspace_lattice_size(m: int, p: int) -> int:
     return sum(gaussian_binomial(m, a, p) for a in range(1, m + 1))
 
 
-def echelon_bases(field: PrimeField, m: int, a: int) -> Iterator[ScalarMatrix]:
+def echelon_chunks(field: PrimeField, m: int, a: int) -> Iterator[np.ndarray]:
     """All a-dimensional subspaces of F_p^m as reduced echelon bases.
 
-    Enumeration order is frozen: pivot patterns in lexicographic order,
-    then free entries in row-major lexicographic order of their values.
+    Yields int64 arrays of shape (N, a, m), N <= ENUMERATION_CHUNK, whose
+    concatenation is the frozen enumeration order: pivot patterns in
+    lexicographic order, then free entries in row-major lexicographic
+    order of their values (the base-p digits of a running index).
     """
     p = field.p
+    out, filled = np.zeros((ENUMERATION_CHUNK, a, m), np.int64), 0
     for pivots in itertools.combinations(range(m), a):
         pivot_set = set(pivots)
         free_slots = [
@@ -197,13 +205,42 @@ def echelon_bases(field: PrimeField, m: int, a: int) -> Iterator[ScalarMatrix]:
             for j in range(pivots[i] + 1, m)
             if j not in pivot_set
         ]
-        for values in itertools.product(range(p), repeat=len(free_slots)):
-            rows = [[0] * m for _ in range(a)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, j), v in zip(free_slots, values):
-                rows[i][j] = v
-            yield ScalarMatrix(field, rows)
+        total, start = p ** len(free_slots), 0
+        while start < total:
+            take = min(total - start, ENUMERATION_CHUNK - filled)
+            block = out[filled:filled + take]
+            block[:, range(a), pivots] = 1
+            index = np.arange(start, start + take, dtype=np.int64)
+            for s, (i, j) in enumerate(free_slots):
+                block[:, i, j] = index // p ** (len(free_slots) - 1 - s) % p
+            filled, start = filled + take, start + take
+            if filled == ENUMERATION_CHUNK:
+                yield out
+                out, filled = np.zeros((ENUMERATION_CHUNK, a, m), np.int64), 0
+    if filled:
+        yield out[:filled]
+
+
+def _batched_ranks(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of the matrices a[k], a of shape (N, R, n) with entries in [0, p).
+
+    One fraction-free elimination step per column, vectorized over N: every
+    row is scaled by the pivot (a unit) and loses its multiple of the first
+    row with a nonzero entry in the column, which clears the column and the
+    pivot row itself.  The column is then dropped, so the rank counts the
+    columns that had a pivot, and no inverse mod p is ever computed.
+    """
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    everyone = np.arange(a.shape[0])
+    for _ in range(a.shape[2]):
+        col = a[:, :, 0]
+        nonzero = col != 0
+        has_pivot = nonzero.any(axis=1)
+        pivot_row = a[everyone, nonzero.argmax(axis=1)]
+        scale = np.where(has_pivot, pivot_row[:, 0], 1)
+        a = (scale[:, None, None] * a[:, :, 1:] - col[:, :, None] * pivot_row[:, None, 1:]) % p
+        rank += has_pivot
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +259,36 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
 
     exact_smallfield: exhaustive enumeration of the source subspace
     lattice over F_p, by increasing dimension and lexicographic pivot
-    pattern; the first violating subspace (deterministic) becomes the
-    witness.  Raises BudgetExceededError when the lattice has more than
-    EXACT_LATTICE_BUDGET elements.
+    pattern, batched ENUMERATION_CHUNK echelon bases per rank elimination.
+    The order is frozen: the first violating subspace becomes the witness
+    (rebuilt alone by `minimal_span`), `checked` counts the subspaces up to
+    and including it (all of them when semistable), and `budget` is the
+    lattice size.  Raises BudgetExceededError, before any enumeration,
+    when the lattice has more than EXACT_LATTICE_BUDGET elements.
     """
     if mode == "exact_smallfield":
-        if K.field.kind != "prime":
+        F = K.field
+        if F.kind != "prime":
             raise ValueError("exact_smallfield needs a prime field")
-        size = subspace_lattice_size(K.m, K.field.p)
+        size = subspace_lattice_size(K.m, F.p)
         if size > EXACT_LATTICE_BUDGET:
             raise BudgetExceededError(
                 f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
+        dt = F.dot_dtype(K.m)
+        # S @ W stacks the rows A s, B s, C s of every basis vector s
+        W = np.hstack([S.a.T for S in K.coefficient_slices()]).astype(dt)
         checked = 0
         for a in range(1, K.m + 1):
-            for S in echelon_bases(K.field, K.m, a):
-                checked += 1
-                w = _make_witness(K, S)
-                if w is not None:
-                    return SemistabilityResult("unstable", mode, w, checked, size)
+            for bases in echelon_chunks(F, K.m, a):
+                images = F.reduce(bases.astype(dt, copy=False) @ W).astype(F.dtype, copy=False)
+                dim_T = _batched_ranks(images.reshape(len(bases), 3 * a, K.n), F.p)
+                violating = np.flatnonzero(K.n * a - K.m * dim_T > 0)
+                if violating.size:
+                    first = int(violating[0])
+                    w = _make_witness(K, ScalarMatrix(F, bases[first].tolist()))
+                    return SemistabilityResult("unstable", mode, w, checked + first + 1, size)
+                checked += len(bases)
         return SemistabilityResult("semistable", mode, None, checked, size)
 
     if mode != "certificate":

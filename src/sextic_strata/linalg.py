@@ -50,13 +50,6 @@ class ScalarMatrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "ScalarMatrix":
         return cls._wrap(field, np.full((nrows, ncols), field.zero(), dtype=field.dtype))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "ScalarMatrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m._set(i, i, field.one())
-        return m
-
     # -- element access (internal writes only during construction) ----
 
     def _set(self, i: int, j: int, v) -> None:
@@ -116,10 +109,6 @@ class ScalarMatrix:
         dt = F.dot_dtype(self.ncols)
         prod = self.a.astype(dt, copy=False) @ other.a.astype(dt, copy=False)
         return ScalarMatrix._wrap(F, F.reduce(prod).astype(F.dtype, copy=False))
-
-    def mul_vec(self, v: Sequence) -> list:
-        col = ScalarMatrix(self.field, [[x] for x in v], shape=(len(v), 1))
-        return [r[0] for r in self.matmul(col).to_lists()]
 
     def is_zero(self) -> bool:
         return not self.a.any()

@@ -68,7 +68,7 @@ def test_monomial_basis_negative_degree():
 
 def test_mult_map_by_one_is_identity():
     one = Form.constant(QQ, 1)
-    assert mult_map(one, 2) == ScalarMatrix.identity(QQ, 6)
+    assert mult_map(one, 2) == ScalarMatrix(QQ, [[int(i == j) for j in range(6)] for i in range(6)])
 
 
 def test_mult_map_by_x_from_constants():

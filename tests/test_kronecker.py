@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sextic_strata import kronecker
 from sextic_strata.errors import BudgetExceededError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, variables
 from sextic_strata.kronecker import (
+    ENUMERATION_CHUNK,
     KroneckerModule,
-    echelon_bases,
+    SemistabilityResult,
+    _make_witness,
+    echelon_chunks,
     gaussian_binomial,
     is_semistable,
     moduli_dimension,
@@ -45,10 +51,12 @@ def random_module(field, n, m, seed):
 
 
 def test_gaussian_binomial_against_enumeration():
-    # oracle: count reduced echelon bases directly
-    for m, a, p in [(3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 1, 3)]:
-        count = sum(1 for _ in echelon_bases(GF(p), m, a))
-        assert count == gaussian_binomial(m, a, p)
+    # oracle: count reduced echelon bases directly; (6, 3, 2) spans several chunks
+    assert gaussian_binomial(6, 3, 2) > ENUMERATION_CHUNK
+    for m, a, p in [(3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 1, 3), (6, 3, 2)]:
+        chunks = list(echelon_chunks(GF(p), m, a))
+        assert all(c.dtype == np.int64 and c.shape[1:] == (a, m) for c in chunks)
+        assert sum(len(c) for c in chunks) == gaussian_binomial(m, a, p)
 
 
 def test_subspace_lattice_size_f3_dim5():
@@ -57,9 +65,12 @@ def test_subspace_lattice_size_f3_dim5():
 
 
 def test_echelon_bases_are_echelon():
-    for B in itertools.islice(echelon_bases(F3, 4, 2), 30):
-        R, pivots = B.rref()
-        assert R == B and len(pivots) == 2
+    bases = np.concatenate(list(echelon_chunks(F3, 4, 2)))
+    for B in bases:
+        R, pivots = ScalarMatrix(F3, B.tolist()).rref()
+        assert R.to_lists() == B.tolist() and len(pivots) == 2
+    # distinct echelon forms are distinct subspaces: the enumeration is complete
+    assert len({B.tobytes() for B in bases}) == len(bases) == gaussian_binomial(4, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +152,11 @@ def test_orbit_invariance_of_verdict():
         assert is_semistable(transform(K, g, h), mode="exact_smallfield").verdict == base
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started past the budget")
+
+    monkeypatch.setattr(kronecker, "echelon_chunks", no_enumeration)
     K = random_module(GF(101), 4, 5, 1)
     with pytest.raises(BudgetExceededError):
         is_semistable(K, mode="exact_smallfield")
@@ -183,6 +198,87 @@ def test_witness_report_schema():
     rep = res.witness.report(F3)
     assert set(rep) == {"dimS", "dimT", "S_basis", "T_basis", "slope_deficit"}
     assert rep["dimS"] == 1 and rep["dimT"] == 0 and rep["slope_deficit"] == 3
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration against the per-subspace loop
+# ---------------------------------------------------------------------------
+
+
+def reference_exact_smallfield(K):
+    """The enumeration one subspace at a time: frozen-order bases, one rref each."""
+    p, m = K.field.p, K.m
+    size = subspace_lattice_size(m, p)
+    checked = 0
+    for a in range(1, m + 1):
+        for pivots in itertools.combinations(range(m), a):
+            free_slots = [(i, j) for i in range(a) for j in range(pivots[i] + 1, m) if j not in pivots]
+            for values in itertools.product(range(p), repeat=len(free_slots)):
+                rows = [[0] * m for _ in range(a)]
+                for i, pc in enumerate(pivots):
+                    rows[i][pc] = 1
+                for (i, j), v in zip(free_slots, values):
+                    rows[i][j] = v
+                checked += 1
+                w = _make_witness(K, ScalarMatrix(K.field, rows))
+                if w is not None:
+                    return SemistabilityResult("unstable", "exact_smallfield", w, checked, size)
+    return SemistabilityResult("semistable", "exact_smallfield", None, checked, size)
+
+
+def _equivalence_cases():
+    from sextic_strata.verify import _block_module
+
+    for p in (2, 3, 5):
+        field = GF(p)
+        for n, m in [(4, 5), (3, 2), (5, 4), (2, 3), (1, 2), (3, 1)]:
+            if (p, m) == (5, 5):
+                continue  # the reference walks 42k subspaces, about 5 s per module
+            for k in range(4):
+                K = random_module(field, n, m, derive_seed(4242 + p, 100 * n + 10 * m + k))
+                yield pytest.param(K, id=f"F{p}-{n}x{m}-{k}")
+        z = Form.zero(field, 1)
+        X, Y, Z = variables(field)
+        yield pytest.param(module_from(field, [[z, z], [z, z], [z, z]]), id=f"F{p}-zero")
+        yield pytest.param(module_from(field, [[X, z, Y], [Y, z, Z], [Z, z, X]]), id=f"F{p}-zero-column")
+    # the block modules of criterion 7
+    for idx, dims in enumerate([(1, 0), (2, 1), (3, 2), (4, 3)]):
+        K = _block_module(F3, dims, SplitMix64(derive_seed(20260801, 900_000 + idx)))
+        yield pytest.param(K, id=f"F3-block{dims[0]}{dims[1]}")
+
+
+@pytest.mark.parametrize("K", list(_equivalence_cases()))
+def test_batched_enumeration_matches_per_subspace_loop(K):
+    assert is_semistable(K, mode="exact_smallfield") == reference_exact_smallfield(K)
+
+
+def test_large_prime_two_columns_without_size_p_tables():
+    field = GF(1_000_003)
+    K = random_module(field, 3, 2, 8)
+    assert subspace_lattice_size(2, field.p) == 1_000_005
+    tracemalloc.start()
+    try:
+        res = is_semistable(K, mode="exact_smallfield")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an inverse table indexed by F_p alone would take 8 bytes per element
+    assert peak < field.p
+    assert (res.verdict, res.checked) == ("semistable", 1_000_005)
+    assert is_semistable(K).verdict == "semistable"
+
+
+def test_one_column_over_object_dtype_prime():
+    field = GF(2**31 + 11)
+    assert field.dtype is object
+    X, Y, Z = variables(field)
+    z = Form.zero(field, 1)
+    assert is_semistable(module_from(field, [[X], [Y], [Z]]), mode="exact_smallfield").verdict == "semistable"
+    res = is_semistable(module_from(field, [[X], [Y], [z]]), mode="exact_smallfield")
+    assert (res.verdict, res.witness.dim_T) == ("unstable", 2)
+    for k in range(4):
+        K = random_module(field, 1 + k % 4, 1, derive_seed(31, k))
+        assert is_semistable(K, mode="exact_smallfield").verdict == is_semistable(K).verdict
 
 
 # ---------------------------------------------------------------------------
