@@ -13,6 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
+import numpy as np
+
 from .fields import Field, same_field
 from .linalg import ScalarMatrix
 
@@ -54,7 +56,7 @@ class Form:
     require degree >= 0 and every stored triple sums to the degree.
     """
 
-    __slots__ = ("field", "degree", "coeffs")
+    __slots__ = ("field", "degree", "coeffs", "_array")
 
     def __init__(self, field: Field, degree: int, coeffs: Dict[Exponent, object]):
         clean: Dict[Exponent, object] = {}
@@ -68,6 +70,7 @@ class Form:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_array", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Form is immutable")
@@ -80,6 +83,7 @@ class Form:
         object.__setattr__(f, "field", field)
         object.__setattr__(f, "degree", degree)
         object.__setattr__(f, "coeffs", {})
+        object.__setattr__(f, "_array", None)
         return f
 
     @classmethod
@@ -170,6 +174,14 @@ class Form:
         F = self.field
         return [self.coeffs.get(e, F.zero()) for e in monomial_basis(max(self.degree, 0))]
 
+    def coefficient_array(self) -> np.ndarray:
+        """`coefficient_vector` as a read-only array of the field's dtype, built once."""
+        if self._array is None:
+            array = np.array(self.coefficient_vector(), dtype=self.field.dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self._array
+
     def evaluate(self, point: Sequence) -> object:
         F = self.field
         x, y, z = (F.normalize(v) for v in point)
@@ -230,23 +242,44 @@ def variables(field: Field) -> Tuple[Form, Form, Form]:
     )
 
 
+@lru_cache(maxsize=None)
+def product_rows(a: int, b: int) -> np.ndarray:
+    """Rows of monomial products: entry (k, j) is the index, in the frozen
+    degree-(a+b) order, of monomial k of degree a times monomial j of degree b.
+    """
+    idx = monomial_index(a + b)
+    rows = np.array(
+        [[idx[(e[0] + m[0], e[1] + m[1], e[2] + m[2])] for m in monomial_basis(b)]
+         for e in monomial_basis(a)],
+        dtype=np.intp,
+    )
+    rows.flags.writeable = False
+    return rows
+
+
+def write_mult_map(out: np.ndarray, f: Form, b: int, i0: int = 0, j0: int = 0) -> None:
+    """Write the matrix of multiplication by f on degree-b forms into the
+    zero block of `out` at offset (i0, j0), with one fancy-index assignment.
+    """
+    if f.is_zero:
+        return
+    rows = product_rows(f.degree, b)
+    block = out[i0:i0 + dim_forms(f.degree + b), j0:j0 + rows.shape[1]]
+    # Monomial k times the monomials of degree b hits distinct rows, so each
+    # coefficient, zero or not, lands in a cell of its own.
+    block[rows, np.arange(rows.shape[1])] = f.coefficient_array()[:, None]
+
+
 def mult_map(f: Form, b: int) -> ScalarMatrix:
     """Matrix of multiplication by f from degree-b forms to degree-(a+b) forms.
 
     Rows and columns follow the frozen monomial order; the column for a
-    monomial m holds the coefficients of f*m.
+    monomial m holds the coefficients of f*m, scattered by `write_mult_map`.
     """
     if b < 0:
         raise ValueError(f"negative source degree {b}")
-    a = max(f.degree, 0)
-    rows = dim_forms(a + b)
-    cols_basis = monomial_basis(b)
-    idx = monomial_index(a + b)
-    M = ScalarMatrix.zeros(f.field, rows, len(cols_basis))
-    for j, m in enumerate(cols_basis):
-        for e, c in f.coeffs.items():
-            target = (e[0] + m[0], e[1] + m[1], e[2] + m[2])
-            M._set(idx[target], j, c)
+    M = ScalarMatrix.zeros(f.field, dim_forms(max(f.degree, 0) + b), dim_forms(b))
+    write_mult_map(M.a, f, b)
     return M
 
 

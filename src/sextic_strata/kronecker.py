@@ -51,7 +51,7 @@ CERTIFICATE_SEED = 0x5EED
 class KroneckerModule:
     """n x m matrix of linear forms with semistability machinery."""
 
-    __slots__ = ("field", "n", "m", "matrix", "_slices")
+    __slots__ = ("field", "n", "m", "matrix", "_slices", "_stacked")
 
     def __init__(self, matrix: PolyMatrix):
         for i in range(matrix.nrows):
@@ -64,6 +64,7 @@ class KroneckerModule:
         object.__setattr__(self, "m", matrix.ncols)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_slices", None)
+        object.__setattr__(self, "_stacked", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("KroneckerModule is immutable")
@@ -81,20 +82,31 @@ class KroneckerModule:
                 for j in range(self.m):
                     c = self.matrix.entry(i, j).coeffs.get(exp)
                     if c is not None:
-                        S._set(i, j, c)
+                        S.a[i, j] = c
             slices.append(S)
         object.__setattr__(self, "_slices", tuple(slices))
         return self._slices
+
+    def stacked_slices(self) -> ScalarMatrix:
+        """W = [A^T | B^T | C^T], m x 3n: for a row s of S, the row of S @ W
+        is (A s, B s, C s)."""
+        if self._stacked is None:
+            A, B, C = (S.transpose() for S in self.coefficient_slices())
+            object.__setattr__(self, "_stacked", A.hstack(B).hstack(C))
+        return self._stacked
+
+    def images(self, S_rows: ScalarMatrix) -> ScalarMatrix:
+        """The vectors A s, B s, C s of every row s of S_rows, as rows of a
+        (3 dim S) x n matrix; its row space is the minimal span T of S."""
+        prod = S_rows.matmul(self.stacked_slices()).a
+        return ScalarMatrix._wrap(self.field, prod.reshape(3 * S_rows.nrows, self.n))
 
     def minimal_span(self, S_rows: ScalarMatrix) -> Tuple[int, List[list]]:
         """Minimal T with M*S inside T (x) V, for S spanned by the given rows.
 
         Returns (dim T, reduced basis rows of T).
         """
-        A, B, C = self.coefficient_slices()
-        St = S_rows.transpose()
-        images = A.matmul(St).hstack(B.matmul(St)).hstack(C.matmul(St))
-        R, pivots = images.transpose().rref()
+        R, pivots = self.images(S_rows).rref()
         basis = [R.row(i) for i in range(len(pivots))]
         return len(pivots), basis
 
@@ -155,9 +167,7 @@ def verify_witness(K: KroneckerModule, w: Witness) -> bool:
     S = ScalarMatrix(F, [list(r) for r in w.S_basis])
     if S.rank() != w.dim_S or w.dim_S == 0:
         return False
-    A, B, C = K.coefficient_slices()
-    St = S.transpose()
-    images = A.matmul(St).hstack(B.matmul(St)).hstack(C.matmul(St)).transpose()
+    images = K.images(S)
     if w.dim_T:
         T = ScalarMatrix(F, [list(r) for r in w.T_basis])
         if T.rank() != w.dim_T or T.vstack(images).rank() != w.dim_T:
@@ -276,8 +286,7 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
                 f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
         dt = F.dot_dtype(K.m)
-        # S @ W stacks the rows A s, B s, C s of every basis vector s
-        W = np.hstack([S.a.T for S in K.coefficient_slices()]).astype(dt)
+        W = K.stacked_slices().a.astype(dt)
         checked = 0
         for a in range(1, K.m + 1):
             for bases in echelon_chunks(F, K.m, a):

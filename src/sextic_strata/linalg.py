@@ -4,9 +4,13 @@ Rank, reduced row echelon form, kernel bases and linear solves via
 Gaussian elimination on a numpy array whose dtype the field chooses
 (`Field.dtype`: int64 for primes below 2**31, Python scalars in an object
 array for Q and larger primes).  One vectorized elimination serves every
-field; the field reduces each intermediate result (`Field.reduce`), so
-every answer is exact.  All matrices here are small (at most a few
-hundred rows), so no sparse or asymptotically fast methods are needed.
+field.  Over an int64 prime it defers the reduction mod p: each step
+reduces only what it reads (the searched column and the pivot row), and
+the whole array is reduced only when one more row update could overflow
+int64 (the bound comes from `Field.dot_dtype`) and once at the end.  Q and
+object-dtype primes reduce after every update, so every answer is exact.
+All matrices here are small (at most a few hundred rows), so no sparse or
+asymptotically fast methods are needed.
 """
 
 from __future__ import annotations
@@ -50,11 +54,7 @@ class ScalarMatrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "ScalarMatrix":
         return cls._wrap(field, np.full((nrows, ncols), field.zero(), dtype=field.dtype))
 
-    # -- element access (internal writes only during construction) ----
-
-    def _set(self, i: int, j: int, v) -> None:
-        """Store v as given: callers pass canonical scalars (Form coefficients, field constants)."""
-        self.a[i, j] = v
+    # -- element access ------------------------------------------------
 
     def entry(self, i: int, j: int):
         return self.a.item(i, j)
@@ -78,12 +78,6 @@ class ScalarMatrix:
         return self.a.shape
 
     # -- block composition --------------------------------------------
-
-    def paste(self, block: "ScalarMatrix", i0: int, j0: int) -> None:
-        """Write `block` at offset (i0, j0).  Only used while assembling."""
-        if block.field != self.field:
-            raise FieldMismatchError("paste across fields")
-        self.a[i0:i0 + block.nrows, j0:j0 + block.ncols] = block.a
 
     def hstack(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if other.field != self.field or other.nrows != self.nrows:
@@ -138,24 +132,35 @@ class ScalarMatrix:
         limit = self.ncols if pivot_cols_limit is None else pivot_cols_limit
         a = self.a.copy()
         nrows = a.shape[0]
+        budget = _update_budget(F, min(nrows, limit))
+        pending = 0  # row updates applied since `a` was last reduced
         pivots: List[int] = []
         r = 0
         for c in range(limit):
             if r == nrows:
                 break
-            nz = np.nonzero(a[r:, c])[0]
+            # The reduced column: a copy over F_p, a view of `a` over Q.
+            col = F.reduce(a[:, c])
+            nz = col[r:].nonzero()[0]
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            a[r] = F.reduce(a[r] * F.inv(a.item(r, c)))
-            col = a[:, c].copy()
-            col[r] = 0
-            a = F.reduce(a - np.outer(col, a[r]))
+            # Columns left of c are zero mod p in rows r and below, so the
+            # pivot row and the update start at c.
+            row = F.reduce(F.reduce(a[i, c:]) * F.inv(col.item(i)))
+            if i != r:  # swap rows r and i; row r is overwritten below
+                a[i, c:] = a[r, c:]
+                col[i] = col[r]
+            if pending == budget:
+                a, pending = F.reduce(a), 0
+            # The product is formed before the subtraction, so a view is read
+            # intact.  The update also clears row r, which takes the pivot row.
+            a[:, c:] -= col[:, None] * row
+            a[r, c:] = row
+            pending += 1
             pivots.append(c)
             r += 1
-        return ScalarMatrix._wrap(F, a), pivots
+        return ScalarMatrix._wrap(F, F.reduce(a)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -193,3 +198,19 @@ class ScalarMatrix:
         x = np.full(self.ncols, F.zero(), dtype=F.dtype)
         x[pivots] = R.a[:len(pivots), -1]
         return x.tolist()
+
+
+def _update_budget(field: Field, steps: int) -> int:
+    """Row updates an elimination may apply before it must reduce its array.
+
+    After k unreduced updates an entry is a canonical entry minus k products
+    of canonical entries, so it stays exact while `dot_dtype(k + 1)` is the
+    payload's int64.  Object payloads (Q, primes of 2**31 and above) are
+    reduced after every update.
+    """
+    if field.dtype is object:
+        return 1
+    k = max(steps, 1)
+    while k > 1 and field.dot_dtype(k + 1) is not np.int64:
+        k //= 2
+    return k

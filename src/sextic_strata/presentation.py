@@ -37,7 +37,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import field_from_json
-from .forms import Form, dim_forms, mult_map, variables
+from .forms import Form, dim_forms, variables, write_mult_map
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -90,7 +90,7 @@ class Presentation:
     the cohomology operations reject them.
     """
 
-    __slots__ = ("field", "source", "target", "matrix", "metadata")
+    __slots__ = ("field", "source", "target", "matrix", "metadata", "_dual")
 
     def __init__(
         self,
@@ -112,6 +112,7 @@ class Presentation:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "metadata", dict(metadata) if metadata else None)
+        object.__setattr__(self, "_dual", None)  # built by dual_section_matrix on first use
         bad = validate_grid_only(self)
         if bad:
             raise InvalidPresentationError(bad)
@@ -243,7 +244,10 @@ def _layout(twists: Sequence[int], t: int) -> Tuple[List[int], int]:
 
 
 def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
-    """Matrix of H^0(phi(t)): stacked multiplication blocks of the entries."""
+    """Matrix of H^0(phi(t)): block (i, j) multiplies by phi_ij from
+    H^0(O(s_j + t)) to H^0(O(d_i + t)); each nonzero cell is scattered into
+    place by `write_mult_map`.
+    """
     row_off, nrows = _layout(P.target, t)
     col_off, ncols = _layout(P.source, t)
     M = ScalarMatrix.zeros(P.field, nrows, ncols)
@@ -253,10 +257,7 @@ def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
         for i, d in enumerate(P.target):
             if d + t < 0:
                 continue
-            f = P.matrix.entry(i, j)
-            if f.is_zero:
-                continue
-            M.paste(mult_map(f, s + t), row_off[i], col_off[j])
+            write_mult_map(M.a, P.matrix.entry(i, j), s + t, row_off[i], col_off[j])
     return M
 
 
@@ -266,9 +267,12 @@ def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
     The dual has twists -2 - d_i -> -2 - s_j and the transposed matrix, so
     at twist -1 - t its block (j, i) is multiplication by phi_ij from
     H^0(O(-3 - d_i - t)) to H^0(O(-3 - s_j - t)).  Its rank equals the
-    rank of the induced map H^2(A(t)) -> H^2(B(t)).
+    rank of the induced map H^2(A(t)) -> H^2(B(t)).  The dual is built on
+    the first call and kept on P, so a sweep over t builds it once.
     """
-    return section_matrix(dual(P), -1 - t)
+    if P._dual is None:
+        object.__setattr__(P, "_dual", dual(P))
+    return section_matrix(P._dual, -1 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +307,12 @@ def _contraction_matrix(P: Presentation) -> ScalarMatrix:
     """Euler contraction H^0(B)^3 -> H^0(B(1)), (b1,b2,b3) -> X b1 + Y b2 + Z b3."""
     row_off, nrows = _layout(P.target, 1)
     col_off, b0 = _layout(P.target, 0)
-    X, Y, Z = variables(P.field)
     M = ScalarMatrix.zeros(P.field, nrows, 3 * b0)
-    for v_idx, var in enumerate((X, Y, Z)):
+    for v_idx, var in enumerate(variables(P.field)):
         for i, d in enumerate(P.target):
             if d < 0:
                 continue
-            M.paste(mult_map(var, d), row_off[i], v_idx * b0 + col_off[i])
+            write_mult_map(M.a, var, d, row_off[i], v_idx * b0 + col_off[i])
     return M
 
 

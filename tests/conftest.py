@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from sextic_strata.fields import GF, QQ
+from sextic_strata.forms import dim_forms, monomial_basis, monomial_index
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +24,21 @@ def f2():
 @pytest.fixture(scope="session")
 def qq():
     return QQ
+
+
+def _reference_mult_map(f, b):
+    """Multiplication by f on degree-b forms as plain lists, one cell at a time:
+    the column of monomial m holds the coefficients of f*m."""
+    a = max(f.degree, 0)
+    idx = monomial_index(a + b)
+    cols = monomial_basis(b)
+    M = [[f.field.zero()] * len(cols) for _ in range(dim_forms(a + b))]
+    for j, m in enumerate(cols):
+        for e, c in f.coeffs.items():
+            M[idx[(e[0] + m[0], e[1] + m[1], e[2] + m[2])]][j] = c
+    return M
+
+
+@pytest.fixture(scope="session")
+def reference_mult_map():
+    return _reference_mult_map

@@ -264,3 +264,16 @@ def test_common_factor_agrees_with_bruteforce():
         assert common_factor(q1, q2) == _common_factor_bruteforce(q1, q2)
         agree += 1
     assert agree > 250
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+def test_mult_map_matches_cell_by_cell_reference(field, reference_mult_map):
+    rng = SplitMix64(808)
+    for a in range(6):
+        forms = [random_form(field, a, rng), Form.zero(field, a)]
+        forms += [Form.monomial(field, e, 1 + rng.next_below(7)) for e in monomial_basis(a)]
+        for f in forms:
+            for b in range(6):
+                M = mult_map(f, b)
+                assert M.a.dtype == field.dtype
+                assert M.to_lists() == reference_mult_map(f, b), (f, b)

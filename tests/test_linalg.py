@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sextic_strata.fields import GF, QQ
-from sextic_strata.linalg import ScalarMatrix
+from sextic_strata.linalg import ScalarMatrix, _update_budget
 
 
 def identity(field, n):
@@ -250,3 +250,50 @@ def test_matmul_exact_across_dtype_bounds(field, n):
     got = ScalarMatrix(field, A).matmul(ScalarMatrix(field, B))
     assert got.to_lists() == _ref_matmul(field, A, B) == [[n % field.p]]
     assert got.a.dtype == field.dtype
+
+
+# ---------------------------------------------------------------------------
+# tall matrices: many updates between reductions
+# ---------------------------------------------------------------------------
+
+MID_PRIME = GF(2**30 - 35)  # int64 payload that must reduce every few updates
+
+
+@pytest.mark.parametrize(
+    "field", [GF(2), GF(101), MID_PRIME, INT64_MAX_PRIME, OBJECT_MIN_PRIME, QQ], ids=repr
+)
+@pytest.mark.parametrize("shape,rank", [((60, 40), 40), ((64, 44), 29)])
+def test_tall_elimination_matches_reference(field, shape, rank):
+    # Entries range over all of [0, p) (small integers over Q), so every
+    # unreduced update adds a product close to (p - 1)**2.
+    rng = random.Random(shape[0] * 1000 + rank)
+    bound = 2 if field.kind == "rational" else field.p
+    nrows, ncols = shape
+    U = [[rng.randrange(bound) for _ in range(rank)] for _ in range(nrows)]
+    V = [[rng.randrange(bound) for _ in range(ncols)] for _ in range(rank)]
+    rows = _ref_matmul(field, U, V)
+    # M times the all-ones vector, the unique solution at full column rank;
+    # a random right-hand side is inconsistent at deficient rank
+    rhs = [sum(r) for r in rows] if rank == ncols else [rng.randrange(bound) for _ in range(nrows)]
+    M = ScalarMatrix(field, rows)
+    ref_R, ref_pivots = _ref_rref(field, rows)
+    R, pivots = M.rref()
+    assert (R.to_lists(), pivots) == (ref_R, ref_pivots)
+    assert R.a.dtype == field.dtype
+    assert M.rank() == len(ref_pivots)
+    assert M.kernel_basis() == _ref_kernel(field, rows)
+    x = M.solve(rhs)
+    assert x == _ref_solve(field, rows, rhs)
+    if len(ref_pivots) == ncols:
+        assert x == [field.one()] * ncols
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), MID_PRIME, INT64_MAX_PRIME], ids=repr)
+def test_update_budget_keeps_int64_exact(field):
+    for steps in (1, 5, 40, 500):
+        k = _update_budget(field, steps)
+        assert 1 <= k <= steps
+        assert field.dot_dtype(k + 1) is np.int64
+    assert _update_budget(INT64_MAX_PRIME, 40) == 1
+    assert _update_budget(GF(101), 500) == 500
+    assert _update_budget(QQ, 40) == _update_budget(OBJECT_MIN_PRIME, 40) == 1

@@ -75,7 +75,8 @@ def _serre_dual_blocks(P, t):
         for j, s in enumerate(P.source):
             f = P.matrix.entry(i, j)
             if cols[i] and rows[j] and not f.is_zero:
-                M.paste(mult_map(f, -3 - d - t), sum(rows[:j]), sum(cols[:i]))
+                r0, c0 = sum(rows[:j]), sum(cols[:i])
+                M.a[r0:r0 + rows[j], c0:c0 + cols[i]] = mult_map(f, -3 - d - t).a
     return M
 
 
@@ -84,6 +85,67 @@ def test_dual_section_matrix_is_serre_dual_assembly():
     for P in presentations:
         for t in range(-5, 6):
             assert presentation.dual_section_matrix(P, t) == _serre_dual_blocks(P, t)
+
+
+def _random_on_grid(label, field, rng):
+    """A presentation of the label's shape with random cells, about a quarter
+    of them zero; the cells need not make phi injective."""
+    src, tgt = SHAPES[label]
+    entries = [
+        [random_form(field, d - s, rng) if d >= s and rng.next_below(4) else Form.zero(field, d - s)
+         for s in src]
+        for d in tgt
+    ]
+    return Presentation(src, tgt, PolyMatrix(field, entries))
+
+
+def _paste(M, block, r0, c0):
+    for r, line in enumerate(block):
+        M[r0 + r][c0:c0 + len(line)] = line
+
+
+def _reference_section_matrix(P, t, mult):
+    rows = [dim_forms(d + t) for d in P.target]
+    cols = [dim_forms(s + t) for s in P.source]
+    M = [[P.field.zero()] * sum(cols) for _ in range(sum(rows))]
+    for i, d in enumerate(P.target):
+        for j, s in enumerate(P.source):
+            f = P.matrix.entry(i, j)
+            if rows[i] and cols[j] and not f.is_zero:
+                _paste(M, mult(f, s + t), sum(rows[:i]), sum(cols[:j]))
+    return M
+
+
+def _reference_contraction_matrix(P, mult):
+    rows = [dim_forms(d + 1) for d in P.target]
+    cols = [dim_forms(d) for d in P.target]
+    M = [[P.field.zero()] * (3 * sum(cols)) for _ in range(sum(rows))]
+    for v, var in enumerate(variables(P.field)):
+        for i, d in enumerate(P.target):
+            if d >= 0:
+                _paste(M, mult(var, d), sum(rows[:i]), v * sum(cols) + sum(cols[:i]))
+    return M
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=repr)
+@pytest.mark.parametrize("label", list(StratumLabel), ids=lambda label: label.value)
+def test_section_matrices_match_cell_by_cell_assembly(label, field, reference_mult_map):
+    P = _random_on_grid(label, field, SplitMix64(derive_seed(77, list(StratumLabel).index(label))))
+    for t in range(-5, 6):
+        M = presentation.section_matrix(P, t)
+        assert M.a.dtype == field.dtype
+        assert M.to_lists() == _reference_section_matrix(P, t, reference_mult_map), t
+    C = presentation._contraction_matrix(P)
+    assert C.to_lists() == _reference_contraction_matrix(P, reference_mult_map)
+
+
+def test_dual_is_built_once_per_presentation(monkeypatch):
+    built = []
+    monkeypatch.setattr(presentation, "dual", lambda P: built.append(P) or dual(P))
+    P = sample_of(StratumLabel.X3)
+    sweep = [h1(P, t) for t in range(-5, 6)]
+    assert built == [P]
+    assert sweep == [h1(sample_of(StratumLabel.X3), t) for t in range(-5, 6)]
 
 
 def test_validate_flags_det_zero():
