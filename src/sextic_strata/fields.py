@@ -116,7 +116,10 @@ class RationalField:
 
     def decode_coeff(self, s) -> Fraction:
         if isinstance(s, str):
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in rational coefficient {s!r}") from None
         if isinstance(s, int):
             return Fraction(s)
         raise ValueError(f"bad rational coefficient encoding: {s!r}")
@@ -248,7 +251,7 @@ def parse_field(spec: str) -> Field:
 
 
 def field_from_json(d: dict) -> Field:
-    kind = d.get("kind")
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind == "rational":
         return QQ
     if kind == "prime":

@@ -11,6 +11,7 @@ and the byte layout of serialized forms.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -257,47 +258,57 @@ def product_rows(a: int, b: int) -> np.ndarray:
     return rows
 
 
-def write_mult_map(out: np.ndarray, f: Form, b: int, i0: int = 0, j0: int = 0) -> None:
-    """Write the matrix of multiplication by f on degree-b forms into the
-    zero block of `out` at offset (i0, j0), with one fancy-index assignment.
+def block_mult_map(field: Field, cells: Sequence[Sequence[Form]],
+                   source_degrees: Sequence[int], target_degrees: Sequence[int]) -> ScalarMatrix:
+    """Matrix of H^0 of the map +_j O(b_j) -> +_i O(c_i) whose cell (i, j) is a
+    form of degree c_i - b_j, for b = source_degrees and c = target_degrees.
+
+    Block (i, j) is the multiplication by cell (i, j) from degree-b_j to
+    degree-c_i forms.  Blocks are offset by `dim_forms`, with the frozen
+    monomial order inside each block, so a negative degree gives an empty
+    block, and cells of empty blocks are not read.  Zero cells are skipped
+    whatever their degree tag; a nonzero cell of another degree or over
+    another field raises ValueError.  Each nonzero cell is scattered into
+    place with one fancy-index assignment.
     """
-    if f.is_zero:
-        return
-    rows = product_rows(f.degree, b)
-    block = out[i0:i0 + dim_forms(f.degree + b), j0:j0 + rows.shape[1]]
-    # Monomial k times the monomials of degree b hits distinct rows, so each
-    # coefficient, zero or not, lands in a cell of its own.
-    block[rows, np.arange(rows.shape[1])] = f.coefficient_array()[:, None]
+    row_off = list(accumulate(map(dim_forms, target_degrees), initial=0))
+    col_off = list(accumulate(map(dim_forms, source_degrees), initial=0))
+    M = ScalarMatrix.zeros(field, row_off[-1], col_off[-1])
+    if not M.a.size:  # every block is empty
+        return M
+    # A cell grid of another shape than the degree vectors fails a strict zip.
+    for i, (c, row) in enumerate(zip(target_degrees, cells, strict=True)):
+        for j, (b, f) in enumerate(zip(source_degrees, row, strict=True)):
+            if b < 0 or f.is_zero:
+                continue
+            if f.degree != c - b or f.field != field:
+                raise ValueError(f"cell ({i},{j}) {f!r} is not a degree-{c - b} form over {field!r}")
+            rows = product_rows(f.degree, b)
+            block = M.a[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]]
+            # Monomial k times the monomials of degree b hits distinct rows, so
+            # each coefficient, zero or not, lands in a cell of its own.
+            block[rows, np.arange(rows.shape[1])] = f.coefficient_array()[:, None]
+    return M
 
 
 def mult_map(f: Form, b: int) -> ScalarMatrix:
     """Matrix of multiplication by f from degree-b forms to degree-(a+b) forms.
 
     Rows and columns follow the frozen monomial order; the column for a
-    monomial m holds the coefficients of f*m, scattered by `write_mult_map`.
+    monomial m holds the coefficients of f*m.
     """
     if b < 0:
         raise ValueError(f"negative source degree {b}")
-    M = ScalarMatrix.zeros(f.field, dim_forms(max(f.degree, 0) + b), dim_forms(b))
-    write_mult_map(M.a, f, b)
-    return M
+    return block_mult_map(f.field, [[f]], [b], [max(f.degree, 0) + b])
 
 
 def forms_rank(forms: Sequence[Form]) -> int:
-    """Rank of the coefficient matrix of equal-degree forms."""
+    """Rank of the coefficient matrix of equal-degree forms, one column each."""
     forms = list(forms)
     if not forms:
         return 0
-    field = forms[0].field
-    degrees = {f.degree for f in forms if not f.is_zero}
-    if len(degrees) > 1:
-        raise ValueError(f"mixed degrees {sorted(degrees)}")
-    deg = degrees.pop() if degrees else forms[0].degree
-    rows = []
-    for f in forms:
-        same_field(field, f.field)
-        rows.append(Form.zero(field, deg).coefficient_vector() if f.is_zero else f.coefficient_vector())
-    return ScalarMatrix(field, rows).rank()
+    degree = next((f.degree for f in forms if not f.is_zero), 0)
+    return block_mult_map(forms[0].field, [forms], [0] * len(forms), [degree]).rank()
 
 
 def divides(l: Form, q: Form) -> bool:
@@ -338,5 +349,5 @@ def common_factor(q1: Form, q2: Form) -> bool:
         return False
     if q1.is_zero or q2.is_zero:
         return True
-    A = mult_map(q1, d - 1).hstack(mult_map(q2, d - 1))
+    A = block_mult_map(q1.field, [[q1, q2]], [d - 1, d - 1], [2 * d - 1])
     return A.rank() < 2 * dim_forms(d - 1)

@@ -163,7 +163,8 @@ class ScalarMatrix:
         return ScalarMatrix._wrap(F, F.reduce(a)), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        # h0 and h1 meet many empty matrices, at twists with no sections.
+        return len(self.rref()[1]) if self.a.size else 0
 
     def kernel_basis(self) -> List[list]:
         """Basis of the right kernel, one vector per free column.

@@ -37,7 +37,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import field_from_json
-from .forms import Form, dim_forms, variables, write_mult_map
+from .forms import Form, block_mult_map, dim_forms, variables
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -233,32 +233,12 @@ def hilbert_polynomial(P: Presentation) -> HilbertPoly:
 # ---------------------------------------------------------------------------
 
 
-def _layout(twists: Sequence[int], t: int) -> Tuple[List[int], int]:
-    """Row offsets of the graded pieces H^0(O(e + t)) and the total size."""
-    offs = []
-    acc = 0
-    for e in twists:
-        offs.append(acc)
-        acc += dim_forms(e + t)
-    return offs, acc
-
-
 def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
     """Matrix of H^0(phi(t)): block (i, j) multiplies by phi_ij from
-    H^0(O(s_j + t)) to H^0(O(d_i + t)); each nonzero cell is scattered into
-    place by `write_mult_map`.
+    H^0(O(s_j + t)) to H^0(O(d_i + t)), laid out by `block_mult_map`.
     """
-    row_off, nrows = _layout(P.target, t)
-    col_off, ncols = _layout(P.source, t)
-    M = ScalarMatrix.zeros(P.field, nrows, ncols)
-    for j, s in enumerate(P.source):
-        if s + t < 0:
-            continue
-        for i, d in enumerate(P.target):
-            if d + t < 0:
-                continue
-            write_mult_map(M.a, P.matrix.entry(i, j), s + t, row_off[i], col_off[j])
-    return M
+    return block_mult_map(P.field, P.matrix.entries, [s + t for s in P.source],
+                          [d + t for d in P.target])
 
 
 def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
@@ -305,15 +285,11 @@ def h1(P: Presentation, t: int) -> int:
 
 def _contraction_matrix(P: Presentation) -> ScalarMatrix:
     """Euler contraction H^0(B)^3 -> H^0(B(1)), (b1,b2,b3) -> X b1 + Y b2 + Z b3."""
-    row_off, nrows = _layout(P.target, 1)
-    col_off, b0 = _layout(P.target, 0)
-    M = ScalarMatrix.zeros(P.field, nrows, 3 * b0)
-    for v_idx, var in enumerate(variables(P.field)):
-        for i, d in enumerate(P.target):
-            if d < 0:
-                continue
-            write_mult_map(M.a, var, d, row_off[i], v_idx * b0 + col_off[i])
-    return M
+    n = len(P.target)
+    zero = Form.zero(P.field, 1)
+    xyz = variables(P.field)
+    cells = [[v if j == i else zero for v in xyz for j in range(n)] for i in range(n)]
+    return block_mult_map(P.field, cells, P.target * 3, [d + 1 for d in P.target])
 
 
 def h0_omega(P: Presentation) -> int:
@@ -397,6 +373,8 @@ def presentation_to_dict(P: Presentation) -> dict:
 
 
 def presentation_from_dict(doc: dict) -> Presentation:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a presentation is a JSON object, not {type(doc).__name__}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     field = field_from_json(doc["field"])

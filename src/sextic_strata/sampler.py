@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from .errors import DivisibilityFailure, MembershipFailure, RejectionBudgetExceeded
 from .fields import Field, field_name
-from .forms import Form, divides, monomial_basis, mult_map
+from .forms import Form, block_mult_map, divides, monomial_basis
 from .polymatrix import PolyMatrix
 from .presentation import Presentation, fitting_determinant
 from .rng import SplitMix64, derive_seed
@@ -146,7 +146,7 @@ def construct_x5(f: Form, l: Form, q: Form) -> Presentation:
         raise ValueError("need degrees (f, l, q) = (6, 1, 2)")
     if divides(l, q):
         raise DivisibilityFailure("l divides q")
-    A = mult_map(q, 4).hstack(mult_map(-l, 5))
+    A = block_mult_map(field, [[q, -l]], [4, 5], [6])
     sol = A.solve(f.coefficient_vector())
     if sol is None:
         raise MembershipFailure("f is not in the degree-6 slice of the ideal (l, q)")

@@ -45,9 +45,8 @@ from .errors import (
     ProfileNotInTable,
     WrongShapeError,
 )
-from .forms import Form, dim_forms, forms_rank, divides, common_factor, variables
+from .forms import Form, block_mult_map, dim_forms, forms_rank, divides, common_factor
 from .kronecker import KroneckerModule, is_semistable, moduli_dimension
-from .linalg import ScalarMatrix
 from .polymatrix import maximal_minors
 from .presentation import (
     CohomologyProfile,
@@ -238,19 +237,9 @@ def _x1_forbidden_patterns(P: Presentation) -> Iterator[PatternId]:
         yield PatternId.P4
 
 
-def _coeff_col(f: Form, degree: int) -> List:
-    if f.is_zero:
-        return Form.zero(f.field, degree).coefficient_vector()
-    return f.coefficient_vector()
-
-
 def _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) -> bool:
     """P2 test: search the kernel of (a,b) -> a*l1 + b*l2 for a degenerate pair."""
-    kmat = ScalarMatrix(
-        field,
-        [list(pair) for pair in zip(_coeff_col(l1, 1), _coeff_col(l2, 1))],
-    )
-    kernel = kmat.kernel_basis()
+    kernel = block_mult_map(field, [[l1, l2]], [0, 0], [1]).kernel_basis()
     if not kernel:
         return False
 
@@ -279,8 +268,7 @@ def _pencil_has_rank_one_member(field, q11, q12, q21, q22, dependent_at) -> bool
     two checks, however large the field.
     """
     F = field
-    u1, u2 = _coeff_col(q11, 2), _coeff_col(q12, 2)
-    v1, v2 = _coeff_col(q21, 2), _coeff_col(q22, 2)
+    u1, u2, v1, v2 = block_mult_map(field, [[q11, q12, q21, q22]], [0] * 4, [2]).a.T.tolist()
 
     def minor(x, y, i, j):
         return F.sub(F.mul(x[i], y[j]), F.mul(x[j], y[i]))
@@ -346,33 +334,23 @@ def _sqrt_mod(x: int, p: int) -> Optional[int]:
 def _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) -> bool:
     """P3 test: solutions of alpha*(q11,q12) + beta*(q21,q22) + v*(l1,l2) = 0.
 
-    Columns: the two stacked quadric pairs, then v against X, Y, Z.  A
+    Columns: v against X, Y, Z, then the two stacked quadric pairs.  A
     solution with (alpha, beta) != 0 exists iff the kernel is strictly
-    larger than the kernel of the v-only columns.
+    larger than the kernel of the v-only columns, that is iff the two
+    quadric columns are not both pivots.
     """
-    X, Y, Z = variables(field)
-    cols = [
-        _coeff_col(q11, 2) + _coeff_col(q12, 2),
-        _coeff_col(q21, 2) + _coeff_col(q22, 2),
-        _coeff_col(X * l1, 2) + _coeff_col(X * l2, 2),
-        _coeff_col(Y * l1, 2) + _coeff_col(Y * l2, 2),
-        _coeff_col(Z * l1, 2) + _coeff_col(Z * l2, 2),
-    ]
-    M = ScalarMatrix(field, [list(r) for r in zip(*cols)])
-    Mv = ScalarMatrix(field, [list(r) for r in zip(*cols[2:])])
-    return M.rank() < Mv.rank() + 2
+    M = block_mult_map(field, [[l1, q11, q21], [l2, q12, q22]], [1, 0, 0], [2, 2])
+    return not {3, 4} <= set(M.rref()[1])
 
 
 def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
-    """Whether q lies in the degree-2 slice of the ideal (l1, l2)."""
-    X, Y, Z = variables(field)
-    cols = [
-        _coeff_col(v * l, 2)
-        for l in (l1, l2)
-        for v in (X, Y, Z)
-    ]
-    M = ScalarMatrix(field, [list(r) for r in zip(*cols)])
-    return M.solve(_coeff_col(q, 2)) is not None
+    """Whether q lies in the degree-2 slice of the ideal (l1, l2).
+
+    q is in the image of (l1, l2) on pairs of one-forms iff its column,
+    the last, is not a pivot.
+    """
+    M = block_mult_map(field, [[l1, l2, q]], [1, 1, 0], [2])
+    return M.ncols - 1 not in M.rref()[1]
 
 
 def x2_conditions(P: Presentation) -> List[str]:
@@ -381,7 +359,7 @@ def x2_conditions(P: Presentation) -> List[str]:
     (i) the last-column one-forms are independent; (ii) the linear 2x2
     block has nonzero determinant delta; (iii) the two mixed 2x2 minors
     are independent modulo delta * V*, checked as a rank-5 condition on
-    the stacked cubics {m1, m2, delta*X, delta*Y, delta*Z}.
+    the cubics {m1, m2, delta*X, delta*Y, delta*Z}.
     """
     _require_shape(P, StratumLabel.X2)
     M = P.matrix
@@ -400,8 +378,7 @@ def x2_conditions(P: Presentation) -> List[str]:
         violations.append("linear block determinant vanishes")
     m1 = q1 * l21 - q2 * l11
     m2 = q1 * l22 - q2 * l12
-    X, Y, Z = variables(P.field)
-    if forms_rank([m1, m2, delta * X, delta * Y, delta * Z]) != 5:
+    if block_mult_map(P.field, [[m1, m2, delta]], [0, 0, 1], [3]).rank() != 5:
         violations.append("minors dependent mod (delta)V*")
     return violations
 
@@ -473,18 +450,11 @@ def x4_conditions(P: Presentation) -> List[str]:
 
 
 def _x4_syzygy_solvable(field, l1, l2, l, q1, q2) -> bool:
-    # 12 equations (two stacked quadrics), 9 unknowns (coefficients of u, v1, v2).
-    X, Y, Z = variables(field)
-    zero2 = Form.zero(field, 2)
-    cols = []
-    for v in (X, Y, Z):
-        cols.append(_coeff_col(v * l1, 2) + _coeff_col(v * l2, 2))
-    for v in (X, Y, Z):
-        cols.append(_coeff_col(v * l, 2) + _coeff_col(zero2, 2))
-    for v in (X, Y, Z):
-        cols.append(_coeff_col(zero2, 2) + _coeff_col(v * l, 2))
-    B = ScalarMatrix(field, [list(r) for r in zip(*cols)])
-    return B.solve(_coeff_col(q1, 2) + _coeff_col(q2, 2)) is not None
+    # 12 equations (two stacked quadrics), 9 unknowns (coefficients of u, v1,
+    # v2); (q1, q2) is in their span iff its column, the last, is not a pivot.
+    zero = Form.zero(field, 1)
+    M = block_mult_map(field, [[l1, l, zero, q1], [l2, zero, l, q2]], [1, 1, 1, 0], [2, 2])
+    return M.ncols - 1 not in M.rref()[1]
 
 
 def x5_conditions(P: Presentation) -> List[str]:

@@ -69,10 +69,19 @@ def test_classify_not_semistable_exit_code(tmp_path, capsys):
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
+    x5_zero_denominator = {
+        "format_version": 1, "field": {"kind": "rational"},
+        "source_twists": [-4, -1], "target_twists": [0, 1],
+        "matrix": [[[["1/0", 0, 0, 4]], []], [[], []]],
+    }
+    field_not_an_object = dict(x5_zero_denominator, field=[])
     f = tmp_path / "junk.json"
-    f.write_text("{not json")
-    code, out = run(capsys, "classify", str(f))
-    assert code == 1
+    for text in ("{not json", "[]", json.dumps(x5_zero_denominator), json.dumps(field_not_an_object)):
+        f.write_text(text)
+        code, out = run(capsys, "classify", str(f))
+        assert code == 1, text
+        err = json.loads(out)
+        assert err["kind"] == "error" and err["error"] == "InvalidPresentationError", text
 
 
 def test_wrong_degree_cell_exit_code(tmp_path, capsys):

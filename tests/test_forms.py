@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import (
     Form,
+    block_mult_map,
     common_factor,
+    dim_forms,
     divides,
     forms_rank,
     monomial_basis,
@@ -277,3 +279,41 @@ def test_mult_map_matches_cell_by_cell_reference(field, reference_mult_map):
                 M = mult_map(f, b)
                 assert M.a.dtype == field.dtype
                 assert M.to_lists() == reference_mult_map(f, b), (f, b)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+def test_block_mult_map_matches_blockwise_reference(field, reference_mult_map):
+    # Blocks of degrees 0-5 in one matrix, negative source and target
+    # degrees (empty blocks, under nonzero cells too) and zero cells whose
+    # degree tags are wrong.
+    rng = SplitMix64(909)
+    source, target = (-2, 0, 1, 2), (-1, 1, 3)
+    cells = [[random_form(field, c - b, rng) if c >= b else Form.zero(field, c - b) for b in source]
+             for c in target]
+    cells[2][1] = Form.zero(field, -4)
+    cells[1][3] = Form.zero(field, 7)
+    assert not cells[2][0].is_zero  # a quintic over an empty block
+    M = block_mult_map(field, cells, source, target)
+    assert M.shape == (sum(map(dim_forms, target)), sum(map(dim_forms, source)))
+    assert M.a.dtype == field.dtype
+    expected = []
+    for c, row in zip(target, cells):
+        blocks = [
+            reference_mult_map(f, b) if not f.is_zero else [[field.zero()] * dim_forms(b)] * dim_forms(c)
+            for b, f in zip(source, row)
+            if b >= 0
+        ]
+        expected += [sum((block[k] for block in blocks), []) for k in range(dim_forms(c))]
+    assert M.to_lists() == expected
+
+    other = GF(7) if field.kind == "rational" else QQ
+    for bad in (Form.monomial(field, (0, 1, 0)), Form.constant(other, 1)):
+        wrong = [list(row) for row in cells]
+        wrong[1][2] = bad  # degree 1 where 0 is due; the right degree, another field
+        with pytest.raises(ValueError):
+            block_mult_map(field, wrong, source, target)
+    # cells of empty blocks are not read
+    wrong[1][2], wrong[2][0] = cells[1][2], random_form(field, 4, rng)
+    assert block_mult_map(field, wrong, source, target) == M
+    with pytest.raises(ValueError):
+        block_mult_map(field, cells, source[:3], target)

@@ -297,3 +297,15 @@ def test_update_budget_keeps_int64_exact(field):
     assert _update_budget(INT64_MAX_PRIME, 40) == 1
     assert _update_budget(GF(101), 500) == 500
     assert _update_budget(QQ, 40) == _update_budget(OBJECT_MIN_PRIME, 40) == 1
+
+
+@pytest.mark.parametrize(
+    "field", [GF(2), GF(101), MID_PRIME, INT64_MAX_PRIME, OBJECT_MIN_PRIME, BIG, QQ], ids=repr
+)
+def test_empty_rank_is_zero_without_elimination(field, monkeypatch):
+    def no_elimination(self, *args, **kwargs):
+        raise AssertionError("rref called on an empty matrix")
+
+    monkeypatch.setattr(ScalarMatrix, "rref", no_elimination)
+    for shape in ((0, 4), (4, 0), (0, 0)):
+        assert ScalarMatrix.zeros(field, *shape).rank() == 0, shape

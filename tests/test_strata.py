@@ -19,6 +19,7 @@ from sextic_strata.strata import (
     StratumLabel,
     _in_linear_ideal_slice,
     _pencil_degenerates,
+    _row_clearing_exists,
     _x4_syzygy_solvable,
     classification_report,
     classify,
@@ -638,17 +639,20 @@ def test_stratum_dimensions_table():
 # ---------------------------------------------------------------------------
 
 
+def _column_rank(field, cols):
+    return ScalarMatrix(field, [list(r) for r in zip(*cols)]).rank()
+
+
 def _in_span_by_two_ranks(field, cols, rhs):
     """Reference membership test: rank [cols | rhs] == rank [cols]."""
-    M = ScalarMatrix(field, [list(r) for r in zip(*cols)])
-    aug = ScalarMatrix(field, [list(r) for r in zip(*cols, rhs)])
-    return aug.rank() == M.rank()
+    return _column_rank(field, cols + [rhs]) == _column_rank(field, cols)
 
 
 @pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["GF3", "GF101", "QQ"])
 def test_span_membership_matches_two_rank_formula(field):
     # divides, the P4 ideal-slice test and the X4 syzygy test each ask one
-    # span-membership question among quadrics.
+    # span-membership question among quadrics; the P3 row-clearing test asks
+    # whether two stacked quadric columns both raise the rank of the others.
     rng = SplitMix64(derive_seed(4242, field.p if field.kind == "prime" else 0))
     XYZ = variables(field)
     zero = [field.zero()] * 6
@@ -665,7 +669,8 @@ def test_span_membership_matches_two_rank_formula(field):
     def vec(f):
         return f.coefficient_vector() if not f.is_zero else zero
 
-    answers = {divides: set(), _in_linear_ideal_slice: set(), _x4_syzygy_solvable: set()}
+    answers = {divides: set(), _in_linear_ideal_slice: set(), _x4_syzygy_solvable: set(),
+               _row_clearing_exists: set()}
     for _ in range(12):
         l1, l2, l = nonzero_linear(), rand(1), nonzero_linear()
         u, v1, v2 = rand(1), rand(1), rand(1)
@@ -688,4 +693,12 @@ def test_span_membership_matches_two_rank_formula(field):
             want = _in_span_by_two_ranks(field, cols, vec(q1) + vec(q2))
             assert _x4_syzygy_solvable(field, l1, l2, l, q1, q2) == want
             answers[_x4_syzygy_solvable].add(want)
+        # (q21, q22) = a*(q11, q12) + u*(l1, l2) clears the row; random pairs rarely do
+        q11, q12, a = rand(2), rand(2), field.from_int(1 + rng.next_below(2))
+        for q21, q22 in ((q11.scale(a) + u * l1, q12.scale(a) + u * l2), (rand(2), rand(2))):
+            v_cols = [vec(v * l1) + vec(v * l2) for v in XYZ]
+            cols = [vec(q11) + vec(q12), vec(q21) + vec(q22)] + v_cols
+            want = _column_rank(field, cols) < _column_rank(field, v_cols) + 2
+            assert _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) == want
+            answers[_row_clearing_exists].add(want)
     assert all(seen == {True, False} for seen in answers.values())
