@@ -8,7 +8,6 @@ with no floating point anywhere.
 """
 
 from .errors import (
-    AmbiguousCaseError,
     BudgetExceededError,
     DivisibilityFailure,
     FieldMismatchError,

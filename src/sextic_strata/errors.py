@@ -63,10 +63,6 @@ class WrongShapeError(SexticStrataError):
     """Operation applied to a presentation with the wrong twist shape."""
 
 
-class AmbiguousCaseError(SexticStrataError):
-    """Normal-form dispatch cannot decide which case applies."""
-
-
 class MembershipFailure(SexticStrataError):
     """A form does not lie in the required ideal slice."""
 

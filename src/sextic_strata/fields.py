@@ -120,7 +120,7 @@ class RationalField:
                 return Fraction(s)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in rational coefficient {s!r}") from None
-        if isinstance(s, int):
+        if type(s) is int:
             return Fraction(s)
         raise ValueError(f"bad rational coefficient encoding: {s!r}")
 
@@ -203,7 +203,7 @@ class PrimeField:
         return a % self.p
 
     def decode_coeff(self, s) -> int:
-        if isinstance(s, int):
+        if type(s) is int:
             v = s
         elif isinstance(s, str):
             v = int(s, 10)
@@ -255,8 +255,15 @@ def field_from_json(d: dict) -> Field:
     if kind == "rational":
         return QQ
     if kind == "prime":
-        return PrimeField(int(d["p"]))
+        return PrimeField(json_int(d["p"], "p"))
     raise ValueError(f"unknown field encoding {d!r}")
+
+
+def json_int(x, what: str) -> int:
+    """x if it is an int; a bool, float or string raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
 
 
 def field_name(f: Field) -> str:

@@ -201,11 +201,13 @@ class Form:
     @classmethod
     def from_encoding(cls, field: Field, degree: int, data: Iterable) -> "Form":
         coeffs = {}
-        for item in data:
-            c, ex, ey, ez = item
-            coeffs[(int(ex), int(ey), int(ez))] = field.decode_coeff(c)
-        if not coeffs:
-            return cls.zero(field, degree)
+        for c, ex, ey, ez in data:
+            e = (ex, ey, ez)
+            if not (type(ex) is type(ey) is type(ez) is int):
+                raise ValueError(f"exponents must be integers, not {e!r}")
+            if e in coeffs:
+                raise ValueError(f"monomial {e} is listed twice")
+            coeffs[e] = field.decode_coeff(c)
         return cls(field, degree, coeffs)
 
     def pretty(self) -> str:

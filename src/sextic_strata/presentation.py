@@ -36,7 +36,7 @@ from .errors import (
     InvalidPresentationError,
     NotSquareError,
 )
-from .fields import field_from_json
+from .fields import field_from_json, json_int
 from .forms import Form, block_mult_map, dim_forms, variables
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
@@ -301,14 +301,17 @@ def h0_omega(P: Presentation) -> int:
     section spaces are materialized as cokernels of the section matrices
     at twists 0 and 1, and the kernel is computed on representatives:
 
-        dim ker = 3*h^0(B) - 3*rank M_0 - rank [C | M_1] + rank M_1.
+        dim ker = 3*h^0(B) - 3*rank M_0 - rank [M_1 | C] + rank M_1.
+
+    One elimination of [M_1 | C] gives both ranks: rank M_1 is the number
+    of its pivots among M_1's own columns.
     """
     _require_square(P)
     b0 = sum(dim_forms(d) for d in P.target)
-    M0 = section_matrix(P, 0)
     M1 = section_matrix(P, 1)
-    C = _contraction_matrix(P)
-    return 3 * b0 - 3 * M0.rank() - C.hstack(M1).rank() + M1.rank()
+    pivots = M1.hstack(_contraction_matrix(P)).rref()[1]
+    rank_m1 = sum(1 for c in pivots if c < M1.ncols)
+    return 3 * b0 - 3 * section_matrix(P, 0).rank() - len(pivots) + rank_m1
 
 
 def profile(P: Presentation) -> CohomologyProfile:
@@ -375,11 +378,11 @@ def presentation_to_dict(P: Presentation) -> dict:
 def presentation_from_dict(doc: dict) -> Presentation:
     if not isinstance(doc, dict):
         raise ValueError(f"a presentation is a JSON object, not {type(doc).__name__}")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     field = field_from_json(doc["field"])
-    source = tuple(int(x) for x in doc["source_twists"])
-    target = tuple(int(x) for x in doc["target_twists"])
+    source = tuple(json_int(x, "twist") for x in doc["source_twists"])
+    target = tuple(json_int(x, "twist") for x in doc["target_twists"])
     raw = doc["matrix"]
     if len(raw) != len(target):
         raise ValueError("matrix row count does not match target twists")

@@ -13,20 +13,21 @@ conditions on the matrix:
     X1  (0,1,0,0)  O(-3)+2O(-2) -> O(-1)+2O    none of four forbidden patterns
     X2  (0,1,1,0)  O(-3)+2O(-2)+O(-1) -> 2O(-1)+2O   three pencil conditions
     X3  (0,2,2,0)  2O(-3)+2O(-1) -> O(-2)+3O   independent entries / minors
-    X4  (1,2,3,0)  2O(-3)+O(-2) -> O(-2)+O(-1)+O(1)  two normal forms
+    X4  (1,2,3,0)  2O(-3)+O(-2) -> O(-2)+O(-1)+O(1)  split on the constant c
     X5  (1,3,4,1)  O(-4)+O(-1) -> O+O(1)       l != 0 and l does not divide q
 
 The classifier's domain is semistable sheaves.  It maps the profile of a
 valid injective presentation to the unique row above and rejects every
-other profile.  When the presentation has exactly the row's twist shape
-and the row is X0, X1, X3 or X5, it also checks that row's matrix
-conditions and rejects a cokernel that fails them as not semistable.  On
-those four shapes each condition is invariant under Aut(source) x
-Aut(target) and needs no normal position: X1, X3 and X5 have only forms
-of positive degree, and X0's condition is the certified Kronecker
-decision on the linear block, which the group moves by GL_4 x GL_5.
-X2 and X4 (whose conditions need normal position) are not gated yet;
-their conditions are validators used by samplers and audits.
+other profile.  When the presentation has exactly the row's twist shape,
+it also checks that row's matrix conditions and rejects a cokernel that
+fails them as not semistable.  That gate is the only place the
+classifier runs the conditions.  On each row's shape every condition is
+invariant under Aut(source) x Aut(target), so none needs normal
+position: X0's is the certified Kronecker decision on the linear block,
+which the group moves by GL_4 x GL_5; X1, X3 and X5 have only forms of
+positive degree; X2's constant block is zero on its row (a nonzero
+constant there moves the profile to X1's); and X4's constant c only
+scales, so its two cases are told apart by c = 0 or not.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from itertools import combinations, islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .errors import (
-    AmbiguousCaseError,
     NotInjectiveError,
     NotSemistable,
     NotSquareError,
@@ -100,9 +100,6 @@ PROFILE_TO_LABEL: Dict[Tuple[int, int, int], StratumLabel] = {
     p[:3]: label for label, p in EXPECTED_PROFILES.items()
 }
 
-# Rows whose matrix conditions the classifier checks on the canonical shape.
-GATED = (StratumLabel.X0, StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
-
 
 def _require_shape(P: Presentation, label: StratumLabel) -> None:
     wrong = _wrong_shape(P, label)
@@ -122,9 +119,9 @@ def classify(P: Presentation) -> StratumLabel:
     signals the cokernel is not a semistable sheaf with Hilbert polynomial
     6m+1, or an arithmetic bug, and carries the offending profile.  Raises
     its subclass NotSemistable when the presentation has the canonical
-    X0, X1, X3 or X5 twist shape of its row but fails that row's matrix
-    conditions, so the cokernel is not semistable; it carries the profile
-    and the violated conditions.
+    twist shape of its row but fails that row's matrix conditions, so the
+    cokernel is not semistable; it carries the profile and the violated
+    conditions.
     """
     return _classify(P)[0]
 
@@ -144,7 +141,7 @@ def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile]:
             raise ProfileNotInTable(pr.as_tuple())
     elif pr.e != 0:
         raise ProfileNotInTable(pr.as_tuple())
-    if label in GATED and not _wrong_shape(P, label):
+    if not _wrong_shape(P, label):
         violations = _conditions(P, label, first_x1_pattern=True)
         if violations:
             raise NotSemistable(pr.as_tuple(), violations)
@@ -152,18 +149,15 @@ def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile]:
 
 
 def classification_report(P: Presentation) -> dict:
-    """Structured classification result including shape-validator findings.
+    """Structured classification result including the wrong-shape finding.
 
     Each quantity is computed once.  With det != 0 certified, its degree is
     r = sum d_i - sum s_j of the Hilbert polynomial, and `validate(P)` is
-    empty.  The violations are `validate_shape`'s; on a gated row's
-    canonical shape the gate has just proved its conditions hold.
+    empty.  On the row's canonical shape the gate has just proved its
+    conditions hold, so the only possible violation is a wrong twist shape.
     """
     label, pr = _classify(P)
     hp = hilbert_polynomial(P)
-    violations = _wrong_shape(P, label)
-    if not violations and label not in GATED:
-        violations = _conditions(P, label)
     return {
         "schema_version": 1,
         "kind": "classification",
@@ -171,7 +165,7 @@ def classification_report(P: Presentation) -> dict:
         "profile": pr.as_list(),
         "hilbert": hp.as_list(),
         "det_degree": hp.r,
-        "violations": violations,
+        "violations": _wrong_shape(P, label),
     }
 
 
@@ -354,12 +348,13 @@ def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
 
 
 def x2_conditions(P: Presentation) -> List[str]:
-    """The three pencil conditions of the X2 normal form.
+    """The zero constant block and the three pencil conditions of X2.
 
     (i) the last-column one-forms are independent; (ii) the linear 2x2
     block has nonzero determinant delta; (iii) the two mixed 2x2 minors
     are independent modulo delta * V*, checked as a rank-5 condition on
-    the cubics {m1, m2, delta*X, delta*Y, delta*Z}.
+    the cubics {m1, m2, delta*X, delta*Y, delta*Z}.  A nonzero constant
+    block never reaches the gate: it moves the profile to X1's.
     """
     _require_shape(P, StratumLabel.X2)
     M = P.matrix
@@ -396,50 +391,30 @@ def x3_conditions(P: Presentation) -> List[str]:
     return violations
 
 
-def x4_case(P: Presentation) -> str:
-    """Dispatch between the two X4 normal forms.
+def x4_conditions(P: Presentation) -> List[str]:
+    """The X4 conditions, invariant under Aut(source) x Aut(target).
 
-    Case "i" when cell (0,2) is a nonzero constant, case "ii" when the
-    first row is (l1, l2, 0).  A nonzero constant together with nonzero
-    linear entries in row 0 is not in either normal form.
+    The group only scales the constant c at cell (0,2).  Case i, c != 0:
+    c splits off O(-2) -> O(-2), leaving the minimal resolution
+    2O(-3) -> O(-1)+O(1) whose top row holds the quadrics
+    q_j = phi_1j - phi_12 * phi_0j / c.  They must not both vanish and
+    must share no factor: a common factor cutting out a line or a conic C
+    gives a quotient O_C(-1) of slope 0 or -1/2, below the sheaf's 1/6.
+    Case ii, c = 0: independent one-forms l1, l2 up top, l = phi_12 != 0,
+    and no linear forms u, v1, v2 solve (q1, q2) = u*(l1, l2) + l*(v1, v2).
     """
     _require_shape(P, StratumLabel.X4)
     M = P.matrix
-    c = M.entry(0, 2)
-    if not c.is_zero:
-        if not (M.entry(0, 0).is_zero and M.entry(0, 1).is_zero):
-            raise AmbiguousCaseError(
-                "cell (0,2) nonzero but row 0 carries linear entries; not in normal position"
-            )
-        return "i"
-    return "ii"
-
-
-def x4_conditions(P: Presentation) -> List[str]:
-    """Conditions of the two X4 normal forms.
-
-    Case i: the two quadrics have no common factor (their syzygies with
-    degree-1 coefficients vanish).  Case ii: independent one-forms up
-    top, l != 0, and no linear forms u, v1, v2 solve
-    (q1, q2) = u*(l1, l2) + l*(v1, v2).
-    """
-    case = x4_case(P)
-    M = P.matrix
-    violations = []
-    if case == "i":
-        for cell in ((1, 2), (2, 2)):
-            if not M.entry(*cell).is_zero:
-                violations.append(f"not in normal position: expected zero at {cell}")
-        q1, q2 = M.entry(1, 0), M.entry(1, 1)
-        if q1.is_zero and q2.is_zero:
-            violations.append("q_1 = q_2 = 0")
-        elif common_factor(q1, q2):
-            violations.append("q_1, q_2 have a common factor")
-        return violations
-
+    c, l = M.entry(0, 2), M.entry(1, 2)
     l1, l2 = M.entry(0, 0), M.entry(0, 1)
     q1, q2 = M.entry(1, 0), M.entry(1, 1)
-    l = M.entry(1, 2)
+    if not c.is_zero:
+        k = P.field.inv(c.coeffs[(0, 0, 0)])
+        q1, q2 = q1 - (l * l1).scale(k), q2 - (l * l2).scale(k)
+        if q1.is_zero and q2.is_zero:
+            return ["q_1 = q_2 = 0"]
+        return ["q_1, q_2 have a common factor"] if common_factor(q1, q2) else []
+    violations = []
     if forms_rank([l1, l2]) != 2:
         violations.append("l_1, l_2 dependent")
     if l.is_zero:
@@ -471,10 +446,11 @@ def x5_conditions(P: Presentation) -> List[str]:
 
 
 def validate_shape(P: Presentation, label: StratumLabel) -> List[str]:
-    """Twist shape, forced blocks and the stratum's algebraic conditions.
+    """Twist shape, injectivity and the stratum's matrix conditions.
 
-    Returns all violations as data; an empty list certifies the
-    presentation as a normal-position member of the stratum's family.
+    Returns all violations as data, every forbidden X1 pattern included;
+    an empty list certifies the presentation as a member of the stratum's
+    family on its canonical shape.  The samplers reject draws with it.
     """
     return _wrong_shape(P, label) or validate(P) or _conditions(P, label)
 
@@ -502,10 +478,7 @@ def _conditions(P: Presentation, label: StratumLabel, first_x1_pattern: bool = F
     if label is StratumLabel.X3:
         return x3_conditions(P)
     if label is StratumLabel.X4:
-        try:
-            return x4_conditions(P)
-        except AmbiguousCaseError as exc:
-            return [str(exc)]
+        return x4_conditions(P)
     return x5_conditions(P)
 
 

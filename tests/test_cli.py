@@ -75,8 +75,32 @@ def test_malformed_file_exit_code(tmp_path, capsys):
         "matrix": [[[["1/0", 0, 0, 4]], []], [[], []]],
     }
     field_not_an_object = dict(x5_zero_denominator, field=[])
+    x5 = {
+        "format_version": 1, "field": {"kind": "prime", "p": 101},
+        "source_twists": [-4, -1], "target_twists": [0, 1],
+        "matrix": [[[[1, 0, 0, 4]], [[1, 1, 0, 0]]], [[], [[1, 0, 2, 0]]]],
+    }
+
+    def with_cell_01(cell, **changes):
+        return dict(x5, matrix=[[x5["matrix"][0][0], cell], x5["matrix"][1]], **changes)
+
+    # each of these used to be read silently: 1.5 and true as 1, -4.7 as -4,
+    # 101.9 as 101, and a repeated monomial's later entry over the earlier
+    not_strict = [
+        with_cell_01([[1, 1.5, 0, 0]]),
+        with_cell_01([[1, True, 0, 0]]),
+        with_cell_01([[True, 1, 0, 0]]),
+        with_cell_01([[True, 1, 0, 0]], field={"kind": "rational"}),
+        with_cell_01([[1, 1, 0, 0], [2, 1, 0, 0]]),
+        dict(x5, format_version=True),
+        dict(x5, source_twists=[-4.7, -1]),
+        dict(x5, field={"kind": "prime", "p": 101.9}),
+    ]
     f = tmp_path / "junk.json"
-    for text in ("{not json", "[]", json.dumps(x5_zero_denominator), json.dumps(field_not_an_object)):
+    f.write_text(json.dumps(x5))
+    assert run(capsys, "classify", str(f))[0] != 1
+    for text in ("{not json", "[]", json.dumps(x5_zero_denominator), json.dumps(field_not_an_object),
+                 *map(json.dumps, not_strict)):
         f.write_text(text)
         code, out = run(capsys, "classify", str(f))
         assert code == 1, text

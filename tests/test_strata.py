@@ -113,15 +113,19 @@ def test_classification_report_schema():
 
 
 # ---------------------------------------------------------------------------
-# semistability gate of the classifier (X0, X1, X3, X5 canonical shapes)
+# semistability gate of the classifier (every row's canonical shape)
 # ---------------------------------------------------------------------------
 
-GATED = (StratumLabel.X0, StratumLabel.X1, StratumLabel.X3, StratumLabel.X5)
+# One case per row; X4 has two, by its constant c at (0,2): i (c != 0) and ii (c = 0).
+GATE_CASES = ("X0", "X1", "X2", "X3", "X4i", "X4ii", "X5")
 GATE_VIOLATION = {
-    StratumLabel.X0: "phi_11 is not semistable as a Kronecker module",
-    StratumLabel.X1: "matrix is equivalent to forbidden pattern P1",
-    StratumLabel.X3: "phi_11 entries dependent",
-    StratumLabel.X5: "l divides q",
+    "X0": "phi_11 is not semistable as a Kronecker module",
+    "X1": "matrix is equivalent to forbidden pattern P1",
+    "X2": "l_1, l_2 dependent",
+    "X3": "phi_11 entries dependent",
+    "X4i": "q_1, q_2 have a common factor",
+    "X4ii": "l = 0",
+    "X5": "l divides q",
 }
 FIELDS = pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "QQ"])
 
@@ -130,30 +134,48 @@ def _entry(field, degree, rng):
     return random_form(field, degree, rng) if degree >= 0 else Form.zero(field, degree)
 
 
-def _degenerate(label, field, seed):
-    """Generic entries on the label's shape with one condition broken, det != 0.
+def _degenerate(case, field, seed):
+    """Generic entries on the case's row shape with one condition broken, det != 0.
 
     X0: phi_11 vanishes on rows 1-3 of columns 0-1, a (dim S, dim T) = (2, 1)
-    destabilizing block; X1: l1 = l2 = 0 (pattern P1); X3: phi_11 = (l, 3l);
-    X5: q = l * u.
+    destabilizing block; X1: l1 = l2 = 0 (pattern P1); X2: zero constant
+    block and l2 = 3 * l1; X3: phi_11 = (l, 3l); X4 case i: row 0 is
+    (0, 0, 1) and q2 = 5 * q1; X4 case ii: c = 0 and l = 0; X5: q = l * u.
     """
     rng = SplitMix64(seed)
-    src, tgt = SHAPES[label]
+    src, tgt = SHAPES[StratumLabel(case[:2])]
     while True:
         ent = [[_entry(field, d - s, rng) for s in src] for d in tgt]
         l = random_form(field, 1, rng)
-        if label is StratumLabel.X0:
+        if case == "X0":
             for i in (1, 2, 3):
                 ent[i][0] = ent[i][1] = Form.zero(field, 1)
-        elif label is StratumLabel.X1:
+        elif case == "X1":
             ent[0][1] = ent[0][2] = Form.zero(field, 1)
-        elif label is StratumLabel.X3:
+        elif case == "X2":
+            ent[0][3] = ent[1][3] = Form.zero(field, 0)
+            ent[2][3], ent[3][3] = l, l.scale(3)
+        elif case == "X3":
             ent[0][0], ent[0][1] = l, l.scale(3)
+        elif case == "X4i":
+            ent[0] = [Form.zero(field, 1), Form.zero(field, 1), Form.constant(field, 1)]
+            ent[1][1] = ent[1][0].scale(5)
+        elif case == "X4ii":
+            ent[0][2], ent[1][2] = Form.zero(field, 0), Form.zero(field, 1)
         else:
             ent[0][1], ent[1][1] = l, l * random_form(field, 1, rng)
         P = Presentation(src, tgt, PolyMatrix(field, ent))
         if not l.is_zero and not fitting_determinant(P).is_zero:
             return P
+
+
+def _sound(case, field, seed):
+    """A sample of the case's row; for X4, of the case's normal form."""
+    while True:
+        P = sample(SampleRequest(case[:2], field, seed=seed), allow_rational=True)
+        if P.metadata.get("case", "") == case[2:]:
+            return P
+        seed += 1000
 
 
 def _random_aut(field, twists, rng):
@@ -191,24 +213,25 @@ def _gate_outcome(P):
 
 
 @FIELDS
-@pytest.mark.parametrize("label", GATED)
-def test_classify_rejects_unstable_canonical_shape(label, field):
-    P = _degenerate(label, field, seed=90)
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_classify_rejects_unstable_canonical_shape(case, field):
+    label = StratumLabel(case[:2])
+    P = _degenerate(case, field, seed=90)
     assert profile(P).as_tuple() == EXPECTED_PROFILES[label]
     with pytest.raises(NotSemistable) as exc:
         classify(P)
     assert exc.value.profile == EXPECTED_PROFILES[label]
-    assert exc.value.violations == [GATE_VIOLATION[label]]
+    assert exc.value.violations == [GATE_VIOLATION[case]]
     assert isinstance(exc.value, ProfileNotInTable)
 
 
 @FIELDS
-@pytest.mark.parametrize("label", GATED)
-def test_gate_verdict_is_orbit_invariant(label, field):
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_gate_verdict_is_orbit_invariant(case, field):
     # h * phi * g for random (h, g) in Aut(target) x Aut(source) presents an
     # isomorphic cokernel, so the gate's verdict must not move
-    sound = sample(SampleRequest(label, field, seed=93), allow_rational=True)
-    cases = ((sound, label), (_degenerate(label, field, seed=91), [GATE_VIOLATION[label]]))
+    sound = _sound(case, field, seed=93)
+    cases = ((sound, StratumLabel(case[:2])), (_degenerate(case, field, seed=91), [GATE_VIOLATION[case]]))
     rng = SplitMix64(94)
     for P, want in cases:
         assert _gate_outcome(P) == want
@@ -219,29 +242,47 @@ def test_gate_verdict_is_orbit_invariant(label, field):
             assert _gate_outcome(Presentation(P.source, P.target, PolyMatrix(field, M))) == want
 
 
+@FIELDS
+def test_x4_case_i_report_ignores_normal_position(field):
+    # col 0 += X * col 2 moves a case-i sample off its normal form without
+    # changing the cokernel; the report used to flag it as out of position
+    X = variables(field)[0]
+    moved = 0
+    for seed in range(24):
+        P = sample(SampleRequest(StratumLabel.X4, field, seed=seed), allow_rational=True)
+        if P.metadata["case"] != "i":
+            continue
+        M = [[row[0] + X * row[2]] + row[1:] for row in P.matrix.entries]
+        Pg = Presentation(P.source, P.target, PolyMatrix(field, M))
+        assert not Pg.matrix.entry(0, 0).is_zero
+        assert classification_report(Pg)["violations"] == []
+        moved += 1
+    assert moved >= 8
+
+
 def test_x1_gate_short_circuits_at_large_prime():
     # l1 = l2 = 0 is P1; the gate stops there without the P2-P4 tests
-    P = _degenerate(StratumLabel.X1, GF(1_000_003), seed=92)
+    P = _degenerate("X1", GF(1_000_003), seed=92)
     t0 = time.perf_counter()
     with pytest.raises(NotSemistable) as exc:
         classify(P)
     assert time.perf_counter() - t0 < 10.0  # milliseconds here; minutes for the full search
-    assert exc.value.violations == [GATE_VIOLATION[StratumLabel.X1]]
+    assert exc.value.violations == [GATE_VIOLATION["X1"]]
 
 
 def test_x5_gate_exact_at_large_prime():
     # q = l * u: an int64 elimination overflowed here and labelled these X5
     for seed in range(30):
-        P = _degenerate(StratumLabel.X5, GF(1099511627791), seed=seed)
+        P = _degenerate("X5", GF(1099511627791), seed=seed)
         with pytest.raises(NotSemistable) as exc:
             classify(P)
-        assert exc.value.violations == [GATE_VIOLATION[StratumLabel.X5]]
+        assert exc.value.violations == [GATE_VIOLATION["X5"]]
 
 
 def test_x1_patterns_bounded_at_large_prime():
     # l1 = l2 = 0 sends P2 to the rank-one search over the whole pencil; it
     # must not enumerate the p + 1 points of P^1
-    P = _degenerate(StratumLabel.X1, GF(1_000_003), seed=92)
+    P = _degenerate("X1", GF(1_000_003), seed=92)
     t0 = time.perf_counter()
     pats = x1_patterns(P)
     assert time.perf_counter() - t0 < 10.0
