@@ -1,18 +1,19 @@
 """Homogeneous forms in three variables X, Y, Z over an exact field.
 
-A form of degree d is a coefficient dict keyed by exponent triples
-(e_X, e_Y, e_Z) with e_X + e_Y + e_Z = d; only nonzero coefficients are
-stored, so the zero form of each degree is the empty dict.  The monomial
-order is graded lexicographic with X > Y > Z and is a frozen public
-contract: it fixes the rows and columns of every multiplication matrix
-and the byte layout of serialized forms.
+A form of degree d is a read-only array of its (d+1)(d+2)/2 coefficients,
+one per exponent triple (e_X, e_Y, e_Z) with e_X + e_Y + e_Z = d, in the
+field's dtype.  The monomial order is graded lexicographic with X > Y > Z
+and is a frozen public contract: it fixes the layout of that array, the
+rows and columns of every multiplication matrix and the byte layout of
+serialized forms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -52,26 +53,27 @@ def dim_forms(d: int) -> int:
 class Form:
     """Immutable homogeneous form of a fixed degree.
 
-    A zero form may carry any degree tag (including a negative one, for
-    cells of a presentation whose Hom space is zero); nonzero forms
-    require degree >= 0 and every stored triple sums to the degree.
+    The payload `array` holds the canonical coefficients in the monomial
+    order of `degree`, read-only, of length `dim_forms(degree)` and the
+    field's dtype.  A zero form may carry any degree tag, including a
+    negative one (cells of a presentation whose Hom space is zero), and all
+    zero forms over one field are equal.
     """
 
-    __slots__ = ("field", "degree", "coeffs", "_array")
+    __slots__ = ("field", "degree", "array", "is_zero")
 
-    def __init__(self, field: Field, degree: int, coeffs: Dict[Exponent, object]):
-        clean: Dict[Exponent, object] = {}
+    def __init__(self, field: Field, degree: int, coeffs: Mapping[Exponent, object]):
+        """The sum of the terms c * X^e of `coeffs`; every exponent e must be
+        a monomial of `degree`, even under a zero coefficient."""
+        vec = [field.zero()] * dim_forms(degree)
         for e, c in coeffs.items():
-            c = field.normalize(c)
-            if field.is_zero(c):
-                continue
-            if sum(e) != degree or min(e) < 0:
-                raise ValueError(f"exponent {e} does not have degree {degree}")
-            clean[e] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_array", None)
+            vec[_position(degree, tuple(e))] = field.normalize(c)
+        self._fill(field, degree, np.array(vec, dtype=field.dtype))
+
+    def _fill(self, field: Field, degree: int, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        for name, value in zip(Form.__slots__, (field, degree, array, not array.any())):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Form is immutable")
@@ -79,13 +81,15 @@ class Form:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, field: Field, degree: int) -> "Form":
+    def _of(cls, field: Field, degree: int, array: np.ndarray) -> "Form":
+        """The form whose payload is `array`, which no one else may hold."""
         f = cls.__new__(cls)
-        object.__setattr__(f, "field", field)
-        object.__setattr__(f, "degree", degree)
-        object.__setattr__(f, "coeffs", {})
-        object.__setattr__(f, "_array", None)
+        f._fill(field, degree, array)
         return f
+
+    @classmethod
+    def zero(cls, field: Field, degree: int) -> "Form":
+        return cls._of(field, degree, np.full(dim_forms(degree), field.zero(), dtype=field.dtype))
 
     @classmethod
     def monomial(cls, field: Field, exponent: Exponent, coeff=1) -> "Form":
@@ -97,16 +101,12 @@ class Form:
 
     @classmethod
     def from_coeff_vector(cls, field: Field, degree: int, vec: Sequence) -> "Form":
-        basis = monomial_basis(degree)
-        if len(vec) != len(basis):
+        """The form with coefficients `vec`, in the monomial order of `degree`."""
+        if len(vec) != dim_forms(degree):
             raise ValueError("coefficient vector length mismatch")
-        return cls(field, degree, dict(zip(basis, vec)))
+        return cls._of(field, degree, np.array([field.normalize(c) for c in vec], dtype=field.dtype))
 
     # -- predicates -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self):
         return not self.is_zero
@@ -116,20 +116,20 @@ class Form:
             return NotImplemented
         if self.field != other.field:
             return False
-        if self.is_zero and other.is_zero:
-            return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        if self.is_zero or other.is_zero:
+            return self.is_zero and other.is_zero
+        return self.degree == other.degree and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash((self.field, self.degree, frozenset(self.coeffs.items())))
+        # Zero forms of every degree tag are equal, so their hash omits it.
+        if self.is_zero:
+            return hash((self.field, None))
+        return hash((self.field, self.degree, tuple(self.array.tolist())))
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: "Form"):
-        same_field(self.field, other.field)
-
     def __add__(self, other: "Form") -> "Form":
-        self._check(other)
+        same_field(self.field, other.field)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -137,87 +137,81 @@ class Form:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch {self.degree} + {other.degree}")
         F = self.field
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = F.add(out.get(e, F.zero()), c)
-        return Form(F, self.degree, out)
+        return Form._of(F, self.degree, F.reduce(self.array + other.array))
 
     def __neg__(self) -> "Form":
         F = self.field
-        return Form(F, self.degree, {e: F.neg(c) for e, c in self.coeffs.items()})
+        return Form._of(F, self.degree, F.reduce(-self.array))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __mul__(self, other: "Form") -> "Form":
-        self._check(other)
+        same_field(self.field, other.field)
         F = self.field
         deg = self.degree + other.degree
         if self.is_zero or other.is_zero:
             return Form.zero(F, deg)
-        out: Dict[Exponent, object] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = F.mul(c1, c2)
-                out[e] = F.add(out.get(e, F.zero()), prod)
-        return Form(F, deg, out)
+        # Each product monomial is hit by at most min(dim a, dim b) pairs, so
+        # the sums below are exact in this dtype.
+        dt = F.dot_dtype(min(self.array.size, other.array.size))
+        out = np.full(dim_forms(deg), F.zero(), dtype=dt)
+        np.add.at(out, product_rows(self.degree, other.degree),
+                  np.multiply.outer(self.array.astype(dt, copy=False), other.array.astype(dt, copy=False)))
+        return Form._of(F, deg, F.reduce(out).astype(F.dtype, copy=False))
 
     def scale(self, c) -> "Form":
         F = self.field
-        c = F.normalize(c)
-        return Form(F, self.degree, {e: F.mul(v, c) for e, v in self.coeffs.items()})
+        return Form._of(F, self.degree, F.reduce(self.array * F.normalize(c)))
 
     # -- views -------------------------------------------------------------
 
-    def coefficient_vector(self) -> list:
-        """Coefficients in the frozen monomial order of `self.degree`."""
-        F = self.field
-        return [self.coeffs.get(e, F.zero()) for e in monomial_basis(max(self.degree, 0))]
+    def _terms(self) -> Iterator[Tuple[Exponent, object]]:
+        """(exponent, coefficient) of the nonzero terms, in monomial order."""
+        basis = monomial_basis(max(self.degree, 0))
+        return ((e, c) for e, c in zip(basis, self.array.tolist()) if c)
 
-    def coefficient_array(self) -> np.ndarray:
-        """`coefficient_vector` as a read-only array of the field's dtype, built once."""
-        if self._array is None:
-            array = np.array(self.coefficient_vector(), dtype=self.field.dtype)
-            array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
-        return self._array
+    @property
+    def coeffs(self) -> Mapping[Exponent, object]:
+        """Read-only {exponent: coefficient} view of the nonzero terms,
+        built from `array` on every access."""
+        return MappingProxyType(dict(self._terms()))
 
     def evaluate(self, point: Sequence) -> object:
+        """The value at `point`: `array` dotted with the monomials' values there."""
         F = self.field
-        x, y, z = (F.normalize(v) for v in point)
-        total = sum(c * x ** a * y ** b * z ** e for (a, b, e), c in self.coeffs.items())
-        return F.normalize(total)
+        if self.is_zero:
+            return F.zero()
+        values = _monomial_values(F, self.degree, tuple(point))
+        dt = F.dot_dtype(values.size)
+        return F.normalize(self.array.astype(dt, copy=False) @ values.astype(dt, copy=False))
 
     def to_encoding(self) -> list:
         """Serialized as [[coeff, e_X, e_Y, e_Z], ...] in monomial order."""
-        F = self.field
-        out = []
-        for e in monomial_basis(max(self.degree, 0)):
-            if e in self.coeffs:
-                out.append([F.encode_coeff(self.coeffs[e]), e[0], e[1], e[2]])
-        return out
+        return [[self.field.encode_coeff(c), *e] for e, c in self._terms()]
 
     @classmethod
     def from_encoding(cls, field: Field, degree: int, data: Iterable) -> "Form":
-        coeffs = {}
+        """Inverse of `to_encoding`.  Every listed exponent must be a monomial
+        of `degree`, even under a zero coefficient, and be listed once."""
+        vec = [field.zero()] * dim_forms(degree)
+        seen = set()
         for c, ex, ey, ez in data:
             e = (ex, ey, ez)
             if not (type(ex) is type(ey) is type(ez) is int):
                 raise ValueError(f"exponents must be integers, not {e!r}")
-            if e in coeffs:
+            k = _position(degree, e)
+            if k in seen:
                 raise ValueError(f"monomial {e} is listed twice")
-            coeffs[e] = field.decode_coeff(c)
-        return cls(field, degree, coeffs)
+            seen.add(k)
+            vec[k] = field.decode_coeff(c)
+        return cls._of(field, degree, np.array(vec, dtype=field.dtype))
 
     def pretty(self) -> str:
         if self.is_zero:
             return "0"
         terms = []
-        for e in monomial_basis(self.degree):
-            if e not in self.coeffs:
-                continue
-            c = self.coeffs[e]
+        for e, c in self._terms():
             mono = "*".join(
                 (name if k == 1 else f"{name}^{k}")
                 for name, k in zip(VARIABLE_NAMES, e)
@@ -234,6 +228,25 @@ class Form:
 
     def __repr__(self):
         return f"Form({self.pretty()})"
+
+
+def _position(degree: int, e: Exponent) -> int:
+    """Index of the exponent e in the monomial order of `degree`."""
+    k = monomial_index(degree).get(e) if degree >= 0 else None
+    if k is None:
+        raise ValueError(f"exponent {e} does not have degree {degree}")
+    return k
+
+
+@lru_cache(maxsize=64)
+def _monomial_values(field: Field, degree: int, point: Tuple) -> np.ndarray:
+    """Values of the degree-d monomials at a point, in the monomial order
+    and the field's dtype."""
+    x, y, z = (field.normalize(v) for v in point)
+    values = np.array([field.normalize(x ** a * y ** b * z ** c) for a, b, c in monomial_basis(degree)],
+                      dtype=field.dtype)
+    values.flags.writeable = False
+    return values
 
 
 def variables(field: Field) -> Tuple[Form, Form, Form]:
@@ -289,7 +302,7 @@ def block_mult_map(field: Field, cells: Sequence[Sequence[Form]],
             block = M.a[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]]
             # Monomial k times the monomials of degree b hits distinct rows, so
             # each coefficient, zero or not, lands in a cell of its own.
-            block[rows, np.arange(rows.shape[1])] = f.coefficient_array()[:, None]
+            block[rows, np.arange(rows.shape[1])] = f.array[:, None]
     return M
 
 
@@ -327,7 +340,7 @@ def divides(l: Form, q: Form) -> bool:
     d = q.degree
     if d < 1:
         return False
-    return mult_map(l, d - 1).solve(q.coefficient_vector()) is not None
+    return mult_map(l, d - 1).solve(q.array) is not None
 
 
 def common_factor(q1: Form, q2: Form) -> bool:

@@ -74,16 +74,11 @@ class KroneckerModule:
         if self._slices is not None:
             return self._slices
         F = self.field
-        slices = []
-        for var in range(3):
-            exp = tuple(1 if k == var else 0 for k in range(3))
-            S = ScalarMatrix.zeros(F, self.n, self.m)
-            for i in range(self.n):
-                for j in range(self.m):
-                    c = self.matrix.entry(i, j).coeffs.get(exp)
-                    if c is not None:
-                        S.a[i, j] = c
-            slices.append(S)
+        zero = np.full(3, F.zero(), dtype=F.dtype)
+        # cube[i, j] is the coefficient array (X, Y, Z) of cell (i, j)
+        cube = np.array([[zero if f.is_zero else f.array for f in row] for row in self.matrix.entries],
+                        dtype=F.dtype).reshape(self.n, self.m, 3)
+        slices = [ScalarMatrix._wrap(F, cube[:, :, k].copy()) for k in range(3)]
         object.__setattr__(self, "_slices", tuple(slices))
         return self._slices
 
@@ -358,18 +353,8 @@ def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:
 def transform(K: KroneckerModule, g: ScalarMatrix, h: ScalarMatrix) -> KroneckerModule:
     """The module h * M * g for invertible scalar matrices; same verdict."""
     F = K.field
-    rows = []
-    for i in range(K.n):
-        row = []
-        for j in range(K.m):
-            acc = Form.zero(F, 1)
-            for r in range(K.n):
-                for c in range(K.m):
-                    coeff = F.mul(h.entry(i, r), g.entry(c, j))
-                    if not F.is_zero(coeff):
-                        acc = acc + K.matrix.entry(r, c).scale(coeff)
-            row.append(acc)
-        rows.append(row)
+    cube = np.stack([h.matmul(S).matmul(g).a for S in K.coefficient_slices()], axis=-1)
+    rows = [[Form.from_coeff_vector(F, 1, cell) for cell in row] for row in cube]
     return KroneckerModule(PolyMatrix(F, rows))
 
 

@@ -78,15 +78,9 @@ GL2_F2: Tuple[Tuple[int, int, int, int], ...] = tuple(
 )
 
 
-def _pack(f: Form, degree: int) -> int:
-    if f.is_zero:
-        return 0
-    idx = monomial_index(degree)
-    mask = 0
-    for e, c in f.coeffs.items():
-        if c % 2:
-            mask |= 1 << idx[e]
-    return mask
+def _pack(f: Form) -> int:
+    """Bit k set iff the F_2 coefficient of monomial k is 1."""
+    return sum(1 << k for k in f.array.nonzero()[0].tolist())
 
 
 def _extract_masks(obj: Union[Presentation, PolyMatrix]) -> Dict[Tuple[int, int], int]:
@@ -108,7 +102,7 @@ def _extract_masks(obj: Union[Presentation, PolyMatrix]) -> Dict[Tuple[int, int]
             want = X1_CELL_DEGREES[i][j]
             if not f.is_zero and f.degree != want:
                 raise ValueError(f"cell ({i},{j}) has degree {f.degree}, want {want}")
-            masks[(i, j)] = _pack(f, want)
+            masks[(i, j)] = _pack(f)
     return masks
 
 

@@ -147,7 +147,7 @@ def construct_x5(f: Form, l: Form, q: Form) -> Presentation:
     if divides(l, q):
         raise DivisibilityFailure("l divides q")
     A = block_mult_map(field, [[q, -l]], [4, 5], [6])
-    sol = A.solve(f.coefficient_vector())
+    sol = A.solve(f.array)
     if sol is None:
         raise MembershipFailure("f is not in the degree-6 slice of the ideal (l, q)")
     h = Form.from_coeff_vector(field, 4, sol[:15])

@@ -409,7 +409,7 @@ def x4_conditions(P: Presentation) -> List[str]:
     l1, l2 = M.entry(0, 0), M.entry(0, 1)
     q1, q2 = M.entry(1, 0), M.entry(1, 1)
     if not c.is_zero:
-        k = P.field.inv(c.coeffs[(0, 0, 0)])
+        k = P.field.inv(c.array.item(0))
         q1, q2 = q1 - (l * l1).scale(k), q2 - (l * l2).scale(k)
         if q1.is_zero and q2.is_zero:
             return ["q_1 = q_2 = 0"]

@@ -85,8 +85,11 @@ def test_malformed_file_exit_code(tmp_path, capsys):
         return dict(x5, matrix=[[x5["matrix"][0][0], cell], x5["matrix"][1]], **changes)
 
     # each of these used to be read silently: 1.5 and true as 1, -4.7 as -4,
-    # 101.9 as 101, and a repeated monomial's later entry over the earlier
+    # 101.9 as 101, a repeated monomial's later entry over the earlier, and
+    # monomials of the wrong degree under a zero coefficient
     not_strict = [
+        with_cell_01([[1, 1, 0, 0], [0, 5, 0, 0]]),
+        with_cell_01([[1, 1, 0, 0], [0, -1, 1, 1]]),
         with_cell_01([[1, 1.5, 0, 0]]),
         with_cell_01([[1, True, 0, 0]]),
         with_cell_01([[True, 1, 0, 0]]),

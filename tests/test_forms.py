@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,78 @@ def test_evaluate():
     X, Y, Z = variables(GF(7))
     f = X * X + Y * Z
     assert f.evaluate((1, 2, 3)) == (1 + 6) % 7
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_hash_agrees_with_equality(field):
+    # every zero form equals every other, whatever its degree tag
+    X, Y, Z = variables(field)
+    zeros = [Form.zero(field, 1), Form.zero(field, 2), Form.zero(field, -1), X - X]
+    assert all(a == b for a in zeros for b in zeros)
+    assert len(set(zeros)) == 1
+    f = X * Y + Z * Z.scale(3)
+    g = Form.from_encoding(field, 2, f.to_encoding())
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, -(-f), X * Y}) == 2
+
+
+ARRAY_FIELDS = [QQ, GF(101), GF(2**31 - 1), GF(2**31 + 11)]
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=repr)
+def test_array_payload(field):
+    rng = SplitMix64(31)
+    X, Y, Z = variables(field)
+    forms = [Form.zero(field, -2), Form.zero(field, 3), X - X, Form.constant(field, 5)]
+    forms += [random_form(field, d, rng) for d in range(6)]
+    forms += [forms[-1] * forms[-2], forms[-1] + forms[-1], -forms[-1], forms[-1].scale(7)]
+    forms += [Form.from_encoding(field, 5, forms[-1].to_encoding()), Form(field, 1, {(0, 1, 0): 4})]
+    for f in forms:
+        assert f.array.dtype == field.dtype
+        assert f.array.shape == (dim_forms(f.degree),)
+        assert not f.array.flags.writeable
+        assert f.is_zero == (not f.array.any())
+    assert forms[0].array.size == 0
+    with pytest.raises(ValueError):
+        forms[-1].array[0] = 1
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS, ids=repr)
+def test_from_coeff_vector_normalizes_like_the_constructor(field):
+    # Fractions and integers beyond int64 are reduced, never truncated or overflowed
+    vec = [Fraction(1, 2), -1, 2**63]
+    f = Form.from_coeff_vector(field, 1, vec)
+    assert f == Form(field, 1, dict(zip(monomial_basis(1), vec)))
+    assert f.array.tolist() == [field.normalize(c) for c in vec]
+
+
+def _scalar(field, rng):
+    if field.kind == "prime":
+        return rng.next_below(field.p)
+    return Fraction(rng.next_below(19) - 9, 1 + rng.next_below(4))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2**31 - 1), GF(2**31 + 11)], ids=repr)
+def test_arithmetic_is_evaluation_homomorphism(field):
+    # A quartic times a quintic sums up to 15 products into one coefficient,
+    # which overflows int64 over GF(2**31 - 1) unless the product is formed
+    # in the field's dot_dtype.
+    F = field
+    rng = SplitMix64(2027)
+    for _ in range(20):
+        f, g, h = random_form(F, 4, rng), random_form(F, 5, rng), random_form(F, 4, rng)
+        c = _scalar(F, rng)
+        pt = [_scalar(F, rng) for _ in range(3)]
+        x, y, z = (F.normalize(v) for v in pt)
+        # evaluate against a term-by-term sum
+        assert f.evaluate(pt) == F.normalize(sum(a * x ** i * y ** j * z ** k
+                                                 for (i, j, k), a in f.coeffs.items()))
+        fv, gv, hv = f.evaluate(pt), g.evaluate(pt), h.evaluate(pt)
+        assert (f * g).degree == 9
+        assert (f * g).evaluate(pt) == F.mul(fv, gv)
+        assert (f + h).evaluate(pt) == F.add(fv, hv)
+        assert (f - h).evaluate(pt) == F.sub(fv, hv)
+        assert f.scale(c).evaluate(pt) == F.mul(F.normalize(c), fv)
 
 
 def test_encoding_roundtrip():

@@ -43,7 +43,7 @@ def test_mul_table_against_form_arithmetic():
             prod = u * v
             from sextic_strata.orbit_oracle import _pack
 
-            assert MUL11[mu, mv] == _pack(prod, 2)
+            assert MUL11[mu, mv] == _pack(prod)
 
 
 def test_zero_matrix_all_patterns():

@@ -708,7 +708,7 @@ def test_span_membership_matches_two_rank_formula(field):
                 return l
 
     def vec(f):
-        return f.coefficient_vector() if not f.is_zero else zero
+        return f.array.tolist() if not f.is_zero else zero
 
     answers = {divides: set(), _in_linear_ideal_slice: set(), _x4_syzygy_solvable: set(),
                _row_clearing_exists: set()}
