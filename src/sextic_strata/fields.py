@@ -5,13 +5,15 @@ defined over the prime field, so Q and F_p act as exact proxies for the
 complex numbers.  F_p (default p = 101) is the sampling workhorse, Q the
 audit field.
 
-Scalars are stored raw (`Fraction` over Q, canonical `int` in [0, p) over
-F_p); the field object carries the arithmetic.  For the linear algebra
-each field also names the numpy dtype of its matrices (`dtype`), builds
-their canonical arrays (`array`) and reduces the results of array
-arithmetic (`reduce`).  Primes below 2**31 use int64, whose products of
-two canonical entries stay below 2**62; Q and larger primes use object
-arrays of exact Python scalars, so no field overflows.
+Field elements are canonical raw scalars (`Fraction` over Q, `int` in
+[0, p) over F_p), held in numpy arrays whose dtype the field names
+(`dtype`): int64 for primes below 2**31, whose products of two canonical
+entries stay below 2**62, and object arrays of exact Python scalars for Q
+and larger primes, so no field overflows.  Arithmetic is array arithmetic
+followed by `reduce`.  There is one way in: `array` turns any values
+(ints of any size, Fractions with denominators prime to p, numpy integers,
+bools) into canonical elements, entry by entry exactly as `normalize`
+does.  `inv` divides.
 """
 
 from __future__ import annotations
@@ -56,15 +58,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class RationalField:
+class _ExactField:
+    """What Q and F_p share: the one conversion of values into elements."""
+
+    dtype: Any
+
+    def array(self, values, shape) -> np.ndarray:
+        """A new canonical array of `shape` in `dtype`: entry by entry what
+        `normalize` makes of `values`.
+
+        An int64 field reduces mod p in one step whatever numpy infers as
+        a signed int64 array; every other input, and every input of an
+        object-dtype field, goes through `normalize` one entry at a time,
+        so Fractions and integers beyond int64 are reduced exactly.
+        """
+        if self.dtype is not object:
+            a = np.asarray(values)
+            if a.dtype == np.int64:
+                return self.reduce(a.reshape(shape))
+        entries = np.array(values, dtype=object).ravel().tolist()
+        return np.array([self.normalize(x) for x in entries], dtype=self.dtype).reshape(shape)
+
+
+class RationalField(_ExactField):
     """The field Q with `Fraction` scalars."""
 
     kind = "rational"
     dtype = object
-
-    def array(self, rows, shape) -> np.ndarray:
-        """The canonical object array of `Fraction` entries."""
-        return np.array([[Fraction(x) for x in row] for row in rows], dtype=object).reshape(shape)
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -82,33 +102,10 @@ class RationalField:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / Fraction(b)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def encode_coeff(self, a) -> str:
         a = Fraction(a)
@@ -137,7 +134,7 @@ class RationalField:
         return hash("rational")
 
 
-class PrimeField:
+class PrimeField(_ExactField):
     """The field F_p with canonical integer representatives in [0, p)."""
 
     kind = "prime"
@@ -147,10 +144,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.dtype = np.int64 if p < 2**31 else object
-
-    def array(self, rows, shape) -> np.ndarray:
-        """The canonical array: entries reduced into [0, p)."""
-        return np.array(rows, dtype=self.dtype).reshape(shape) % self.p
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         return a % self.p
@@ -172,32 +165,11 @@ class PrimeField:
     def one(self) -> int:
         return 1
 
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
-        a %= self.p
+        a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def encode_coeff(self, a) -> int:
         return a % self.p

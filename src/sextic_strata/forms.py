@@ -65,10 +65,10 @@ class Form:
     def __init__(self, field: Field, degree: int, coeffs: Mapping[Exponent, object]):
         """The sum of the terms c * X^e of `coeffs`; every exponent e must be
         a monomial of `degree`, even under a zero coefficient."""
-        vec = [field.zero()] * dim_forms(degree)
+        vec = [0] * dim_forms(degree)
         for e, c in coeffs.items():
-            vec[_position(degree, tuple(e))] = field.normalize(c)
-        self._fill(field, degree, np.array(vec, dtype=field.dtype))
+            vec[_position(degree, tuple(e))] = c
+        self._fill(field, degree, field.array(vec, len(vec)))
 
     def _fill(self, field: Field, degree: int, array: np.ndarray) -> None:
         array.flags.writeable = False
@@ -104,7 +104,7 @@ class Form:
         """The form with coefficients `vec`, in the monomial order of `degree`."""
         if len(vec) != dim_forms(degree):
             raise ValueError("coefficient vector length mismatch")
-        return cls._of(field, degree, np.array([field.normalize(c) for c in vec], dtype=field.dtype))
+        return cls._of(field, degree, field.array(vec, len(vec)))
 
     # -- predicates -----------------------------------------------------
 
@@ -243,8 +243,7 @@ def _monomial_values(field: Field, degree: int, point: Tuple) -> np.ndarray:
     """Values of the degree-d monomials at a point, in the monomial order
     and the field's dtype."""
     x, y, z = (field.normalize(v) for v in point)
-    values = np.array([field.normalize(x ** a * y ** b * z ** c) for a, b, c in monomial_basis(degree)],
-                      dtype=field.dtype)
+    values = field.array([x ** a * y ** b * z ** c for a, b, c in monomial_basis(degree)], dim_forms(degree))
     values.flags.writeable = False
     return values
 

@@ -27,8 +27,11 @@ class ScalarMatrix:
     """Exact dense matrix over a fixed base field.
 
     The payload `a` is a 2-D numpy array of canonical entries in the
-    field's dtype (see `Field.array`).  Instances are immutable by
-    convention: no method mutates `self`.
+    field's dtype.  The constructor builds it with `Field.array`, the one
+    conversion into the field: each entry becomes what `field.normalize`
+    makes of it, so Fractions, integers beyond int64 and numpy integers are
+    all reduced exactly.  Instances are immutable by convention: no method
+    mutates `self`.
     """
 
     __slots__ = ("field", "a")
@@ -117,26 +120,17 @@ class ScalarMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def rref(self, pivot_cols_limit: Optional[int] = None) -> Tuple["ScalarMatrix", List[int]]:
-        """Reduced row echelon form.
-
-        Args:
-            pivot_cols_limit: only search for pivots in the first that many
-                columns (row operations still span the full width); used for
-                augmented solves.
-
-        Returns:
-            (R, pivots) with R the RREF and pivots the pivot column indices.
-        """
+    def rref(self) -> Tuple["ScalarMatrix", List[int]]:
+        """Reduced row echelon form: (R, pivots) with R the RREF and pivots
+        the pivot column indices."""
         F = self.field
-        limit = self.ncols if pivot_cols_limit is None else pivot_cols_limit
         a = self.a.copy()
-        nrows = a.shape[0]
-        budget = _update_budget(F, min(nrows, limit))
+        nrows, ncols = a.shape
+        budget = _update_budget(F, min(nrows, ncols))
         pending = 0  # row updates applied since `a` was last reduced
         pivots: List[int] = []
         r = 0
-        for c in range(limit):
+        for c in range(ncols):
             if r == nrows:
                 break
             # The reduced column: a copy over F_p, a view of `a` over Q.
@@ -190,11 +184,10 @@ class ScalarMatrix:
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
         F = self.field
-        aug = self.hstack(ScalarMatrix(F, [[x] for x in rhs], shape=(self.nrows, 1)))
-        R, pivots = aug.rref(pivot_cols_limit=self.ncols)
-        # Inconsistent iff some zero row of the coefficient part has
-        # nonzero augmented entry.
-        if R.a[len(pivots):, -1].any():
+        R, pivots = self.hstack(ScalarMatrix._wrap(F, F.array(rhs, (self.nrows, 1)))).rref()
+        # The RREF of [A | b] extends that of A; the system is inconsistent
+        # iff b's column holds a pivot.
+        if pivots and pivots[-1] == self.ncols:
             return None
         x = np.full(self.ncols, F.zero(), dtype=F.dtype)
         x[pivots] = R.a[:len(pivots), -1]

@@ -25,12 +25,11 @@ the fast path.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple, Union
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
 from .forms import Form, monomial_basis, monomial_index
-from .polymatrix import PolyMatrix
 from .presentation import Presentation
 from .strata import SHAPES, PatternId, StratumLabel
 
@@ -41,8 +40,6 @@ PATTERN_CELLS: Dict[PatternId, Tuple[Tuple[int, int], ...]] = {
     PatternId.P3: ((2, 1), (2, 2)),
     PatternId.P4: ((0, 0), (0, 1)),
 }
-
-X1_CELL_DEGREES = ((2, 1, 1), (3, 2, 2), (3, 2, 2))
 
 
 def _build_mul_table(da: int, db: int) -> np.ndarray:
@@ -83,27 +80,15 @@ def _pack(f: Form) -> int:
     return sum(1 << k for k in f.array.nonzero()[0].tolist())
 
 
-def _extract_masks(obj: Union[Presentation, PolyMatrix]) -> Dict[Tuple[int, int], int]:
-    if isinstance(obj, Presentation):
-        src, tgt = SHAPES[StratumLabel.X1]
-        if obj.source != src or obj.target != tgt:
-            raise ValueError(f"not the X1 twist shape: {obj.source} -> {obj.target}")
-        matrix = obj.matrix
-    else:
-        matrix = obj
-    if matrix.field.kind != "prime" or matrix.field.p != 2:
+def _extract_masks(P: Presentation) -> Dict[Tuple[int, int], int]:
+    # The constructor holds every nonzero cell to the degree grid of the
+    # twists, so the X1 twists fix the cell degrees drawn above.
+    src, tgt = SHAPES[StratumLabel.X1]
+    if P.source != src or P.target != tgt:
+        raise ValueError(f"not the X1 twist shape: {P.source} -> {P.target}")
+    if P.field.kind != "prime" or P.field.p != 2:
         raise ValueError("orbit oracle requires the field F_2")
-    if matrix.shape != (3, 3):
-        raise ValueError(f"need a 3x3 matrix, got {matrix.shape}")
-    masks = {}
-    for i in range(3):
-        for j in range(3):
-            f = matrix.entry(i, j)
-            want = X1_CELL_DEGREES[i][j]
-            if not f.is_zero and f.degree != want:
-                raise ValueError(f"cell ({i},{j}) has degree {f.degree}, want {want}")
-            masks[(i, j)] = _pack(f)
-    return masks
+    return {(i, j): _pack(P.matrix.entry(i, j)) for i in range(3) for j in range(3)}
 
 
 def _g_side_arrays(masks):
@@ -120,13 +105,13 @@ def _g_side_arrays(masks):
     return L2, L3, A2, A3, B2, B3
 
 
-def orbit_pattern_oracle(obj: Union[Presentation, PolyMatrix], pattern: PatternId) -> bool:
+def orbit_pattern_oracle(P: Presentation, pattern: PatternId) -> bool:
     """True iff some group pair carries the matrix onto the pattern's zero cells.
 
     Exhaustive over the full automorphism group over F_2; vectorized over
     the group coordinates that the pattern's cells depend on.
     """
-    masks = _extract_masks(obj)
+    masks = _extract_masks(P)
     L2, L3, A2, A3, B2, B3 = _g_side_arrays(masks)
     h22 = np.array([h[0] for h in GL2_F2], dtype=np.int64)
     h23 = np.array([h[1] for h in GL2_F2], dtype=np.int64)
@@ -172,17 +157,17 @@ def orbit_pattern_oracle(obj: Union[Presentation, PolyMatrix], pattern: PatternI
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def orbit_patterns(obj: Union[Presentation, PolyMatrix]) -> Set[PatternId]:
-    return {p for p in PatternId if orbit_pattern_oracle(obj, p)}
+def orbit_patterns(P: Presentation) -> Set[PatternId]:
+    return {p for p in PatternId if orbit_pattern_oracle(P, p)}
 
 
-def orbit_patterns_bruteforce(obj: Union[Presentation, PolyMatrix]) -> Set[PatternId]:
+def orbit_patterns_bruteforce(P: Presentation) -> Set[PatternId]:
     """All patterns reachable, by plainly looping over all 147456 pairs.
 
     Builds the complete sandwich h*phi*g for every pair and inspects the
     zero cells.  Slow; used to validate the vectorized oracle.
     """
-    masks = _extract_masks(obj)
+    masks = _extract_masks(P)
     mul11 = MUL11.tolist()
     mul12 = MUL12.tolist()
     remaining = set(PatternId)

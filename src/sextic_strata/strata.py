@@ -265,28 +265,29 @@ def _pencil_has_rank_one_member(field, q11, q12, q21, q22, dependent_at) -> bool
     u1, u2, v1, v2 = block_mult_map(field, [[q11, q12, q21, q22]], [0] * 4, [2]).a.T.tolist()
 
     def minor(x, y, i, j):
-        return F.sub(F.mul(x[i], y[j]), F.mul(x[j], y[i]))
+        return x[i] * y[j] - x[j] * y[i]
 
     quadratics = (
-        (minor(u1, v1, i, j), F.add(minor(u1, v2, i, j), minor(u2, v1, i, j)), minor(u2, v2, i, j))
+        tuple(map(F.normalize, (minor(u1, v1, i, j), minor(u1, v2, i, j) + minor(u2, v1, i, j),
+                                minor(u2, v2, i, j))))
         for i, j in combinations(range(len(u1)), 2)
     )
-    first = next((abc for abc in quadratics if not all(F.is_zero(x) for x in abc)), None)
+    first = next((abc for abc in quadratics if any(abc)), None)
     if first is None:
-        return dependent_at(F.one(), F.zero())
+        return dependent_at(1, 0)
     alpha, beta, gamma = first
     candidates = []
-    if F.is_zero(alpha):
-        candidates.append((F.one(), F.zero()))
-        if not F.is_zero(beta):
-            candidates.append((F.neg(F.div(gamma, beta)), F.one()))
+    if not alpha:
+        candidates.append((1, 0))
+        if beta:
+            candidates.append((F.normalize(-gamma * F.inv(beta)), 1))
     else:
-        disc = F.sub(F.mul(beta, beta), F.mul(F.from_int(4), F.mul(alpha, gamma)))
+        disc = F.normalize(beta * beta - 4 * alpha * gamma)
         root = _rational_sqrt(disc) if F.kind == "rational" else _sqrt_mod(disc, F.p)
         if root is not None:
-            two_alpha = F.mul(F.from_int(2), alpha)
-            candidates.append((F.div(F.sub(root, beta), two_alpha), F.one()))
-            candidates.append((F.div(F.neg(F.add(beta, root)), two_alpha), F.one()))
+            inv_two_alpha = F.inv(2 * alpha)
+            candidates.append((F.normalize((root - beta) * inv_two_alpha), 1))
+            candidates.append((F.normalize(-(beta + root) * inv_two_alpha), 1))
     return any(dependent_at(a, b) for a, b in candidates)
 
 

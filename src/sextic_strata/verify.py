@@ -444,6 +444,8 @@ def run_suite(
     """Run one named suite, one criterion after another in number order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if samples_per_stratum < 1 or oracle_matrices < 1:
+        raise ValueError("samples_per_stratum and oracle_matrices must be at least 1")
     wanted = set(SUITES[suite])
     pool = None
     if wanted & {1, 2, 3}:

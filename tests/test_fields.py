@@ -3,8 +3,9 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sextic_strata.fields import GF, QQ, _is_prime, field_from_json, parse_field
@@ -42,11 +43,13 @@ def test_canonical_representatives():
 
 def test_division():
     F = GF(101)
-    assert F.mul(F.inv(7), 7) == 1
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        QQ.div(1, 0)
+    assert F.inv(7) * 7 % 101 == 1
+    assert F.inv(np.int64(3)) == F.inv(3) == 34  # any integer, numpy's too
+    assert F.inv(-100) == 1
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    for field in (F, QQ):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
 
 
 def test_parse_field():
@@ -73,12 +76,35 @@ def test_coeff_encoding():
         F.decode_coeff(101)
 
 
-@given(a=st.integers(-500, 500), b=st.integers(-500, 500))
-def test_gf_ring_laws(a, b):
-    F = GF(101)
-    x, y = F.normalize(a), F.normalize(b)
-    assert F.add(x, y) == F.add(y, x)
-    assert F.mul(x, y) == F.mul(y, x)
-    assert F.add(x, F.neg(x)) == 0
-    if y != 0:
-        assert F.mul(F.div(x, y), y) == x
+FIELDS = [QQ, GF(2), GF(101), GF(2**31 - 1), GF(2**31 + 11)]
+
+
+def _values(field):
+    """Values `normalize` accepts: ints of any size (including the int64
+    edges), numpy int64s, bools and Fractions with denominators prime to p."""
+    edges = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, -(2**64)])
+    ints = st.integers(-(2**80), 2**80) | st.integers(-3, 3) | edges
+    denominators = st.integers(1, 2**40).filter(lambda d: field.kind == "rational" or d % field.p)
+    return (
+        ints
+        | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+        | st.booleans()
+        | st.builds(Fraction, st.integers(-(2**70), 2**70), denominators)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), shape=st.tuples(st.integers(0, 4), st.integers(0, 4)), data=st.data())
+def test_array_matches_normalize(field, shape, data):
+    # Field.array is the one conversion: entry by entry what normalize gives,
+    # in the field's dtype and the requested shape, whatever numpy would infer.
+    nrows, ncols = shape
+    values = _values(field)
+    if data.draw(st.booleans()):  # all small ints: numpy infers int64
+        values = st.integers(-(2**62), 2**62) | st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    a = field.array(rows, shape)
+    assert a.shape == shape
+    assert a.dtype == field.dtype
+    want = [[field.normalize(x) for x in row] for row in rows]
+    assert [[(type(x), x) for x in row] for row in a.tolist()] == [[(type(x), x) for x in row] for row in want]

@@ -146,11 +146,11 @@ def _ref_rref(field, rows, limit=None):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(x, inv) for x in rows[r]]
+        rows[r] = [field.normalize(x * inv) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [field.normalize(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -165,7 +165,7 @@ def _ref_kernel(field, rows):
         v = [field.zero()] * len(rows[0])
         v[f] = field.one()
         for i, pc in enumerate(pivots):
-            v[pc] = field.neg(R[i][f])
+            v[pc] = field.normalize(-R[i][f])
         basis.append(v)
     return basis
 
@@ -250,6 +250,32 @@ def test_matmul_exact_across_dtype_bounds(field, n):
     got = ScalarMatrix(field, A).matmul(ScalarMatrix(field, B))
     assert got.to_lists() == _ref_matmul(field, A, B) == [[n % field.p]]
     assert got.a.dtype == field.dtype
+
+
+@pytest.mark.parametrize("field", [INT64_MAX_PRIME, OBJECT_MIN_PRIME, BIG], ids=repr)
+def test_matmul_exact_from_numpy_int64_entries(field):
+    # numpy int64 entries are converted like Python ints, so an object-dtype
+    # field multiplies exact Python integers rather than wrapping int64s
+    x = np.int64(field.p - 1)
+    got = ScalarMatrix(field, [[x] * 4]).matmul(ScalarMatrix(field, [[x]] * 4))
+    assert got.to_lists() == [[4]]
+
+
+def test_constructor_reduces_every_value_exactly():
+    F = GF(101)
+    assert ScalarMatrix(F, [[Fraction(1, 2), Fraction(7, 3)]]).to_lists() == [[51, 36]]
+    assert ScalarMatrix(F, [[2**63]]).to_lists() == [[90]]
+    assert ScalarMatrix(F, [[2**64]]).to_lists() == [[79]]
+    assert ScalarMatrix(F, [[2**63, -1, True]]).to_lists() == [[90, 100, 1]]
+    assert ScalarMatrix(QQ, [[np.int64(-3), Fraction(1, 2)]]).to_lists() == [[-3, Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), INT64_MAX_PRIME, OBJECT_MIN_PRIME], ids=repr)
+def test_empty_matrices_keep_shape_and_dtype(field):
+    for M, shape in ((ScalarMatrix(field, [], shape=(0, 3)), (0, 3)), (ScalarMatrix(field, [[], [], []]), (3, 0))):
+        assert M.shape == shape
+        assert M.a.dtype == field.dtype
+        assert M.transpose().shape == shape[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,16 @@ def test_oracle_requires_f2():
         orbit_pattern_oracle(P, PatternId.P1)
 
 
+def test_oracle_requires_x1_shape():
+    # an X5-shaped presentation over F_2 is refused by every entry point
+    P = Presentation(*SHAPES[StratumLabel.X5], PolyMatrix(F2, [[Form.zero(F2, 4), Form.zero(F2, 1)],
+                                                               [Form.zero(F2, 5), Form.zero(F2, 2)]]))
+    for check in (lambda: orbit_pattern_oracle(P, PatternId.P1), lambda: orbit_patterns(P),
+                  lambda: orbit_patterns_bruteforce(P)):
+        with pytest.raises(ValueError, match="X1 twist shape"):
+            check()
+
+
 def test_fast_oracle_matches_bruteforce():
     # the vectorized factored enumeration against the plain 147456-pair loop
     for k in range(6):

@@ -719,7 +719,7 @@ def test_span_membership_matches_two_rank_formula(field):
             want = _in_span_by_two_ranks(field, [vec(v * l1) for v in XYZ], vec(q))
             assert divides(l1, q) == want
             answers[divides].add(want)
-        for m in (l2, l1.scale(field.from_int(2))):
+        for m in (l2, l1.scale(2)):
             for q in (v1 * l1 + v2 * m, rand(2)):
                 cols = [vec(v * f) for f in (l1, m) for v in XYZ]
                 want = _in_span_by_two_ranks(field, cols, vec(q))
@@ -735,7 +735,7 @@ def test_span_membership_matches_two_rank_formula(field):
             assert _x4_syzygy_solvable(field, l1, l2, l, q1, q2) == want
             answers[_x4_syzygy_solvable].add(want)
         # (q21, q22) = a*(q11, q12) + u*(l1, l2) clears the row; random pairs rarely do
-        q11, q12, a = rand(2), rand(2), field.from_int(1 + rng.next_below(2))
+        q11, q12, a = rand(2), rand(2), field.normalize(1 + rng.next_below(2))
         for q21, q22 in ((q11.scale(a) + u * l1, q12.scale(a) + u * l2), (rand(2), rand(2))):
             v_cols = [vec(v * l1) + vec(v * l2) for v in XYZ]
             cols = [vec(q11) + vec(q12), vec(q21) + vec(q22)] + v_cols
