@@ -56,7 +56,7 @@ from .presentation import (
     validate,
 )
 from .rng import SplitMix64, derive_seed
-from .sampler import SampleRequest, construct_x5, dual_shape, random_form, sample, sample_batch
+from .sampler import SampleRequest, construct_x5, random_form, sample
 from .strata import (
     EXPECTED_PROFILES,
     SHAPES,

@@ -87,6 +87,7 @@ def cmd_classify(args) -> int:
         }
         if isinstance(exc, ProfileNotInTable):
             doc["profile"] = list(exc.profile)
+            doc["hilbert"] = exc.hilbert
         if isinstance(exc, NotSemistable):
             doc["violations"] = exc.violations
         _emit(doc, args.human)

@@ -27,17 +27,34 @@ class NotInjectiveError(SexticStrataError):
     """The presentation matrix has vanishing determinant."""
 
 
+def _hilbert_text(r: int, chi: int) -> str:
+    """`r*m + chi` as written in the paper: 6m+1, 2m+1, m, 3m, 6m-9."""
+    text = "m" if r == 1 else f"{r}m"
+    return text if chi == 0 else f"{text}{chi:+d}"
+
+
 class ProfileNotInTable(SexticStrataError):
-    """Cohomological profile matches no stratum row.
+    """Cohomological profile matches no stratum row, or the Hilbert
+    polynomial is not 6m+1.
 
     Signals that the cokernel is not a semistable sheaf with the expected
     invariants, or an arithmetic bug upstream.  Carries the offending
-    profile as a 4-tuple (h0(F(-1)), h1(F), h0(F otimes Omega^1(1)), h1(F(1))).
+    profile as a 4-tuple (h0(F(-1)), h1(F), h0(F otimes Omega^1(1)), h1(F(1)))
+    and the Hilbert polynomial as `hilbert` = [r, chi]; the message names
+    whichever of the two keeps the presentation out of the table.
     """
 
-    def __init__(self, profile):
+    def __init__(self, profile, hilbert):
         self.profile = tuple(profile)
-        super().__init__(f"profile {self.profile} matches no stratum row")
+        self.hilbert = list(hilbert)
+        if self.hilbert == [6, 1]:
+            message = f"profile {self.profile} matches no stratum row"
+        else:
+            message = (
+                f"profile {self.profile} with Hilbert polynomial "
+                f"{_hilbert_text(*self.hilbert)} is not in the table (needs 6m+1)"
+            )
+        super().__init__(message)
 
 
 class NotSemistable(ProfileNotInTable):
@@ -45,12 +62,14 @@ class NotSemistable(ProfileNotInTable):
 
     Raised only on the row's canonical twist shape, where the conditions
     are invariant under Aut(source) x Aut(target) and failing them means
-    the cokernel is not semistable.  Carries the profile and the violated
-    conditions as `violations`.
+    the cokernel is not semistable.  Carries the profile, the Hilbert
+    polynomial (6m+1, checked before the row), and the violated conditions
+    as `violations`.
     """
 
     def __init__(self, profile, violations):
         self.profile = tuple(profile)
+        self.hilbert = [6, 1]
         self.violations = list(violations)
         SexticStrataError.__init__(
             self,

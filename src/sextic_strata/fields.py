@@ -11,9 +11,10 @@ Field elements are canonical raw scalars (`Fraction` over Q, `int` in
 entries stay below 2**62, and object arrays of exact Python scalars for Q
 and larger primes, so no field overflows.  Arithmetic is array arithmetic
 followed by `reduce`.  There is one way in: `array` turns any values
-(ints of any size, Fractions with denominators prime to p, numpy integers,
-bools) into canonical elements, entry by entry exactly as `normalize`
-does.  `inv` divides.
+(ints of any size, Fractions and floats with denominators prime to p,
+numpy integers, bools) into canonical elements, entry by entry exactly as
+`normalize` does; a float is read as the exact binary fraction it holds,
+in both fields.  `inv` divides.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class RationalField(_ExactField):
         return object
 
     def normalize(self, x: Any) -> Fraction:
-        return Fraction(x)
+        return Fraction(int(x)) if isinstance(x, np.bool_) else Fraction(x)
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -153,11 +154,12 @@ class PrimeField(_ExactField):
         return np.int64 if n * (self.p - 1) ** 2 < 2**63 else object
 
     def normalize(self, x: Any) -> int:
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by p={self.p}")
-            return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        if isinstance(x, (int, np.integer, np.bool_)):
+            return int(x) % self.p
+        x = Fraction(x)
+        if x.denominator % self.p == 0:
+            raise ZeroDivisionError(f"denominator divisible by p={self.p}")
+        return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
 
     def zero(self) -> int:
         return 0

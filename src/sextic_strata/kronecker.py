@@ -325,7 +325,7 @@ def _blowup_element(slices, Es) -> ScalarMatrix:
     dt = F.dot_dtype(len(slices))
     total = sum(np.kron(A.a.astype(dt, copy=False), E.a.astype(dt, copy=False))
                 for A, E in zip(slices, Es))
-    return ScalarMatrix(F, F.reduce(total), total.shape)
+    return ScalarMatrix._wrap(F, F.reduce(total).astype(F.dtype, copy=False))
 
 
 def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:

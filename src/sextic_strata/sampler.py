@@ -5,20 +5,21 @@ zeros and forced constants are never randomized) and rejection-sample
 against the shape validators, so every accepted presentation carries the
 exact twist shape, passes all matrix conditions, and has nonzero
 determinant.  Sampling is reproducible: identical (seed, field, stratum)
-yields identical presentation bytes.
+yields identical presentation bytes.  Over Q the free cells get small
+integer coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import DivisibilityFailure, MembershipFailure, RejectionBudgetExceeded
 from .fields import Field, field_name
 from .forms import Form, block_mult_map, divides, monomial_basis
 from .polymatrix import PolyMatrix
 from .presentation import Presentation, fitting_determinant
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64
 from .strata import SHAPES, StratumLabel, validate_shape
 
 
@@ -78,16 +79,13 @@ def _build_matrix(
     return PolyMatrix(field, entries)
 
 
-def sample(req: SampleRequest, allow_rational: bool = False) -> Presentation:
+def sample(req: SampleRequest) -> Presentation:
     """Rejection-sample a presentation of the requested stratum.
 
     Deterministic in (seed, field, label).  Raises RejectionBudgetExceeded
     with the reject count and the last violation list when the budget runs
-    out.  Rational sampling draws small integer coefficients and is off by
-    default.
+    out.
     """
-    if req.field.kind != "prime" and not allow_rational:
-        raise ValueError("sampling needs a prime field (pass allow_rational=True to override)")
     rng = SplitMix64(req.seed)
     source, target = SHAPES[req.label]
     rejects = 0
@@ -112,14 +110,6 @@ def sample(req: SampleRequest, allow_rational: bool = False) -> Presentation:
         rejects += 1
         last_violations = violations
     raise RejectionBudgetExceeded(rejects, last_violations)
-
-
-def sample_batch(label: StratumLabel, field: Field, base_seed: int, count: int):
-    """Independent samples via the documented seed-splitting rule."""
-    return [
-        sample(SampleRequest(label, field, derive_seed(base_seed, i)))
-        for i in range(count)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +148,3 @@ def construct_x5(f: Form, l: Form, q: Form) -> Presentation:
     if det != f:  # pragma: no cover - guaranteed by the solve
         raise AssertionError("internal error: determinant does not reproduce f")
     return P
-
-
-def dual_shape(label: StratumLabel) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Twist shape of the dual stratum: t -> -2 - t applied in order."""
-    source, target = SHAPES[label]
-    return tuple(-2 - d for d in target), tuple(-2 - s for s in source)

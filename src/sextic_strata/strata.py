@@ -16,9 +16,10 @@ conditions on the matrix:
     X4  (1,2,3,0)  2O(-3)+O(-2) -> O(-2)+O(-1)+O(1)  split on the constant c
     X5  (1,3,4,1)  O(-4)+O(-1) -> O+O(1)       l != 0 and l does not divide q
 
-The classifier's domain is semistable sheaves.  It maps the profile of a
-valid injective presentation to the unique row above and rejects every
-other profile.  When the presentation has exactly the row's twist shape,
+The classifier's domain is semistable sheaves with Hilbert polynomial
+6m+1.  It maps the profile of a valid injective presentation with that
+Hilbert polynomial to the unique row above and rejects every other
+presentation.  When the presentation has exactly the row's twist shape,
 it also checks that row's matrix conditions and rejects a cokernel that
 fails them as not semistable.  That gate is the only place the
 classifier runs the conditions.  On each row's shape every condition is
@@ -35,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
     NotInjectiveError,
@@ -50,6 +51,7 @@ from .kronecker import KroneckerModule, is_semistable, moduli_dimension
 from .polymatrix import maximal_minors
 from .presentation import (
     CohomologyProfile,
+    HilbertPoly,
     Presentation,
     hilbert_polynomial,
     is_injective,
@@ -95,9 +97,8 @@ EXPECTED_PROFILES: Dict[StratumLabel, Tuple[int, int, int, int]] = {
     StratumLabel.X5: (1, 3, 4, 1),
 }
 
-# The first three entries of a profile already tell the rows apart.
-PROFILE_TO_LABEL: Dict[Tuple[int, int, int], StratumLabel] = {
-    p[:3]: label for label, p in EXPECTED_PROFILES.items()
+PROFILE_TO_LABEL: Dict[Tuple[int, int, int, int], StratumLabel] = {
+    p: label for label, p in EXPECTED_PROFILES.items()
 }
 
 
@@ -115,37 +116,34 @@ def _require_shape(P: Presentation, label: StratumLabel) -> None:
 def classify(P: Presentation) -> StratumLabel:
     """Map a valid injective presentation of a semistable sheaf to its stratum.
 
-    Raises ProfileNotInTable when the quadruple matches no row; that error
-    signals the cokernel is not a semistable sheaf with Hilbert polynomial
-    6m+1, or an arithmetic bug, and carries the offending profile.  Raises
-    its subclass NotSemistable when the presentation has the canonical
-    twist shape of its row but fails that row's matrix conditions, so the
-    cokernel is not semistable; it carries the profile and the violated
-    conditions.
+    Raises ProfileNotInTable when the Hilbert polynomial is not 6m+1 or the
+    quadruple matches no row; that error signals the cokernel is not a
+    semistable sheaf with Hilbert polynomial 6m+1, or an arithmetic bug, and
+    carries the profile and the Hilbert polynomial.  Raises its subclass
+    NotSemistable when the presentation has the canonical twist shape of its
+    row but fails that row's matrix conditions, so the cokernel is not
+    semistable; it carries the profile and the violated conditions, every
+    forbidden pattern of an X1 matrix included.
     """
     return _classify(P)[0]
 
 
-def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile]:
-    """`classify`, also returning the profile it computed."""
+def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, HilbertPoly]:
+    """`classify`, also returning the profile and Hilbert polynomial it computed."""
     if not P.is_square:
         raise NotSquareError("classification needs a square presentation")
     if not is_injective(P):
         raise NotInjectiveError("matrix has det = 0; the cokernel is not one-dimensional")
     pr = profile(P)
-    label = PROFILE_TO_LABEL.get((pr.a, pr.b, pr.c))
+    hp = hilbert_polynomial(P)
+    label = PROFILE_TO_LABEL.get(pr.as_tuple()) if hp.as_list() == [6, 1] else None
     if label is None:
-        raise ProfileNotInTable(pr.as_tuple())
-    if label is StratumLabel.X5:
-        if pr.e <= 0:
-            raise ProfileNotInTable(pr.as_tuple())
-    elif pr.e != 0:
-        raise ProfileNotInTable(pr.as_tuple())
+        raise ProfileNotInTable(pr.as_tuple(), hp.as_list())
     if not _wrong_shape(P, label):
-        violations = _conditions(P, label, first_x1_pattern=True)
+        violations = _conditions(P, label)
         if violations:
             raise NotSemistable(pr.as_tuple(), violations)
-    return label, pr
+    return label, pr, hp
 
 
 def classification_report(P: Presentation) -> dict:
@@ -156,8 +154,7 @@ def classification_report(P: Presentation) -> dict:
     empty.  On the row's canonical shape the gate has just proved its
     conditions hold, so the only possible violation is a wrong twist shape.
     """
-    label, pr = _classify(P)
-    hp = hilbert_polynomial(P)
+    label, pr, hp = _classify(P)
     return {
         "schema_version": 1,
         "kind": "classification",
@@ -206,29 +203,19 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
     An empty set means the matrix is admissible for X1.
     """
     _require_shape(P, StratumLabel.X1)
-    return set(_x1_forbidden_patterns(P))
-
-
-def _x1_forbidden_patterns(P: Presentation) -> Iterator[PatternId]:
-    """Yield the forbidden patterns of x1_patterns lazily, in order P1..P4."""
     M = P.matrix
     q = M.entry(0, 0)
     l1, l2 = M.entry(0, 1), M.entry(0, 2)
     q11, q12 = M.entry(1, 1), M.entry(1, 2)
     q21, q22 = M.entry(2, 1), M.entry(2, 2)
     field = P.field
-
-    if l1.is_zero and l2.is_zero:
-        yield PatternId.P1
-
-    if _pencil_degenerates(field, l1, l2, q11, q12, q21, q22):
-        yield PatternId.P2
-
-    if _row_clearing_exists(field, l1, l2, q11, q12, q21, q22):
-        yield PatternId.P3
-
-    if forms_rank([l1, l2]) <= 1 and _in_linear_ideal_slice(field, q, l1, l2):
-        yield PatternId.P4
+    tests = (
+        (PatternId.P1, l1.is_zero and l2.is_zero),
+        (PatternId.P2, _pencil_degenerates(field, l1, l2, q11, q12, q21, q22)),
+        (PatternId.P3, _row_clearing_exists(field, l1, l2, q11, q12, q21, q22)),
+        (PatternId.P4, forms_rank([l1, l2]) <= 1 and _in_linear_ideal_slice(field, q, l1, l2)),
+    )
+    return {pattern for pattern, found in tests if found}
 
 
 def _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) -> bool:
@@ -463,17 +450,16 @@ def _wrong_shape(P: Presentation, label: StratumLabel) -> List[str]:
     return []
 
 
-def _conditions(P: Presentation, label: StratumLabel, first_x1_pattern: bool = False) -> List[str]:
+def _conditions(P: Presentation, label: StratumLabel) -> List[str]:
     """The row's matrix conditions on a valid presentation of its shape.
 
-    With `first_x1_pattern`, X1 reports only the first forbidden pattern,
-    P1 first, which is all the classifier's gate needs.
+    Every violated condition is reported; for X1 that is every forbidden
+    pattern, in order P1..P4.
     """
     if label is StratumLabel.X0:
         return [] if x0_condition(P) else ["phi_11 is not semistable as a Kronecker module"]
     if label is StratumLabel.X1:
-        pats = islice(_x1_forbidden_patterns(P), 1) if first_x1_pattern else x1_patterns(P)
-        return [f"matrix is equivalent to forbidden pattern {p.value}" for p in sorted(pats)]
+        return [f"matrix is equivalent to forbidden pattern {p.value}" for p in sorted(x1_patterns(P))]
     if label is StratumLabel.X2:
         return x2_conditions(P)
     if label is StratumLabel.X3:

@@ -60,7 +60,7 @@ def test_criterion_2_hilbert_polynomial(pool):
 def test_criterion_3_duality(pool):
     # X3 duals have shape 3O(-2)+O -> 2O(-1)+2O(1) with h0(G(-1)) = 2,
     # h1(G) = 0; dual of dual is the identity; chi + chi(dual) = 6
-    _report(criterion_3_duality(pool, involutions=100))
+    _report(criterion_3_duality(pool))
 
 
 def test_criterion_4_dimension_arithmetic():
@@ -89,7 +89,7 @@ def test_criterion_7_kronecker_oracle():
 def test_criterion_8_x5_constructor_roundtrip():
     # 100 random (l, q, f) from the ideal slice: determinant returns f
     # bit-exactly
-    _report(criterion_8_construct_x5(DEFAULT_SEED, count=100))
+    _report(criterion_8_construct_x5(DEFAULT_SEED))
 
 
 def test_criterion_9_negative_control_classifier():

@@ -26,6 +26,36 @@ def test_sample_then_classify(tmp_path, capsys):
     assert doc["profile"] == [1, 3, 4, 1]
 
 
+def test_sample_rational_then_classify(tmp_path, capsys):
+    f = tmp_path / "x3.json"
+    code, _ = run(capsys, "sample", "--stratum", "X3", "--field", "rational", "--seed", "7", "--out", str(f))
+    assert code == 0
+    code, out = run(capsys, "classify", str(f))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["label"] == "X3"
+    assert doc["profile"] == [0, 2, 2, 0]
+    assert doc["violations"] == []
+
+
+def test_classify_conic_exit_code(tmp_path, capsys):
+    # O(-2) -> O has the X0 profile but Hilbert polynomial 2m+1
+    field = GF(101)
+    X, Y, Z = variables(field)
+    P = Presentation((-2,), (0,), PolyMatrix(field, [[X * X + Y * Z]]))
+    f = tmp_path / "conic.json"
+    save(P, f)
+    code, out = run(capsys, "classify", str(f))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ProfileNotInTable"
+    assert doc["profile"] == [0, 0, 0, 0]
+    assert doc["hilbert"] == [2, 1]
+    assert doc["message"] == (
+        "profile (0, 0, 0, 0) with Hilbert polynomial 2m+1 is not in the table (needs 6m+1)"
+    )
+
+
 def test_classify_rejects_det_zero(tmp_path, capsys):
     field = GF(101)
     X, Y, Z = variables(field)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sextic_strata.fields import GF, QQ, _is_prime, field_from_json, parse_field
+from sextic_strata.linalg import ScalarMatrix
 
 
 def test_prime_field_requires_prime():
@@ -39,6 +40,13 @@ def test_canonical_representatives():
     assert F.normalize(-1) == 100
     assert F.normalize(202) == 0
     assert F.normalize(Fraction(1, 2)) == 51  # 2 * 51 = 102 = 1 mod 101
+    # a float is the exact binary fraction it holds, in both fields
+    assert F.normalize(0.5) == F.normalize(np.float64(0.5)) == 51
+    assert QQ.normalize(0.5) == Fraction(1, 2)
+    assert ScalarMatrix(F, [[0.5, -0.25]]).a.tolist() == [[51, 25]]
+    assert F.normalize(np.True_) == 1
+    assert QQ.normalize(np.True_) == Fraction(1)
+    assert QQ.normalize(np.False_) == Fraction(0)
 
 
 def test_division():
@@ -81,7 +89,8 @@ FIELDS = [QQ, GF(2), GF(101), GF(2**31 - 1), GF(2**31 + 11)]
 
 def _values(field):
     """Values `normalize` accepts: ints of any size (including the int64
-    edges), numpy int64s, bools and Fractions with denominators prime to p."""
+    edges), numpy int64s, bools, numpy bools, floats and Fractions with
+    denominators prime to p.  A float's denominator is a power of two."""
     edges = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, -(2**64)])
     ints = st.integers(-(2**80), 2**80) | st.integers(-3, 3) | edges
     denominators = st.integers(1, 2**40).filter(lambda d: field.kind == "rational" or d % field.p)
@@ -89,6 +98,8 @@ def _values(field):
         ints
         | st.integers(-(2**63), 2**63 - 1).map(np.int64)
         | st.booleans()
+        | st.booleans().map(np.bool_)
+        | st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: field != GF(2) or x.is_integer())
         | st.builds(Fraction, st.integers(-(2**70), 2**70), denominators)
     )
 

@@ -280,6 +280,8 @@ def test_dual_shape_of_x3():
     assert G.target == (1, 1, -1, -1)
     assert sorted(G.source) == [-2, -2, -2, 0]
     assert sorted(G.target) == [-1, -1, 1, 1]
+    G = dual(sample_of(StratumLabel.X5))
+    assert (G.source, G.target) == ((-2, -3), (2, -1))
 
 
 def test_dual_cohomology_of_x3():
@@ -292,6 +294,7 @@ def test_dual_involution_and_chi():
     for label in StratumLabel:
         P = sample_of(label, seed=3)
         G = dual(P)
+        assert (G.source, G.target) == (tuple(-2 - d for d in P.target), tuple(-2 - s for s in P.source))
         assert dual(G) == P
         assert hilbert_polynomial(P).chi + hilbert_polynomial(G).chi == 6
 

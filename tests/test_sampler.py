@@ -13,15 +13,8 @@ from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, divides, variables
 from sextic_strata.presentation import dual, dumps, fitting_determinant
 from sextic_strata.rng import SplitMix64, derive_seed
-from sextic_strata.sampler import (
-    SampleRequest,
-    construct_x5,
-    dual_shape,
-    random_form,
-    sample,
-    sample_batch,
-)
-from sextic_strata.strata import StratumLabel, classify, validate_shape
+from sextic_strata.sampler import SampleRequest, construct_x5, random_form, sample
+from sextic_strata.strata import SHAPES, StratumLabel, classify, validate_shape
 
 F101 = GF(101)
 
@@ -61,17 +54,18 @@ def test_rejection_budget_error():
 
 def test_rejection_rates_small_over_f101():
     for label in (StratumLabel.X0, StratumLabel.X2, StratumLabel.X3, StratumLabel.X5):
-        samples = sample_batch(label, F101, base_seed=5150, count=60)
+        samples = [sample(SampleRequest(label, F101, derive_seed(5150, i))) for i in range(60)]
         rejects = sum(P.metadata["rejects"] for P in samples)
         rate = rejects / (rejects + len(samples))
         assert rate <= 0.20, f"{label}: rejection rate {rate:.2%}"
 
 
 def test_rational_sampling_gate():
-    with pytest.raises(ValueError):
-        sample(SampleRequest(StratumLabel.X5, QQ, seed=1))
-    P = sample(SampleRequest(StratumLabel.X5, QQ, seed=1), allow_rational=True)
+    # over Q the free cells get small integer coefficients
+    P = sample(SampleRequest(StratumLabel.X5, QQ, seed=1))
     assert classify(P) == StratumLabel.X5
+    assert P.metadata["field"] == "rational"
+    assert all(c.denominator == 1 and abs(c) <= 9 for row in P.matrix.entries for f in row for c in f.array.tolist())
 
 
 def test_max_rejects_validation():
@@ -145,15 +139,19 @@ def test_construct_x5_deterministic():
 
 
 def test_dual_shape_x3():
-    assert dual_shape(StratumLabel.X3) == ((0, -2, -2, -2), (1, 1, -1, -1))
+    G = dual(sample(SampleRequest(StratumLabel.X3, F101, seed=23)))
+    assert (G.source, G.target) == ((0, -2, -2, -2), (1, 1, -1, -1))
 
 
 def test_dual_shape_x5():
-    assert dual_shape(StratumLabel.X5) == ((-2, -3), (2, -1))
+    G = dual(sample(SampleRequest(StratumLabel.X5, F101, seed=23)))
+    assert (G.source, G.target) == ((-2, -3), (2, -1))
 
 
 def test_dual_shape_consistent_with_dual_presentation():
+    # the dual's twists are t -> -2 - t of the row's shape, in order
     for label in StratumLabel:
         P = sample(SampleRequest(label, F101, seed=23))
         G = dual(P)
-        assert (G.source, G.target) == dual_shape(label)
+        source, target = SHAPES[label]
+        assert (G.source, G.target) == (tuple(-2 - d for d in target), tuple(-2 - s for s in source))

@@ -88,6 +88,26 @@ def test_classify_off_table_profile():
     assert exc.value.profile[1] == 10  # h1 = h0(O(3)) on this shape
 
 
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "QQ"])
+@pytest.mark.parametrize("curve", ["conic", "line", "cubic"])
+def test_classify_rejects_other_hilbert_polynomials(curve, field):
+    # a conic (2m+1), a line (m) and a cubic (3m) have the X0 or X1 profile,
+    # but they are not sheaves with Hilbert polynomial 6m+1
+    X, Y, Z = variables(field)
+    src, tgt, f = {
+        "conic": ((-2,), (0,), X * X + Y * Z),
+        "line": ((-2,), (-1,), X + Y.scale(2)),
+        "cubic": ((-3,), (0,), X * X * X + Y * Y * Z + Z * Z * Z),
+    }[curve]
+    P = Presentation(src, tgt, PolyMatrix(field, [[f]]))
+    with pytest.raises(ProfileNotInTable) as exc:
+        classify(P)
+    assert exc.value.profile == profile(P).as_tuple()
+    assert exc.value.hilbert == {"conic": [2, 1], "line": [1, 0], "cubic": [3, 0]}[curve]
+    assert exc.value.profile[:3] == ((0, 1, 0) if curve == "cubic" else (0, 0, 0))
+    assert not isinstance(exc.value, NotSemistable)
+
+
 def test_x2_shape_out_of_normal_position_classifies_as_x1():
     # nonzero constants in the last column cancel a source/target pair,
     # leaving a genuine X1 sheaf; the classifier must see through it
@@ -172,7 +192,7 @@ def _degenerate(case, field, seed):
 def _sound(case, field, seed):
     """A sample of the case's row; for X4, of the case's normal form."""
     while True:
-        P = sample(SampleRequest(case[:2], field, seed=seed), allow_rational=True)
+        P = sample(SampleRequest(case[:2], field, seed=seed))
         if P.metadata.get("case", "") == case[2:]:
             return P
         seed += 1000
@@ -249,7 +269,7 @@ def test_x4_case_i_report_ignores_normal_position(field):
     X = variables(field)[0]
     moved = 0
     for seed in range(24):
-        P = sample(SampleRequest(StratumLabel.X4, field, seed=seed), allow_rational=True)
+        P = sample(SampleRequest(StratumLabel.X4, field, seed=seed))
         if P.metadata["case"] != "i":
             continue
         M = [[row[0] + X * row[2]] + row[1:] for row in P.matrix.entries]
@@ -261,13 +281,37 @@ def test_x4_case_i_report_ignores_normal_position(field):
 
 
 def test_x1_gate_short_circuits_at_large_prime():
-    # l1 = l2 = 0 is P1; the gate stops there without the P2-P4 tests
+    # l1 = l2 = 0 is P1; the gate runs all four tests, and the P2 search over
+    # the pencil must stay bounded, so the whole classify takes milliseconds
     P = _degenerate("X1", GF(1_000_003), seed=92)
     t0 = time.perf_counter()
     with pytest.raises(NotSemistable) as exc:
         classify(P)
     assert time.perf_counter() - t0 < 10.0  # milliseconds here; minutes for the full search
     assert exc.value.violations == [GATE_VIOLATION["X1"]]
+
+
+@FIELDS
+def test_x1_gate_reports_every_pattern(field):
+    # l1 = l2 = 0 is P1, and q21 = 2 * q11 makes the pencil member at
+    # (a : b) = (1 : 0) rank one, which is P2
+    rng = SplitMix64(95)
+    src, tgt = SHAPES[StratumLabel.X1]
+    while True:
+        ent = [[_entry(field, d - s, rng) for s in src] for d in tgt]
+        ent[0][1] = ent[0][2] = Form.zero(field, 1)
+        ent[2][1] = ent[1][1].scale(2)
+        P = Presentation(src, tgt, PolyMatrix(field, ent))
+        if not fitting_determinant(P).is_zero:
+            break
+    assert x1_patterns(P) == {PatternId.P1, PatternId.P2}
+    with pytest.raises(NotSemistable) as exc:
+        classify(P)
+    assert exc.value.violations == [
+        "matrix is equivalent to forbidden pattern P1",
+        "matrix is equivalent to forbidden pattern P2",
+    ]
+    assert exc.value.violations == validate_shape(P, StratumLabel.X1)
 
 
 def test_x5_gate_exact_at_large_prime():
@@ -286,7 +330,7 @@ def test_x1_patterns_bounded_at_large_prime():
     t0 = time.perf_counter()
     pats = x1_patterns(P)
     assert time.perf_counter() - t0 < 10.0
-    assert PatternId.P1 in pats
+    assert pats == {PatternId.P1}
 
 
 # ---------------------------------------------------------------------------
