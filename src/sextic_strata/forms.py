@@ -248,8 +248,9 @@ def _monomial_values(field: Field, degree: int, point: Tuple) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=16)
 def variables(field: Field) -> Tuple[Form, Form, Form]:
-    """The coordinate forms X, Y, Z."""
+    """The coordinate forms X, Y, Z, built once per field."""
     return (
         Form.monomial(field, (1, 0, 0)),
         Form.monomial(field, (0, 1, 0)),
@@ -272,6 +273,73 @@ def product_rows(a: int, b: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=256)
+def _scatter_layout(source_degrees: Tuple[int, ...],
+                    target_degrees: Tuple[int, ...]) -> Tuple[Tuple[int, int], np.ndarray, np.ndarray]:
+    """Where the cell coefficients of a twist shape go: (shape, flat, gather).
+
+    The cell vector of the shape lists the coefficients of cell (i, j), a
+    form of degree c_i - b_j, row by row over every cell whose degree is
+    not negative.  Its entry gather[n] lands at the flat index flat[n] of
+    the matrix.  Cells over a negative source degree have empty blocks and
+    no entries here.  Both the slot of a cell in the cell vector and its
+    products depend only on c_i - b_j, so one vector serves every twist of
+    a shape.
+    """
+    row_off = list(accumulate(map(dim_forms, target_degrees), initial=0))
+    col_off = list(accumulate(map(dim_forms, source_degrees), initial=0))
+    flat, gather, slot = [], [], 0
+    for i, c in enumerate(target_degrees):
+        for j, b in enumerate(source_degrees):
+            size = dim_forms(c - b)
+            if b >= 0 and size:
+                # Monomial k times the monomials of degree b hits distinct
+                # rows, so each coefficient lands in a cell of its own.
+                rows = row_off[i] + product_rows(c - b, b)
+                cols = col_off[j] + np.arange(rows.shape[1])
+                flat.append((rows * col_off[-1] + cols).ravel())
+                gather.append(np.repeat(np.arange(slot, slot + size), rows.shape[1]))
+            slot += size
+    flat, gather = (np.concatenate(parts or [np.zeros(0, dtype=np.intp)]) for parts in (flat, gather))
+    flat.flags.writeable = gather.flags.writeable = False
+    return (row_off[-1], col_off[-1]), flat, gather
+
+
+def cell_vector(field: Field, cells: Sequence[Sequence[Form]],
+                source_degrees: Sequence[int], target_degrees: Sequence[int]) -> np.ndarray:
+    """The coefficients of a cell grid in the slots `_scatter_layout` reads.
+
+    Cells over a negative source degree are not read and leave their slots
+    zero.  Zero cells are skipped whatever their degree tag; any other cell
+    of another degree than c_i - b_j or over another field raises
+    ValueError, and so does a grid of another shape than the degree vectors.
+    """
+    filled, size = [], 0
+    for i, (c, row) in enumerate(zip(target_degrees, cells, strict=True)):
+        for j, (b, f) in enumerate(zip(source_degrees, row, strict=True)):
+            if b >= 0 and not f.is_zero:
+                # The identity test spares most calls of the field's __eq__.
+                if f.degree != c - b or not (f.field is field or f.field == field):
+                    raise ValueError(f"cell ({i},{j}) {f!r} is not a degree-{c - b} form over {field!r}")
+                filled.append((size, f.array))
+            size += dim_forms(c - b)
+    vec = np.full(size, field.zero(), dtype=field.dtype)
+    for slot, array in filled:
+        vec[slot:slot + array.size] = array
+    return vec
+
+
+def scatter_cells(field: Field, vector: np.ndarray, source_degrees: Sequence[int],
+                  target_degrees: Sequence[int]) -> ScalarMatrix:
+    """The block multiplication matrix of the cell grid whose `cell_vector`
+    is `vector`: one zero matrix and one scatter through the cached layout
+    of the twist shape."""
+    shape, flat, gather = _scatter_layout(tuple(source_degrees), tuple(target_degrees))
+    M = ScalarMatrix.zeros(field, *shape)
+    np.put(M.a, flat, vector[gather])
+    return M
+
+
 def block_mult_map(field: Field, cells: Sequence[Sequence[Form]],
                    source_degrees: Sequence[int], target_degrees: Sequence[int]) -> ScalarMatrix:
     """Matrix of H^0 of the map +_j O(b_j) -> +_i O(c_i) whose cell (i, j) is a
@@ -280,29 +348,13 @@ def block_mult_map(field: Field, cells: Sequence[Sequence[Form]],
     Block (i, j) is the multiplication by cell (i, j) from degree-b_j to
     degree-c_i forms.  Blocks are offset by `dim_forms`, with the frozen
     monomial order inside each block, so a negative degree gives an empty
-    block, and cells of empty blocks are not read.  Zero cells are skipped
-    whatever their degree tag; a nonzero cell of another degree or over
-    another field raises ValueError.  Each nonzero cell is scattered into
-    place with one fancy-index assignment.
+    block.  The cells are gathered into their `cell_vector`, which checks
+    them (cells over a negative source degree are not read), and
+    `scatter_cells` places the vector through the layout cached per
+    (source_degrees, target_degrees).
     """
-    row_off = list(accumulate(map(dim_forms, target_degrees), initial=0))
-    col_off = list(accumulate(map(dim_forms, source_degrees), initial=0))
-    M = ScalarMatrix.zeros(field, row_off[-1], col_off[-1])
-    if not M.a.size:  # every block is empty
-        return M
-    # A cell grid of another shape than the degree vectors fails a strict zip.
-    for i, (c, row) in enumerate(zip(target_degrees, cells, strict=True)):
-        for j, (b, f) in enumerate(zip(source_degrees, row, strict=True)):
-            if b < 0 or f.is_zero:
-                continue
-            if f.degree != c - b or f.field != field:
-                raise ValueError(f"cell ({i},{j}) {f!r} is not a degree-{c - b} form over {field!r}")
-            rows = product_rows(f.degree, b)
-            block = M.a[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]]
-            # Monomial k times the monomials of degree b hits distinct rows, so
-            # each coefficient, zero or not, lands in a cell of its own.
-            block[rows, np.arange(rows.shape[1])] = f.array[:, None]
-    return M
+    return scatter_cells(field, cell_vector(field, cells, source_degrees, target_degrees),
+                         source_degrees, target_degrees)
 
 
 def mult_map(f: Form, b: int) -> ScalarMatrix:

@@ -1,16 +1,24 @@
 """Dense exact linear algebra over Q and F_p.
 
-Rank, reduced row echelon form, kernel bases and linear solves via
-Gaussian elimination on a numpy array whose dtype the field chooses
+Ranks, echelon forms, kernels and solves all come from one Gaussian
+elimination loop on a copy of a numpy array whose dtype the field chooses
 (`Field.dtype`: int64 for primes below 2**31, Python scalars in an object
-array for Q and larger primes).  One vectorized elimination serves every
-field.  Over an int64 prime it defers the reduction mod p: each step
+array for Q and larger primes).  The loop runs in two modes:
+
+* full (Gauss-Jordan), behind `rref`, `kernel_basis` and `solve`: each
+  pivot clears its column in every row, and the array is reduced at the
+  end;
+* forward, behind `pivots` and `rank`: each pivot clears only the rows
+  below it, and the array is never reduced at the end, since only the
+  pivot columns are read.  They are the RREF's pivot columns.
+
+Over an int64 prime the loop defers the reduction mod p: each step
 reduces only what it reads (the searched column and the pivot row), and
 the whole array is reduced only when one more row update could overflow
-int64 (the bound comes from `Field.dot_dtype`) and once at the end.  Q and
-object-dtype primes reduce after every update, so every answer is exact.
-All matrices here are small (at most a few hundred rows), so no sparse or
-asymptotically fast methods are needed.
+int64 (the bound comes from `Field.dot_dtype`).  Q and object-dtype primes
+reduce after every update, so every answer is exact.  All matrices here
+are small (at most a few hundred rows), so no sparse or asymptotically
+fast methods are needed.
 """
 
 from __future__ import annotations
@@ -123,6 +131,25 @@ class ScalarMatrix:
     def rref(self) -> Tuple["ScalarMatrix", List[int]]:
         """Reduced row echelon form: (R, pivots) with R the RREF and pivots
         the pivot column indices."""
+        a, pivots = self._eliminate(reduced=True)
+        return ScalarMatrix._wrap(self.field, self.field.reduce(a)), pivots
+
+    def pivots(self) -> List[int]:
+        """The pivot columns of the RREF, found by forward elimination alone."""
+        # h0 and h1 meet many empty matrices, at twists with no sections.
+        return self._eliminate(reduced=False)[1] if self.a.size else []
+
+    def rank(self) -> int:
+        return len(self.pivots())
+
+    def _eliminate(self, reduced: bool) -> Tuple[np.ndarray, List[int]]:
+        """Gaussian elimination on a copy of the payload: (array, pivots).
+
+        With `reduced` each pivot clears its column in every other row, and
+        the array, once reduced mod p, is the RREF.  Without it each pivot
+        clears only the rows below it and the array is left unreduced: the
+        pivot columns are the same, and nothing else of the array is read.
+        """
         F = self.field
         a = self.a.copy()
         nrows, ncols = a.shape
@@ -148,17 +175,15 @@ class ScalarMatrix:
             if pending == budget:
                 a, pending = F.reduce(a), 0
             # The product is formed before the subtraction, so a view is read
-            # intact.  The update also clears row r, which takes the pivot row.
-            a[:, c:] -= col[:, None] * row
+            # intact.  A full update also clears row r, which takes the pivot
+            # row; a forward one starts below it.
+            top = 0 if reduced else r + 1
+            a[top:, c:] -= col[top:, None] * row
             a[r, c:] = row
             pending += 1
             pivots.append(c)
             r += 1
-        return ScalarMatrix._wrap(F, F.reduce(a)), pivots
-
-    def rank(self) -> int:
-        # h0 and h1 meet many empty matrices, at twists with no sections.
-        return len(self.rref()[1]) if self.a.size else 0
+        return a, pivots
 
     def kernel_basis(self) -> List[list]:
         """Basis of the right kernel, one vector per free column.

@@ -73,6 +73,10 @@ GL2_F2: Tuple[Tuple[int, int, int, int], ...] = tuple(
     for d in (0, 1)
     if (a * d - b * c) % 2 == 1
 )
+# the entries (h22, h23, h32, h33) of each H2 in GL2(F_2), and the eight
+# one-forms u or v as bitmasks
+_H22, _H23, _H32, _H33 = np.array(GL2_F2, dtype=np.int64).T
+_V = np.arange(8, dtype=np.int64)
 
 
 def _pack(f: Form) -> int:
@@ -112,13 +116,12 @@ def orbit_pattern_oracle(P: Presentation, pattern: PatternId) -> bool:
     the group coordinates that the pattern's cells depend on.
     """
     masks = _extract_masks(P)
-    L2, L3, A2, A3, B2, B3 = _g_side_arrays(masks)
-    h22 = np.array([h[0] for h in GL2_F2], dtype=np.int64)
-    h23 = np.array([h[1] for h in GL2_F2], dtype=np.int64)
-    h32 = np.array([h[2] for h in GL2_F2], dtype=np.int64)
-    h33 = np.array([h[3] for h in GL2_F2], dtype=np.int64)
-    v = np.arange(8, dtype=np.int64)
+    return _reaches(masks, _g_side_arrays(masks), pattern)
 
+
+def _reaches(masks, g_side, pattern: PatternId) -> bool:
+    """`orbit_pattern_oracle` on the masks of a matrix and their G-side arrays."""
+    L2, L3, A2, A3, B2, B3 = g_side
     if pattern is PatternId.P1:
         # cells (0,1), (0,2) depend only on G2
         return bool(np.any((L2 == 0) & (L3 == 0)))
@@ -127,15 +130,15 @@ def orbit_pattern_oracle(P: Presentation, pattern: PatternId) -> bool:
         # cell (0,0) over (u21, u31); cell (0,1) over G2
         q = masks[(0, 0)]
         l1, l2 = masks[(0, 1)], masks[(0, 2)]
-        cell00 = q ^ MUL11[v, l1][:, None] ^ MUL11[v, l2][None, :]
+        cell00 = q ^ MUL11[_V, l1][:, None] ^ MUL11[_V, l2][None, :]
         return bool(np.any(cell00 == 0) and np.any(L2 == 0))
 
     if pattern is PatternId.P2:
         # cell (0,2) = L3[i]; cell (1,2) = v21*L3[i] + h22*A3[i] + h23*B3[i]
         cell12 = (
-            MUL11[v[None, None, :], L3[:, None, None]]
-            ^ (h22[None, :, None] * A3[:, None, None])
-            ^ (h23[None, :, None] * B3[:, None, None])
+            MUL11[_V[None, None, :], L3[:, None, None]]
+            ^ (_H22[None, :, None] * A3[:, None, None])
+            ^ (_H23[None, :, None] * B3[:, None, None])
         )
         ok = (L3[:, None, None] == 0) & (cell12 == 0)
         return bool(np.any(ok))
@@ -143,14 +146,14 @@ def orbit_pattern_oracle(P: Presentation, pattern: PatternId) -> bool:
     if pattern is PatternId.P3:
         # cells (2,1), (2,2) over (G2, H2 row, v31)
         cell21 = (
-            MUL11[v[None, None, :], L2[:, None, None]]
-            ^ (h32[None, :, None] * A2[:, None, None])
-            ^ (h33[None, :, None] * B2[:, None, None])
+            MUL11[_V[None, None, :], L2[:, None, None]]
+            ^ (_H32[None, :, None] * A2[:, None, None])
+            ^ (_H33[None, :, None] * B2[:, None, None])
         )
         cell22 = (
-            MUL11[v[None, None, :], L3[:, None, None]]
-            ^ (h32[None, :, None] * A3[:, None, None])
-            ^ (h33[None, :, None] * B3[:, None, None])
+            MUL11[_V[None, None, :], L3[:, None, None]]
+            ^ (_H32[None, :, None] * A3[:, None, None])
+            ^ (_H33[None, :, None] * B3[:, None, None])
         )
         return bool(np.any((cell21 == 0) & (cell22 == 0)))
 
@@ -158,7 +161,9 @@ def orbit_pattern_oracle(P: Presentation, pattern: PatternId) -> bool:
 
 
 def orbit_patterns(P: Presentation) -> Set[PatternId]:
-    return {p for p in PatternId if orbit_pattern_oracle(P, p)}
+    masks = _extract_masks(P)
+    g_side = _g_side_arrays(masks)
+    return {p for p in PatternId if _reaches(masks, g_side, p)}
 
 
 def orbit_patterns_bruteforce(P: Presentation) -> Set[PatternId]:

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidPresentationError,
     NotSquareError,
 )
-from .fields import field_from_json, json_int
-from .forms import Form, block_mult_map, dim_forms, variables
+from .fields import Field, field_from_json, json_int
+from .forms import Form, block_mult_map, cell_vector, dim_forms, scatter_cells, variables
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -90,7 +91,7 @@ class Presentation:
     the cohomology operations reject them.
     """
 
-    __slots__ = ("field", "source", "target", "matrix", "metadata", "_dual")
+    __slots__ = ("field", "source", "target", "matrix", "metadata", "_dual", "_cells")
 
     def __init__(
         self,
@@ -113,6 +114,7 @@ class Presentation:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "metadata", dict(metadata) if metadata else None)
         object.__setattr__(self, "_dual", None)  # built by dual_section_matrix on first use
+        object.__setattr__(self, "_cells", None)  # built by section_matrix on first use
         bad = validate_grid_only(self)
         if bad:
             raise InvalidPresentationError(bad)
@@ -235,10 +237,19 @@ def hilbert_polynomial(P: Presentation) -> HilbertPoly:
 
 def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
     """Matrix of H^0(phi(t)): block (i, j) multiplies by phi_ij from
-    H^0(O(s_j + t)) to H^0(O(d_i + t)), laid out by `block_mult_map`.
+    H^0(O(s_j + t)) to H^0(O(d_i + t)), in the layout of `block_mult_map`.
+
+    A cell's slot in the cell vector depends only on its degree d_i - s_j,
+    so one vector of P's coefficients serves every twist.  It is built on
+    the first call, at a twist where every cell is read, and kept on P;
+    each call then scatters it through the layout of the twist shape.
     """
-    return block_mult_map(P.field, P.matrix.entries, [s + t for s in P.source],
-                          [d + t for d in P.target])
+    if P._cells is None:
+        base = -min(P.source)
+        cells = cell_vector(P.field, P.matrix.entries, [s + base for s in P.source],
+                            [d + base for d in P.target])
+        object.__setattr__(P, "_cells", cells)
+    return scatter_cells(P.field, P._cells, [s + t for s in P.source], [d + t for d in P.target])
 
 
 def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
@@ -283,13 +294,18 @@ def h1(P: Presentation, t: int) -> int:
     return total - dual_section_matrix(P, t).rank()
 
 
-def _contraction_matrix(P: Presentation) -> ScalarMatrix:
-    """Euler contraction H^0(B)^3 -> H^0(B(1)), (b1,b2,b3) -> X b1 + Y b2 + Z b3."""
-    n = len(P.target)
-    zero = Form.zero(P.field, 1)
-    xyz = variables(P.field)
+@lru_cache(maxsize=16)
+def _contraction_matrix(field: Field, target: TwistVector) -> ScalarMatrix:
+    """Euler contraction H^0(B)^3 -> H^0(B(1)), (b1,b2,b3) -> X b1 + Y b2 + Z b3,
+    for B = +_i O(target_i).  It depends on the field and the twists only, so
+    it is built once per pair and shared: read-only."""
+    n = len(target)
+    zero = Form.zero(field, 1)
+    xyz = variables(field)
     cells = [[v if j == i else zero for v in xyz for j in range(n)] for i in range(n)]
-    return block_mult_map(P.field, cells, P.target * 3, [d + 1 for d in P.target])
+    C = block_mult_map(field, cells, target * 3, [d + 1 for d in target])
+    C.a.flags.writeable = False
+    return C
 
 
 def h0_omega(P: Presentation) -> int:
@@ -309,7 +325,7 @@ def h0_omega(P: Presentation) -> int:
     _require_square(P)
     b0 = sum(dim_forms(d) for d in P.target)
     M1 = section_matrix(P, 1)
-    pivots = M1.hstack(_contraction_matrix(P)).rref()[1]
+    pivots = M1.hstack(_contraction_matrix(P.field, P.target)).pivots()
     rank_m1 = sum(1 for c in pivots if c < M1.ncols)
     return 3 * b0 - 3 * section_matrix(P, 0).rank() - len(pivots) + rank_m1
 

@@ -322,7 +322,7 @@ def _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) -> bool:
     quadric columns are not both pivots.
     """
     M = block_mult_map(field, [[l1, q11, q21], [l2, q12, q22]], [1, 0, 0], [2, 2])
-    return not {3, 4} <= set(M.rref()[1])
+    return not {3, 4} <= set(M.pivots())
 
 
 def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
@@ -332,7 +332,7 @@ def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
     the last, is not a pivot.
     """
     M = block_mult_map(field, [[l1, l2, q]], [1, 1, 0], [2])
-    return M.ncols - 1 not in M.rref()[1]
+    return M.ncols - 1 not in M.pivots()
 
 
 def x2_conditions(P: Presentation) -> List[str]:
@@ -417,7 +417,7 @@ def _x4_syzygy_solvable(field, l1, l2, l, q1, q2) -> bool:
     # v2); (q1, q2) is in their span iff its column, the last, is not a pivot.
     zero = Form.zero(field, 1)
     M = block_mult_map(field, [[l1, l, zero, q1], [l2, zero, l, q2]], [1, 1, 1, 0], [2, 2])
-    return M.ncols - 1 not in M.rref()[1]
+    return M.ncols - 1 not in M.pivots()
 
 
 def x5_conditions(P: Presentation) -> List[str]:

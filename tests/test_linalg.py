@@ -306,6 +306,7 @@ def test_tall_elimination_matches_reference(field, shape, rank):
     R, pivots = M.rref()
     assert (R.to_lists(), pivots) == (ref_R, ref_pivots)
     assert R.a.dtype == field.dtype
+    assert M.pivots() == pivots
     assert M.rank() == len(ref_pivots)
     assert M.kernel_basis() == _ref_kernel(field, rows)
     x = M.solve(rhs)
@@ -330,8 +331,31 @@ def test_update_budget_keeps_int64_exact(field):
 )
 def test_empty_rank_is_zero_without_elimination(field, monkeypatch):
     def no_elimination(self, *args, **kwargs):
-        raise AssertionError("rref called on an empty matrix")
+        raise AssertionError("elimination run on an empty matrix")
 
-    monkeypatch.setattr(ScalarMatrix, "rref", no_elimination)
+    monkeypatch.setattr(ScalarMatrix, "_eliminate", no_elimination)
     for shape in ((0, 4), (4, 0), (0, 0)):
         assert ScalarMatrix.zeros(field, *shape).rank() == 0, shape
+        assert ScalarMatrix.zeros(field, *shape).pivots() == [], shape
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    rank=st.integers(0, 12),
+    data=st.data(),
+    field=st.sampled_from([GF(2), GF(101), INT64_MAX_PRIME, OBJECT_MIN_PRIME, QQ]),
+)
+def test_forward_pivots_match_rref(shape, rank, data, field):
+    # U V has rank at most `rank`, so deficient ranks are common; entries
+    # span the whole field (or -3..3 over Q).
+    nrows, ncols = shape
+    entry = st.integers(-3, 3) if field.kind == "rational" else st.integers(0, field.p - 1)
+    U = data.draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=nrows, max_size=nrows))
+    V = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=rank, max_size=rank))
+    rows = _ref_matmul(field, U, V) if rank else [[0] * ncols for _ in range(nrows)]
+    M = ScalarMatrix(field, rows)
+    ref_pivots = _ref_rref(field, rows)[1]
+    assert M.pivots() == M.rref()[1] == ref_pivots
+    assert M.rank() == len(ref_pivots)
+    assert M.to_lists() == [[field.normalize(x) for x in row] for row in rows]  # M is untouched

@@ -127,7 +127,7 @@ def _reference_contraction_matrix(P, mult):
     return M
 
 
-@pytest.mark.parametrize("field", [F101, QQ], ids=repr)
+@pytest.mark.parametrize("field", [F101, GF(2**31 - 1), GF(2**31 + 11), QQ], ids=repr)
 @pytest.mark.parametrize("label", list(StratumLabel), ids=lambda label: label.value)
 def test_section_matrices_match_cell_by_cell_assembly(label, field, reference_mult_map):
     P = _random_on_grid(label, field, SplitMix64(derive_seed(77, list(StratumLabel).index(label))))
@@ -135,7 +135,7 @@ def test_section_matrices_match_cell_by_cell_assembly(label, field, reference_mu
         M = presentation.section_matrix(P, t)
         assert M.a.dtype == field.dtype
         assert M.to_lists() == _reference_section_matrix(P, t, reference_mult_map), t
-    C = presentation._contraction_matrix(P)
+    C = presentation._contraction_matrix(P.field, P.target)
     assert C.to_lists() == _reference_contraction_matrix(P, reference_mult_map)
 
 
