@@ -33,6 +33,7 @@ from .presentation import (
     h0,
     h1,
     hilbert_polynomial,
+    is_injective,
     load,
     dual as dual_presentation,
 )
@@ -143,6 +144,9 @@ def cmd_det(args) -> int:
 
 def cmd_cohomology(args) -> int:
     P = _load_presentation(args.file)
+    # h0 and h1 assume det != 0; checked once here, not on every twist.
+    if not is_injective(P):
+        raise NotInjectiveError("matrix has det = 0; the cokernel is not one-dimensional")
     hp = hilbert_polynomial(P)
     rows = []
     for t in range(args.tmin, args.tmax + 1):

@@ -109,18 +109,9 @@ def _g_side_arrays(masks):
     return L2, L3, A2, A3, B2, B3
 
 
-def orbit_pattern_oracle(P: Presentation, pattern: PatternId) -> bool:
-    """True iff some group pair carries the matrix onto the pattern's zero cells.
-
-    Exhaustive over the full automorphism group over F_2; vectorized over
-    the group coordinates that the pattern's cells depend on.
-    """
-    masks = _extract_masks(P)
-    return _reaches(masks, _g_side_arrays(masks), pattern)
-
-
 def _reaches(masks, g_side, pattern: PatternId) -> bool:
-    """`orbit_pattern_oracle` on the masks of a matrix and their G-side arrays."""
+    """Whether some group pair carries the matrix with these masks and G-side
+    arrays onto the pattern's zero cells."""
     L2, L3, A2, A3, B2, B3 = g_side
     if pattern is PatternId.P1:
         # cells (0,1), (0,2) depend only on G2
@@ -161,6 +152,11 @@ def _reaches(masks, g_side, pattern: PatternId) -> bool:
 
 
 def orbit_patterns(P: Presentation) -> Set[PatternId]:
+    """The forbidden patterns some group pair carries the matrix onto.
+
+    Exhaustive over the full automorphism group over F_2; each pattern is
+    vectorized over the group coordinates its zero cells depend on.
+    """
     masks = _extract_masks(P)
     g_side = _g_side_arrays(masks)
     return {p for p in PatternId if _reaches(masks, g_side, p)}

@@ -88,25 +88,20 @@ def sample(req: SampleRequest) -> Presentation:
     """
     rng = SplitMix64(req.seed)
     source, target = SHAPES[req.label]
+    fixed = {"stratum": req.label.value, "seed": req.seed, "field": field_name(req.field)}
     rejects = 0
     last_violations = []
     while rejects <= req.max_rejects:
         case = None
         if req.label is StratumLabel.X4:
             case = "i" if rng.next_below(2) == 0 else "ii"
-        matrix = _build_matrix(req.label, req.field, rng, case)
-        P = Presentation(source, target, matrix)
+        metadata = dict(fixed, rejects=rejects)
+        if case is not None:
+            metadata["case"] = case
+        P = Presentation(source, target, _build_matrix(req.label, req.field, rng, case), metadata=metadata)
         violations = validate_shape(P, req.label)
         if not violations:
-            metadata = {
-                "stratum": req.label.value,
-                "seed": req.seed,
-                "field": field_name(req.field),
-                "rejects": rejects,
-            }
-            if case is not None:
-                metadata["case"] = case
-            return Presentation(source, target, matrix, metadata=metadata)
+            return P
         rejects += 1
         last_violations = violations
     raise RejectionBudgetExceeded(rejects, last_violations)

@@ -33,10 +33,9 @@ scales, so its two cases are told apart by c = 0 or not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
@@ -200,7 +199,10 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
                solution with scalars (alpha,beta) != 0 and v a one-form
       P4  <=>  l1, l2 dependent and q lies in <l1, l2> * V*
 
-    An empty set means the matrix is admissible for X1.
+    P2 and P4 both need l1, l2 dependent, so their rank is computed once;
+    P2 is then one kernel plus a determinant test (`_pencil_degenerates`),
+    and P3 and P4 one elimination each.  An empty set means the matrix is
+    admissible for X1.
     """
     _require_shape(P, StratumLabel.X1)
     M = P.matrix
@@ -209,108 +211,53 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
     q11, q12 = M.entry(1, 1), M.entry(1, 2)
     q21, q22 = M.entry(2, 1), M.entry(2, 2)
     field = P.field
+    dependent = forms_rank([l1, l2]) <= 1
     tests = (
         (PatternId.P1, l1.is_zero and l2.is_zero),
-        (PatternId.P2, _pencil_degenerates(field, l1, l2, q11, q12, q21, q22)),
+        (PatternId.P2, dependent and _pencil_degenerates(field, l1, l2, q11, q12, q21, q22)),
         (PatternId.P3, _row_clearing_exists(field, l1, l2, q11, q12, q21, q22)),
-        (PatternId.P4, forms_rank([l1, l2]) <= 1 and _in_linear_ideal_slice(field, q, l1, l2)),
+        (PatternId.P4, dependent and _in_linear_ideal_slice(field, q, l1, l2)),
     )
     return {pattern for pattern, found in tests if found}
 
 
 def _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) -> bool:
-    """P2 test: search the kernel of (a,b) -> a*l1 + b*l2 for a degenerate pair."""
-    kernel = block_mult_map(field, [[l1, l2]], [0, 0], [1]).kernel_basis()
-    if not kernel:
-        return False
+    """P2 test: a rank-one 2 x 2 matrix in the kernel W of one linear map.
 
-    def dependent_at(a, b) -> bool:
-        Q1 = q11.scale(a) + q12.scale(b)
-        Q2 = q21.scale(a) + q22.scale(b)
-        return forms_rank([Q1, Q2]) <= 1
+    P2 asks for (a, b) != 0 and (alpha, beta) != 0 with a*l1 + b*l2 = 0
+    and alpha*(a*q11 + b*q12) + beta*(a*q21 + b*q22) = 0.  With
+    X = (alpha, beta)^T (a, b) that is a rank-one X in the kernel W of
 
-    if len(kernel) == 1:
-        a, b = kernel[0]
-        return dependent_at(a, b)
+        X -> (sum X_ij * q_ij, X_11*l1 + X_12*l2, X_21*l1 + X_22*l2).
 
-    # Kernel is the whole plane (l1 = l2 = 0): look for a rank-one member
-    # of the pencil.  P^1(F_2) has three points; elsewhere 2 is invertible.
-    if field.kind == "prime" and field.p == 2:
-        return any(dependent_at(a, b) for a, b in ((1, 0), (1, 1), (0, 1)))
-    return _pencil_has_rank_one_member(field, q11, q12, q21, q22, dependent_at)
-
-
-def _pencil_has_rank_one_member(field, q11, q12, q21, q22, dependent_at) -> bool:
-    """Search for rank-one members of a 2 x 2 pencil of quadrics, char != 2.
-
-    The dependency locus is cut out by binary quadratics (the 2 x 2 minors
-    of the stacked coefficient rows); candidates are the roots in the field
-    of the first nonzero minor, each verified directly.  That is at most
-    two checks, however large the field.
+    With K1, K2, ... the kernel basis, decide by dim W.  dim W >= 3: true,
+    since W meets the plane of matrices with zero second row, all of rank
+    one.  dim W = 1: det K1 = 0.  dim W = 2: the binary quadratic
+    det(s*K1 + t*K2) = A s^2 + B st + C t^2 has a nontrivial zero, that is
+    A = 0 or B^2 - 4AC is a square; over F_2, its value A, C or A + B + C
+    at one of the three points of P^1 is zero.  When l1, l2 are dependent
+    but not both zero, every X in W has rank one, and the same rule
+    answers true for any W != 0.
     """
-    F = field
-    u1, u2, v1, v2 = block_mult_map(field, [[q11, q12, q21, q22]], [0] * 4, [2]).a.T.tolist()
+    zero = Form.zero(field, 1)
+    cells = [[q11, q12, q21, q22], [l1, l2, zero, zero], [zero, zero, l1, l2]]
+    W = block_mult_map(field, cells, [0] * 4, [2, 1, 1]).kernel_basis()
 
-    def minor(x, y, i, j):
-        return x[i] * y[j] - x[j] * y[i]
+    def det(X):
+        return field.normalize(X[0] * X[3] - X[1] * X[2])
 
-    quadratics = (
-        tuple(map(F.normalize, (minor(u1, v1, i, j), minor(u1, v2, i, j) + minor(u2, v1, i, j),
-                                minor(u2, v2, i, j))))
-        for i, j in combinations(range(len(u1)), 2)
-    )
-    first = next((abc for abc in quadratics if any(abc)), None)
-    if first is None:
-        return dependent_at(1, 0)
-    alpha, beta, gamma = first
-    candidates = []
-    if not alpha:
-        candidates.append((1, 0))
-        if beta:
-            candidates.append((F.normalize(-gamma * F.inv(beta)), 1))
+    if len(W) != 2:
+        return len(W) >= 3 or (len(W) == 1 and det(W[0]) == 0)
+    K1, K2 = W
+    A, C, ABC = det(K1), det(K2), det([x + y for x, y in zip(K1, K2)])
+    if field.kind == "prime" and field.p == 2:
+        return 0 in (A, C, ABC)
+    disc = field.normalize((ABC - A - C) ** 2 - 4 * A * C)
+    if field.kind == "rational":
+        square = disc >= 0 and all(math.isqrt(n) ** 2 == n for n in (disc.numerator, disc.denominator))
     else:
-        disc = F.normalize(beta * beta - 4 * alpha * gamma)
-        root = _rational_sqrt(disc) if F.kind == "rational" else _sqrt_mod(disc, F.p)
-        if root is not None:
-            inv_two_alpha = F.inv(2 * alpha)
-            candidates.append((F.normalize((root - beta) * inv_two_alpha), 1))
-            candidates.append((F.normalize(-(beta + root) * inv_two_alpha), 1))
-    return any(dependent_at(a, b) for a, b in candidates)
-
-
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    import math
-
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _sqrt_mod(x: int, p: int) -> Optional[int]:
-    """A square root of x modulo the odd prime p (Tonelli-Shanks), or None."""
-    x %= p
-    if x == 0:
-        return 0
-    if pow(x, (p - 1) // 2, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+        square = pow(disc, (field.p - 1) // 2, field.p) != field.p - 1
+    return A == 0 or square
 
 
 def _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) -> bool:

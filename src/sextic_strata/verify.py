@@ -60,6 +60,8 @@ DEFAULT_SEED = 20260801
 
 LABELS = list(StratumLabel)
 
+NEGATIVE_CONTROLS = 100  # degenerate constructions per shape in criterion 9
+
 
 @dataclass
 class CriterionResult:
@@ -344,7 +346,7 @@ def criterion_8_construct_x5(seed: int) -> CriterionResult:
     return _timed(8, "X5 constructor roundtrip", run)
 
 
-def criterion_9_negative_controls(seed: int, count: int = 100) -> CriterionResult:
+def criterion_9_negative_controls(seed: int) -> CriterionResult:
     """Degenerate X3 (dependent phi_11 entries) and X5 (l | q) constructions.
 
     The criterion asserts these classify away from their shape's row (or
@@ -359,7 +361,7 @@ def criterion_9_negative_controls(seed: int, count: int = 100) -> CriterionResul
         outcomes = Counter()
 
         src3, tgt3 = SHAPES[StratumLabel.X3]
-        for k in range(count):
+        for k in range(NEGATIVE_CONTROLS):
             rng = SplitMix64(derive_seed(seed, 910_000 + k))
             while True:
                 l = random_form(field, 1, rng)
@@ -384,7 +386,7 @@ def criterion_9_negative_controls(seed: int, count: int = 100) -> CriterionResul
             outcomes[_classify_outcome(P, StratumLabel.X3)] += 1
 
         src5, tgt5 = SHAPES[StratumLabel.X5]
-        for k in range(count):
+        for k in range(NEGATIVE_CONTROLS):
             rng = SplitMix64(derive_seed(seed, 920_000 + k))
             while True:
                 l = random_form(field, 1, rng)
@@ -405,7 +407,7 @@ def criterion_9_negative_controls(seed: int, count: int = 100) -> CriterionResul
         same = outcomes["same_label"]
         ok = same == 0
         return ok, (
-            f"2x{count} degenerate constructions: {escaped} flagged "
+            f"2x{NEGATIVE_CONTROLS} degenerate constructions: {escaped} flagged "
             f"(ProfileNotInTable or different row), {same} still classified as the shape's row"
         )
 

@@ -105,4 +105,4 @@ def test_criterion_9_negative_control_classifier():
     # Hilbert polynomial t - 1, resp. 5t).  classify's semistability gate
     # runs x3_conditions / x5_conditions on these canonical shapes and
     # raises NotSemistable, so every construction is flagged.
-    _report(criterion_9_negative_controls(DEFAULT_SEED, count=100))
+    _report(criterion_9_negative_controls(DEFAULT_SEED))

@@ -174,6 +174,19 @@ def test_det_and_cohomology(tmp_path, capsys):
         assert row["chi"] == 6 * row["t"] + 1
 
 
+def test_cohomology_rejects_zero_determinant(tmp_path, capsys):
+    # the 1 x 1 zero matrix O(-2) -> O: h0/h1 would print a table for a
+    # cokernel that is not one-dimensional
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps({"field": {"kind": "prime", "p": 101}, "format_version": 1,
+                             "matrix": [[[]]], "source_twists": [-2], "target_twists": [0]}))
+    code, out = run(capsys, "cohomology", str(f), "--tmin", "0", "--tmax", "2")
+    assert code == 2
+    err = json.loads(out)
+    assert err["kind"] == "error" and err["error"] == "NotInjectiveError"
+    assert "rows" not in err
+
+
 def test_dual_roundtrip(tmp_path, capsys):
     f = tmp_path / "x3.json"
     g = tmp_path / "x3_dual.json"

@@ -7,7 +7,6 @@ from sextic_strata.forms import Form, variables
 from sextic_strata.orbit_oracle import (
     GL2_F2,
     MUL11,
-    orbit_pattern_oracle,
     orbit_patterns,
     orbit_patterns_bruteforce,
 )
@@ -49,8 +48,7 @@ def test_mul_table_against_form_arithmetic():
 def test_zero_matrix_all_patterns():
     z = [Form.zero(F2, d) for d in (2, 1, 1, 3, 2, 2, 3, 2, 2)]
     P = Presentation(SRC, TGT, PolyMatrix(F2, [z[0:3], z[3:6], z[6:9]]))
-    for pat in PatternId:
-        assert orbit_pattern_oracle(P, pat)
+    assert orbit_patterns(P) == set(PatternId)
 
 
 def test_independent_one_forms_exclude_p1():
@@ -61,23 +59,22 @@ def test_independent_one_forms_exclude_p1():
         [random_form(F2, 3, rng), random_form(F2, 2, rng), random_form(F2, 2, rng)],
         [random_form(F2, 3, rng), random_form(F2, 2, rng), random_form(F2, 2, rng)],
     ]))
-    assert not orbit_pattern_oracle(P, PatternId.P1)
+    assert PatternId.P1 not in orbit_patterns(P)
 
 
 def test_oracle_requires_f2():
     from sextic_strata.sampler import SampleRequest, sample
 
     P = sample(SampleRequest(StratumLabel.X1, GF(101), seed=3))
-    with pytest.raises(ValueError):
-        orbit_pattern_oracle(P, PatternId.P1)
+    with pytest.raises(ValueError, match="F_2"):
+        orbit_patterns(P)
 
 
 def test_oracle_requires_x1_shape():
     # an X5-shaped presentation over F_2 is refused by every entry point
     P = Presentation(*SHAPES[StratumLabel.X5], PolyMatrix(F2, [[Form.zero(F2, 4), Form.zero(F2, 1)],
                                                                [Form.zero(F2, 5), Form.zero(F2, 2)]]))
-    for check in (lambda: orbit_pattern_oracle(P, PatternId.P1), lambda: orbit_patterns(P),
-                  lambda: orbit_patterns_bruteforce(P)):
+    for check in (lambda: orbit_patterns(P), lambda: orbit_patterns_bruteforce(P)):
         with pytest.raises(ValueError, match="X1 twist shape"):
             check()
 

@@ -433,7 +433,7 @@ def test_x1_pattern_p4():
 
 
 def test_x1_patterns_over_rationals():
-    # the rational root search in the P2 test: l1 = l2 = 0 and a pencil with
+    # the square test over Q in the P2 test: l1 = l2 = 0 and a pencil with
     # a rational rank-one member at (a : b) = (1 : -1)
     field = QQ
     X, Y, Z = variables(field)
@@ -462,9 +462,15 @@ def test_x1_patterns_over_rationals():
     assert PatternId.P2 not in x1_patterns(P3)
 
 
-def _pencil_degenerates_by_enumeration(field, q11, q12, q21, q22):
-    """Reference for the P2 test with l1 = l2 = 0: try every point of P^1."""
+def _pencil_degenerates_by_enumeration(field, q11, q12, q21, q22, l1=None, l2=None):
+    """Reference for the P2 test: try every point (a : b) of P^1.
+
+    With one-forms l1, l2 only the points with a*l1 + b*l2 = 0 count;
+    without them every point does, as for l1 = l2 = 0.
+    """
     points = [(1, t) for t in range(field.p)] + [(0, 1)]
+    if l1 is not None:
+        points = [(a, b) for a, b in points if (l1.scale(a) + l2.scale(b)).is_zero]
     return any(
         forms_rank([q11.scale(a) + q12.scale(b), q21.scale(a) + q22.scale(b)]) <= 1
         for a, b in points
@@ -496,6 +502,72 @@ def test_pencil_root_search_matches_enumeration(p):
             q = _pencil_with_rank_one_member(field, *member, rng)
         want = _pencil_degenerates_by_enumeration(field, *q)
         assert _pencil_degenerates(field, zero, zero, *q) == want, (k, member)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _planted_pencils(field):
+    """P2 inputs (l1, l2, q11, q12, q21, q22) with a planted kernel W, and
+    the answer over `field`.
+
+    W is the kernel of X -> (sum X_ij q_ij, X_11 l1 + X_12 l2,
+    X_21 l1 + X_22 l2) on 2 x 2 matrices X, and P2 holds iff W holds a
+    rank-one matrix.  The quadrics are built from a = X^2, b = YZ, c = XZ
+    and d = XY, which are independent.
+    """
+    X, Y, Z = variables(field)
+    a, b, c, d = X * X, Y * Z, X * Z, X * Y
+    z = Form.zero(field, 1)
+    p = field.p if field.kind == "prime" else None
+    return [
+        # l1 = l2 = 0
+        ((z, z, a, a, a, a), True),                                # dim W = 3
+        ((z, z, a, b, b, -a), p is not None and p % 4 != 3),       # det s^2 + t^2
+        ((z, z, a, b, b, a), True),         # det t^2 - s^2; over F_2 only K1 + K2
+        ((z, z, a, b, b + a, a), p in (5, 101)),  # det t^2 - st - s^2, discriminant 5
+        ((z, z, a, b, c, b), True),                                # W = <(0, 1, 0, -1)>
+        ((z, z, a, b, c, a), False),                               # W = <(1, 0, 0, -1)>
+        ((z, z, a, b, c, d), False),                               # W = 0
+        # l1, l2 dependent and not both zero: (a : b) is pinned
+        ((X, z, a, b, c, b), True),                                # (0 : 1)
+        ((X, z, a, b, c, a), False),
+        ((Y, Y, a, b, b, a), True),                                # (1 : -1)
+        ((Y, Y, a, b, c, d), False),
+        # independent l1, l2: W = 0 however degenerate the quadrics
+        ((X, Y, a, a, a, a), False),
+    ]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(101), QQ], ids=repr)
+def test_pencil_planted_kernels(field):
+    z3 = Form.zero(field, 3)
+    for k, ((l1, l2, q11, q12, q21, q22), want) in enumerate(_planted_pencils(field)):
+        if field.kind == "prime":
+            assert _pencil_degenerates_by_enumeration(field, q11, q12, q21, q22, l1=l1, l2=l2) == want, k
+        assert _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) == want, k
+        P = _x1_presentation(q11, l1, l2, z3, q11, q12, z3, q21, q22, field=field)
+        assert (PatternId.P2 in x1_patterns(P)) == want, k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_pencil_with_dependent_forms_matches_enumeration(p):
+    # l2 = c*l1 (or l1 = 0) pins (a : b); half the pencils are planted
+    # to degenerate there
+    field = GF(p)
+    rng = SplitMix64(derive_seed(78, p))
+    seen = set()
+    for k in range(16):
+        l1 = random_form(field, 1, rng)
+        while l1.is_zero:
+            l1 = random_form(field, 1, rng)
+        c = rng.next_below(p)
+        l1, l2, member = (l1, l1.scale(c), (c, p - 1)) if k % 4 else (Form.zero(field, 1), l1, (1, 0))
+        if k % 2:
+            q = [random_form(field, 2, rng) for _ in range(4)]
+        else:
+            q = _pencil_with_rank_one_member(field, *member, rng)
+        want = _pencil_degenerates_by_enumeration(field, *q, l1=l1, l2=l2)
+        assert _pencil_degenerates(field, l1, l2, *q) == want, k
         seen.add(want)
     assert seen == {True, False}
 
