@@ -2,24 +2,29 @@
 
 A presentation encodes an exact sequence
 
-    0 -> O(s_1) + ... + O(s_m)  --phi-->  O(d_1) + ... + O(d_n)  ->  F  ->  0
+    0 -> A = O(s_1) + ... + O(s_m)  --phi-->  B = O(d_1) + ... + O(d_n)  ->  F  ->  0
 
 by its twist vectors and the matrix of homogeneous forms phi, where cell
 (i, j) has degree d_i - s_j (and is forced to vanish when d_i < s_j).
 A presentation whose matrix breaks this degree grid is not a resolution,
-so the constructor rejects it.  All cohomology is read off the resolution:
+so the constructor rejects it.  Once phi is injective, all cohomology is
+read off the twists, plus the rank of one block of constants:
 
-* h^0(F(t)) is the corank of the induced map on global sections, because
-  line bundles on the plane have no intermediate cohomology;
-* h^1(F(t)) is, by Serre duality h^2(O(e)) = h^0(O(-3-e)), the corank of
-  the section map of the dual presentation at twist -1-t;
-* h^0(F owedge Omega^1(1)) is the kernel of the Euler-sequence contraction
-  H^0(F)^3 -> H^0(F(1)), (s_1, s_2, s_3) |-> X s_1 + Y s_2 + Z s_3,
-  computed on the explicit cokernel models of the section spaces.
+* line bundles on the plane have no H^1, and F is one-dimensional, so
+  it has no H^2.  The cohomology of 0 -> A(t) -> B(t) -> F(t) -> 0 thus
+  splits into 0 -> H^0 A(t) -> H^0 B(t) -> H^0 F(t) -> 0 and
+  0 -> H^1 F(t) -> H^2 A(t) -> H^2 B(t) -> 0, and h^2(O(e)) = h^0(O(-3-e));
+* tensoring with Omega^1(1) keeps the resolution exact.  By Bott's
+  formula H^1(Omega^1(k)) is one-dimensional for k = 0 and zero otherwise;
+  the Euler sequence 0 -> Omega^1(k) -> 3O(k-1) -> O(k) -> 0 gives
+  h^0(Omega^1(k)) = 3 dim_forms(k-1) - dim_forms(k) for k >= 1, else 0.
+  The only map left to compute is H^1(A owedge Omega^1(1)) ->
+  H^1(B owedge Omega^1(1)): its matrix is the block C of phi's constants
+  from the O(-1) summands of A to those of B.
 
-No Cech machinery is used anywhere; injectivity of phi (nonzero
-determinant) is what makes these formulas compute the cohomology of the
-cokernel sheaf.  `is_injective` certifies it without expanding the
+The section matrices (`section_matrix`, `dual_section_matrix`) give the
+same numbers by elimination; `verify` keeps them as the independent check.
+`is_injective` certifies injectivity (det phi != 0) without expanding the
 determinant: phi evaluated at a point of the plane is a scalar matrix,
 and full rank there proves det phi != 0.  The symbolic determinant
 (`fitting_determinant`) is expanded only when every probe point lies on
@@ -30,19 +35,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidPresentationError,
     NotSquareError,
 )
-from .fields import Field, field_from_json, json_int
-from .forms import Form, block_mult_map, cell_vector, dim_forms, scatter_cells, variables
+from .fields import field_from_json, json_int
+from .forms import Form, cell_vector, dim_forms, scatter_cells
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
-
-TwistVector = Tuple[int, ...]
 
 FORMAT_VERSION = 1
 
@@ -231,7 +233,7 @@ def hilbert_polynomial(P: Presentation) -> HilbertPoly:
 
 
 # ---------------------------------------------------------------------------
-# section matrices
+# section matrices (the elimination model of the cohomology, kept as a check)
 # ---------------------------------------------------------------------------
 
 
@@ -253,7 +255,7 @@ def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
 
 
 def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
-    """Serre-dual multiplication map used by h1: `section_matrix(dual(P), -1 - t)`.
+    """Serre-dual multiplication map: `section_matrix(dual(P), -1 - t)`.
 
     The dual has twists -2 - d_i -> -2 - s_j and the transposed matrix, so
     at twist -1 - t its block (j, i) is multiplication by phi_ij from
@@ -272,62 +274,48 @@ def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
 
 
 def h0(P: Presentation, t: int) -> int:
-    """h^0(F(t)) = h^0(B(t)) - rank H^0(phi(t)).
+    """h^0(F(t)) = sum_i dim_forms(d_i + t) - sum_j dim_forms(s_j + t).
 
-    Requires a valid square presentation with injective matrix; under
-    injectivity the section map has full column rank, which is what makes
-    the formula compute the cokernel's sections.
+    The caller certifies that phi is injective (`is_injective`); then H^0
+    of the twisted resolution is exact, as the module docstring derives.
     """
     _require_square(P)
-    total = sum(dim_forms(d + t) for d in P.target)
-    return total - section_matrix(P, t).rank()
+    return sum(dim_forms(d + t) for d in P.target) - sum(dim_forms(s + t) for s in P.source)
 
 
 def h1(P: Presentation, t: int) -> int:
-    """h^1(F(t)) via Serre duality on the two-term resolution.
+    """h^1(F(t)) = sum_j dim_forms(-3 - s_j - t) - sum_i dim_forms(-3 - d_i - t).
 
-    h^1(F(t)) = sum_j h^0(O(-3 - s_j - t)) - rank of the section map of
-    the dual at twist -1 - t; satisfies h0 - h1 = P(t) for injective phi.
+    H^1 F(t) is the kernel of H^2 A(t) -> H^2 B(t), a surjection, and
+    h^2(O(e)) = h^0(O(-3 - e)); the caller certifies that phi is injective.
     """
     _require_square(P)
-    total = sum(dim_forms(-3 - s - t) for s in P.source)
-    return total - dual_section_matrix(P, t).rank()
+    return sum(dim_forms(-3 - s - t) for s in P.source) - sum(dim_forms(-3 - d - t) for d in P.target)
 
 
-@lru_cache(maxsize=16)
-def _contraction_matrix(field: Field, target: TwistVector) -> ScalarMatrix:
-    """Euler contraction H^0(B)^3 -> H^0(B(1)), (b1,b2,b3) -> X b1 + Y b2 + Z b3,
-    for B = +_i O(target_i).  It depends on the field and the twists only, so
-    it is built once per pair and shared: read-only."""
-    n = len(target)
-    zero = Form.zero(field, 1)
-    xyz = variables(field)
-    cells = [[v if j == i else zero for v in xyz for j in range(n)] for i in range(n)]
-    C = block_mult_map(field, cells, target * 3, [d + 1 for d in target])
-    C.a.flags.writeable = False
-    return C
+def _h0_twisted_omega(k: int) -> int:
+    """h^0(Omega^1(k)), from the Euler sequence."""
+    return 3 * dim_forms(k - 1) - dim_forms(k) if k >= 1 else 0
 
 
 def h0_omega(P: Presentation) -> int:
-    """h^0(F owedge Omega^1(1)) via the Euler-sequence kernel model.
+    """h^0(F owedge Omega^1(1)), with w(k) = h^0(Omega^1(k)):
 
-    Tensoring the Euler sequence 0 -> Omega^1(1) -> 3O -> O(1) -> 0 with F
-    is exact on the left because O(1) is locally free, so the number is
-    the kernel dimension of the contraction H^0(F)^3 -> H^0(F(1)).  Both
-    section spaces are materialized as cokernels of the section matrices
-    at twists 0 and 1, and the kernel is computed on representatives:
+        sum_i w(d_i + 1) - sum_j w(s_j + 1) + #{j : s_j = -1} - rank C,
 
-        dim ker = 3*h^0(B) - 3*rank M_0 - rank [M_1 | C] + rank M_1.
-
-    One elimination of [M_1 | C] gives both ranks: rank M_1 is the number
-    of its pivots among M_1's own columns.
+    where C is the block of constants of phi on the rows with d_i = -1 and
+    the columns with s_j = -1 (derivation in the module docstring).  The
+    caller certifies that phi is injective.
     """
     _require_square(P)
-    b0 = sum(dim_forms(d) for d in P.target)
-    M1 = section_matrix(P, 1)
-    pivots = M1.hstack(_contraction_matrix(P.field, P.target)).pivots()
-    rank_m1 = sum(1 for c in pivots if c < M1.ncols)
-    return 3 * b0 - 3 * section_matrix(P, 0).rank() - len(pivots) + rank_m1
+    rows = [i for i, d in enumerate(P.target) if d == -1]
+    cols = [j for j, s in enumerate(P.source) if s == -1]
+    rank_c = 0
+    if rows and cols:
+        C = [[P.matrix.entry(i, j).array[0] for j in cols] for i in rows]
+        rank_c = ScalarMatrix(P.field, C, shape=(len(rows), len(cols))).rank()
+    return (sum(_h0_twisted_omega(d + 1) for d in P.target)
+            - sum(_h0_twisted_omega(s + 1) for s in P.source) + len(cols) - rank_c)
 
 
 def profile(P: Presentation) -> CohomologyProfile:

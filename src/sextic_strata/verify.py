@@ -5,7 +5,8 @@ Each criterion is a pure function returning a CriterionResult; the CLI
 full documented sizes.  Criteria:
 
  1. table reproduction     sampled profiles equal the stratum rows exactly
- 2. Hilbert polynomial     h0 - h1 = 6m + 1 on [-5, 5] for every sample
+ 2. Hilbert polynomial     h0 - h1 = 6m + 1 on [-5, 5] for every sample, and
+                           h0, h1, h0_omega equal their section-matrix ranks
  3. duality                dual shapes, dual cohomology, involution, chi sums
  4. dimension arithmetic   fibration identities with exact summands
  5. polarization windows   (1/4, 1/2), (3/7, 1/2) and (0, 1/5) on the grid
@@ -21,11 +22,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import NotInjectiveError, ProfileNotInTable
-from .fields import GF, QQ
-from .forms import Form, divides
+from .fields import GF, QQ, Field
+from .forms import Form, block_mult_map, dim_forms, divides, variables
+from .linalg import ScalarMatrix
 from .kronecker import (
     KroneckerModule,
     is_semistable,
@@ -38,11 +41,14 @@ from .polymatrix import PolyMatrix
 from .presentation import (
     Presentation,
     dual,
+    dual_section_matrix,
     fitting_determinant,
     h0,
+    h0_omega,
     h1,
     hilbert_polynomial,
     is_injective,
+    section_matrix,
 )
 from .rng import SplitMix64, derive_seed
 from .sampler import SampleRequest, construct_x5, random_form, sample
@@ -99,6 +105,73 @@ def generate_samples(seed: int, per_stratum: int) -> Dict[StratumLabel, List[Pre
 
 
 # ---------------------------------------------------------------------------
+# the cohomology by section-matrix ranks, the check of the closed forms
+# ---------------------------------------------------------------------------
+
+
+def _h0_by_ranks(P: Presentation, t: int) -> int:
+    """h^0(F(t)) = h^0(B(t)) - rank H^0(phi(t)), by elimination."""
+    return sum(dim_forms(d + t) for d in P.target) - section_matrix(P, t).rank()
+
+
+def _h1_by_ranks(P: Presentation, t: int) -> int:
+    """h^1(F(t)) = h^2(A(t)) - rank of H^2(A(t)) -> H^2(B(t)), by elimination
+    on the Serre-dual section map."""
+    return sum(dim_forms(-3 - s - t) for s in P.source) - dual_section_matrix(P, t).rank()
+
+
+@lru_cache(maxsize=16)
+def _contraction_matrix(field: Field, target: Tuple[int, ...]) -> ScalarMatrix:
+    """Euler contraction H^0(B)^3 -> H^0(B(1)), (b1,b2,b3) -> X b1 + Y b2 + Z b3,
+    for B = +_i O(target_i).  It depends on the field and the twists only, so
+    it is built once per pair and shared: read-only."""
+    n = len(target)
+    zero = Form.zero(field, 1)
+    xyz = variables(field)
+    cells = [[v if j == i else zero for v in xyz for j in range(n)] for i in range(n)]
+    E = block_mult_map(field, cells, target * 3, [d + 1 for d in target])
+    E.a.flags.writeable = False
+    return E
+
+
+def _h0_omega_by_ranks(P: Presentation) -> int:
+    """h^0(F owedge Omega^1(1)) as the kernel of the Euler contraction
+    H^0(F)^3 -> H^0(F(1)), (s_1, s_2, s_3) |-> X s_1 + Y s_2 + Z s_3.
+
+    Tensoring the Euler sequence 0 -> Omega^1(1) -> 3O -> O(1) -> 0 with F
+    is exact on the left because O(1) is locally free.  Both section
+    spaces are cokernels of the section matrices M_0 and M_1 at twists 0
+    and 1, and the kernel is computed on representatives:
+
+        dim ker = 3*h^0(B) - 3*rank M_0 - rank [M_1 | E] + rank M_1,
+
+    with E the Euler contraction on H^0(B).  One elimination of [M_1 | E]
+    gives both ranks: rank M_1 is the number of its pivots among M_1's own
+    columns.
+    """
+    b0 = sum(dim_forms(d) for d in P.target)
+    M1 = section_matrix(P, 1)
+    pivots = M1.hstack(_contraction_matrix(P.field, P.target)).pivots()
+    rank_m1 = sum(1 for c in pivots if c < M1.ncols)
+    return 3 * b0 - 3 * section_matrix(P, 0).rank() - len(pivots) + rank_m1
+
+
+def rank_model_mismatches(P: Presentation, twists: Sequence[int]) -> List[str]:
+    """Where the closed forms of `h0` and `h1` (at each twist) and `h0_omega`
+    disagree with the section-matrix ranks; P must be injective."""
+    bad = []
+    for t in twists:
+        for name, closed, ranks in (("h0", h0, _h0_by_ranks), ("h1", h1, _h1_by_ranks)):
+            got, want = closed(P, t), ranks(P, t)
+            if got != want:
+                bad.append(f"{name}({t}) = {got}, ranks give {want}")
+    got, want = h0_omega(P), _h0_omega_by_ranks(P)
+    if got != want:
+        bad.append(f"h0_omega = {got}, ranks give {want}")
+    return bad
+
+
+# ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
@@ -130,13 +203,21 @@ def criterion_2_hilbert(pool) -> CriterionResult:
     def run():
         bad = 0
         total = 0
+        mismatches = []
         for samples in pool.values():
             for P in samples:
                 for m in range(-5, 6):
                     total += 1
                     if h0(P, m) - h1(P, m) != 6 * m + 1:
                         bad += 1
-        return bad == 0, f"{total} evaluations of h0 - h1 = 6m + 1, {bad} failures"
+                mismatches += rank_model_mismatches(P, range(-5, 6))
+        detail = (
+            f"{total} evaluations of h0 - h1 = 6m + 1, {bad} failures; "
+            f"{len(mismatches)} mismatches of h0, h1, h0_omega against section-matrix ranks"
+        )
+        if mismatches:
+            detail += f"; first {mismatches[0]}"
+        return bad == 0 and not mismatches, detail
 
     return _timed(2, "Hilbert polynomial", run)
 

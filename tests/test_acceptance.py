@@ -53,7 +53,8 @@ def test_criterion_1_table_reproduction(pool):
 
 
 def test_criterion_2_hilbert_polynomial(pool):
-    # h0(F(m)) - h1(F(m)) = 6m + 1 exactly for every sample, m in [-5, 5]
+    # h0(F(m)) - h1(F(m)) = 6m + 1 exactly for every sample, m in [-5, 5],
+    # and h0, h1, h0_omega equal their section-matrix ranks
     _report(criterion_2_hilbert(pool))
 
 

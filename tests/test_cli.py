@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import time
+
+import pytest
 
 from sextic_strata.cli import main
+from sextic_strata.errors import ProfileNotInTable
 from sextic_strata.fields import GF
 from sextic_strata.forms import variables
 from sextic_strata.polymatrix import PolyMatrix
 from sextic_strata.presentation import Presentation, save
+from sextic_strata.sampler import SampleRequest, sample
+from sextic_strata.strata import StratumLabel, classify
 
 
 def run(capsys, *argv):
@@ -54,6 +60,39 @@ def test_classify_conic_exit_code(tmp_path, capsys):
     assert doc["message"] == (
         "profile (0, 0, 0, 0) with Hilbert polynomial 2m+1 is not in the table (needs 6m+1)"
     )
+
+
+def _best_seconds(call, repeat=3):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+@pytest.mark.parametrize("shift", [20, 40])
+def test_shifted_twists_rejected_in_bounded_time(tmp_path, capsys, shift):
+    # Shifting every twist keeps the cells and det phi but moves chi off 1.
+    # The profile is read off the twists, so rejecting it costs the same at
+    # any shift; section matrices at these twists have hundreds to
+    # thousands of rows.
+    X5 = sample(SampleRequest(StratumLabel.X5, GF(101), seed=1))
+    P = Presentation([s + shift for s in X5.source], [d + shift for d in X5.target], X5.matrix)
+    f = tmp_path / "shifted.json"
+    save(P, f)
+
+    def classify_call():
+        with pytest.raises(ProfileNotInTable):
+            classify(P)
+
+    def cli_call():
+        code, out = run(capsys, "classify", str(f))
+        assert code == 2
+        assert json.loads(out)["error"] == "ProfileNotInTable"
+
+    assert _best_seconds(classify_call) < 0.010
+    assert _best_seconds(cli_call) < 0.010
 
 
 def test_classify_rejects_det_zero(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import sextic_strata.presentation as presentation
 import sextic_strata.strata as strata
+import sextic_strata.verify as verify
 from sextic_strata.errors import InvalidPresentationError, NotSquareError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, dim_forms, mult_map, variables
@@ -135,7 +136,7 @@ def test_section_matrices_match_cell_by_cell_assembly(label, field, reference_mu
         M = presentation.section_matrix(P, t)
         assert M.a.dtype == field.dtype
         assert M.to_lists() == _reference_section_matrix(P, t, reference_mult_map), t
-    C = presentation._contraction_matrix(P.field, P.target)
+    C = verify._contraction_matrix(P.field, P.target)
     assert C.to_lists() == _reference_contraction_matrix(P, reference_mult_map)
 
 
@@ -143,9 +144,9 @@ def test_dual_is_built_once_per_presentation(monkeypatch):
     built = []
     monkeypatch.setattr(presentation, "dual", lambda P: built.append(P) or dual(P))
     P = sample_of(StratumLabel.X3)
-    sweep = [h1(P, t) for t in range(-5, 6)]
+    sweep = [presentation.dual_section_matrix(P, t) for t in range(-5, 6)]
     assert built == [P]
-    assert sweep == [h1(sample_of(StratumLabel.X3), t) for t in range(-5, 6)]
+    assert sweep == [presentation.dual_section_matrix(sample_of(StratumLabel.X3), t) for t in range(-5, 6)]
 
 
 def test_validate_flags_det_zero():
@@ -269,6 +270,59 @@ def test_h1_vanishes_from_twist_two_on():
 
 
 # ---------------------------------------------------------------------------
+# cohomology: the closed forms against the section-matrix ranks
+# ---------------------------------------------------------------------------
+
+
+def _padded(P, k, rng):
+    """P plus a unit block O(k) -> O(k): a nonzero constant in the new corner
+    and random forms coupling the new row and column to P."""
+    F = P.field
+
+    def cell(degree):
+        return random_form(F, degree, rng) if degree >= 0 else Form.zero(F, degree)
+
+    corner = Form.zero(F, 0)
+    while corner.is_zero:
+        corner = cell(0)
+    entries = [list(row) + [cell(d - k)] for row, d in zip(P.matrix.entries, P.target)]
+    entries.append([cell(k - s) for s in P.source] + [corner])
+    return Presentation(P.source + (k,), P.target + (k,), PolyMatrix(F, entries))
+
+
+def _rank_of_constants(P):
+    """Rank of phi's constants on the rows with d_i = -1 and the columns with s_j = -1."""
+    rows = [i for i, d in enumerate(P.target) if d == -1]
+    cols = [j for j, s in enumerate(P.source) if s == -1]
+    C = [[P.matrix.entry(i, j).evaluate((1, 1, 1)) for j in cols] for i in rows]
+    return ScalarMatrix(P.field, C, shape=(len(rows), len(cols))).rank()
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 + 11), QQ], ids=repr)
+def test_closed_forms_match_section_matrix_ranks(field):
+    # Samples of every row at seeds 1-3, each also padded with a unit block
+    # O(k) -> O(k), k = -2, -1, 0 by seed.  The pad at k = -1 puts a nonzero
+    # constant into the block C of h0_omega, which no row's shape has; the
+    # row samples give #{j : s_j = -1} > 0 with C empty (X3) or zero (X2).
+    # Over Q the eliminations at |t| > 3 cost up to two seconds per sample,
+    # so Q sweeps t in [-3, 3] and the prime fields the [-5, 5] of criterion 2.
+    twists = range(-3, 4) if field is QQ else range(-5, 6)
+    rng = SplitMix64(2718)
+    cases = []
+    for label in StratumLabel:
+        for seed, k in ((1, -2), (2, -1), (3, 0)):
+            P = sample(SampleRequest(label, field, seed=seed))
+            padded = _padded(P, k, rng)
+            while not is_injective(padded):
+                padded = _padded(P, k, rng)
+            if k == -1:
+                assert _rank_of_constants(padded) >= 1
+            cases += [P, padded]
+    for P in cases:
+        assert verify.rank_model_mismatches(P, twists) == [], (P, dumps(P))
+
+
+# ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
 
@@ -310,9 +364,9 @@ def test_dual_side_omega_cohomology():
     # chi(G x Omega^1(1)) = 3*chi(G) - chi(G(1)) = 15 - 11 = 4, and the dual
     # stratification mirrors the primal conditions, so h1(G x Omega^1(1))
     # equals the primal c-component and h0_omega(dual) = c + 4.  For the X3
-    # dual this reproduces the stated h1(G x Omega^1(1)) = 2.  The duals run
-    # the contraction kernel on twist layouts (positive and negative targets)
-    # that no primal shape exercises.
+    # dual this reproduces the stated h1(G x Omega^1(1)) = 2.  The duals put
+    # the closed form on twist layouts (positive and negative targets) that
+    # no primal shape has.
     for label in StratumLabel:
         P = sample_of(label, seed=17)
         c = profile(P).c
