@@ -1,0 +1,152 @@
+"""Fail on any function under src/ that no command-line entry point reaches.
+
+Runs the CLI in one process under sys.setprofile:
+
+* sample, classify, det, dual and cohomology for every stratum over
+  GF(2), GF(3), GF(101), GF(2^31 - 1), GF(2^31 + 11) and Q;
+* kron check on one semistable and one unstable module;
+* kron window --grid 100 and verify --suite all.
+
+The hook is installed before the package is imported, so what runs at
+import counts as reached.  Every function or method defined in the
+package that no call reached, and that is neither a dunder (a protocol
+hook such as __repr__, __hash__, an immutability guard or an error
+constructor, which Python calls and no entry point needs to) nor listed
+in ALLOWED, is printed and makes the exit code 1.  So does an ALLOWED
+entry that was reached after all or names no function, which keeps the
+list short and true.  Run from the repository root:
+
+    PYTHONPATH=src python scripts/reachability.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import inspect
+import io
+import sys
+import tempfile
+import time
+from pathlib import Path
+from types import CodeType
+
+FIELDS = ("p:2", "p:3", "p:101", "p:2147483647", "p:2147483659", "rational")
+
+# Functions no entry point reaches, each with the reason it stays.
+ALLOWED = {
+    "sextic_strata.errors._hilbert_text": "message of ProfileNotInTable, raised on off-table input only",
+    "sextic_strata.fields.RationalField.one": "field interface; kernel_basis calls it over Q only",
+    "sextic_strata.forms.Form.coeffs": "read by perfbench/workloads.py and tests/conftest.py",
+    "sextic_strata.linalg.ScalarMatrix.shape": "read by ScalarMatrix.__eq__",
+    "sextic_strata.presentation.save": "called by scripts/sample_all_strata.py",
+}
+
+
+def package_functions() -> dict:
+    """(file, first line, name) -> dotted name of every function in the
+    package that is not a lambda, a comprehension or a dunder."""
+    found = {}
+
+    def walk(code: CodeType, module: str) -> None:
+        for const in code.co_consts:
+            if isinstance(const, CodeType):
+                name = const.co_name
+                # class bodies have no CO_NEWLOCALS flag
+                if (const.co_flags & inspect.CO_NEWLOCALS and not name.startswith("<")
+                        and not (name.startswith("__") and name.endswith("__"))):
+                    found[(const.co_filename, const.co_firstlineno, name)] = f"{module}.{const.co_qualname}"
+                walk(const, module)
+
+    root = Path(importlib.util.find_spec("sextic_strata").origin).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        module = "sextic_strata" if path.stem == "__init__" else f"sextic_strata.{path.stem}"
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module)
+    return found
+
+
+def module_files(tmp: Path) -> list:
+    """One semistable GF(3) module and one GF(101) module with a
+    destabilizing (3, 2) zero block, as presentation files."""
+    from sextic_strata.fields import GF
+    from sextic_strata.forms import Form, variables
+    from sextic_strata.polymatrix import PolyMatrix
+    from sextic_strata.presentation import Presentation, dumps
+    from sextic_strata.rng import SplitMix64
+    from sextic_strata.sampler import random_form
+
+    F3, F101 = GF(3), GF(101)
+    X, Y, Z = variables(F3)
+    z = Form.zero(F3, 1)
+    semistable = Presentation((-2, -2), (-1, -1, -1), PolyMatrix(F3, [[X, z], [Y, X], [Z, Y]]))
+    rng = SplitMix64(9)
+    rows = [[Form.zero(F101, 1) if i >= 2 and j < 3 else random_form(F101, 1, rng) for j in range(5)]
+            for i in range(4)]
+    unstable = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(F101, rows))
+    paths = []
+    for name, P in (("semistable", semistable), ("unstable", unstable)):
+        paths.append(tmp / f"{name}.json")
+        paths[-1].write_text(dumps(P), encoding="utf-8")
+    return paths
+
+
+def commands(tmp: Path, modules: list):
+    from sextic_strata.strata import StratumLabel
+
+    for field in FIELDS:
+        for label in StratumLabel:
+            path = tmp / f"{field.replace(':', '')}_{label.value}.json"
+            yield ["sample", "--stratum", label.value, "--field", field, "--seed", "1", "--out", str(path)]
+            for command in ("classify", "det", "dual", "cohomology"):
+                yield [command, str(path)]
+    for path in modules:
+        yield ["kron", "check", str(path)]
+    yield ["--human", "kron", "window", "--grid", "100"]
+    yield ["verify", "--suite", "all"]
+
+
+def main() -> int:
+    functions = package_functions()
+    reached_codes = {}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            reached_codes[id(frame.f_code)] = frame.f_code
+
+    @contextlib.contextmanager
+    def profiled():
+        sys.setprofile(hook)
+        try:
+            yield
+        finally:
+            sys.setprofile(None)
+
+    t0 = time.perf_counter()
+    # The package is imported here and in the helpers, never at the top, so
+    # that its import-time calls run under the hook.
+    with profiled():
+        from sextic_strata import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        modules = module_files(Path(tmp))
+        for argv in commands(Path(tmp), modules):
+            out = io.StringIO()
+            with profiled(), contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            if argv[0] == "verify":
+                print(out.getvalue(), end="")
+            print(f"exit {code}: {' '.join(a if '/' not in a else Path(a).name for a in argv)}")
+    reached = {functions[key] for key in ((c.co_filename, c.co_firstlineno, c.co_name)
+                                          for c in reached_codes.values()) if key in functions}
+    unreached = sorted(set(functions.values()) - reached - ALLOWED.keys())
+    stale = sorted(name for name in ALLOWED if name in reached or name not in functions.values())
+    for name in unreached:
+        print(f"unreached: {name}")
+    for name in stale:
+        print(f"allowlisted but reached or missing: {name}")
+    print(f"{len(reached)} of {len(functions)} functions reached, {len(ALLOWED)} allowlisted, "
+          f"{len(unreached)} unreached, {len(stale)} stale entries; {time.perf_counter() - t0:.1f}s")
+    return 1 if unreached or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,7 @@ from .kronecker import (
     verify_witness,
 )
 from .linalg import ScalarMatrix
-from .orbit_oracle import orbit_patterns, orbit_patterns_bruteforce
+from .orbit_oracle import orbit_patterns
 from .polymatrix import PolyMatrix, det_poly, maximal_minors
 from .presentation import (
     CohomologyProfile,

@@ -191,12 +191,7 @@ def cmd_kron_window(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(
-        args.suite,
-        seed=args.seed,
-        samples_per_stratum=args.samples,
-        oracle_matrices=args.oracle_matrices,
-    )
+    results = run_suite(args.suite, seed=args.seed)
     for r in results:
         print(r.line())
     ok = all(r.passed for r in results)
@@ -251,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=200, help="samples per stratum")
-    p.add_argument("--oracle-matrices", type=int, default=1000)
     p.set_defaults(fn=cmd_verify)
 
     return ap

@@ -282,9 +282,7 @@ def _scatter_layout(source_degrees: Tuple[int, ...],
     form of degree c_i - b_j, row by row over every cell whose degree is
     not negative.  Its entry gather[n] lands at the flat index flat[n] of
     the matrix.  Cells over a negative source degree have empty blocks and
-    no entries here.  Both the slot of a cell in the cell vector and its
-    products depend only on c_i - b_j, so one vector serves every twist of
-    a shape.
+    no entries here.
     """
     row_off = list(accumulate(map(dim_forms, target_degrees), initial=0))
     col_off = list(accumulate(map(dim_forms, source_degrees), initial=0))
@@ -305,18 +303,30 @@ def _scatter_layout(source_degrees: Tuple[int, ...],
     return (row_off[-1], col_off[-1]), flat, gather
 
 
-def cell_vector(field: Field, cells: Sequence[Sequence[Form]],
-                source_degrees: Sequence[int], target_degrees: Sequence[int]) -> np.ndarray:
-    """The coefficients of a cell grid in the slots `_scatter_layout` reads.
+def block_mult_map(field: Field, cells: Sequence[Sequence[Form]],
+                   source_degrees: Sequence[int], target_degrees: Sequence[int]) -> ScalarMatrix:
+    """Matrix of H^0 of the map +_j O(b_j) -> +_i O(c_i) whose cell (i, j) is a
+    form of degree c_i - b_j, for b = source_degrees and c = target_degrees.
 
-    Cells over a negative source degree are not read and leave their slots
-    zero.  Zero cells are skipped whatever their degree tag; any other cell
-    of another degree than c_i - b_j or over another field raises
+    Block (i, j) is the multiplication by cell (i, j) from degree-b_j to
+    degree-c_i forms.  Blocks are offset by `dim_forms`, with the frozen
+    monomial order inside each block, so a negative degree gives an empty
+    block.  The cells are gathered into the slots of the layout cached per
+    (source_degrees, target_degrees) and scattered into the matrix at once.
+    Cells over a negative source degree are not read, nor is any cell of an
+    empty map.  Zero cells are skipped whatever their degree tag; any other
+    cell read of another degree than c_i - b_j or over another field raises
     ValueError, and so does a grid of another shape than the degree vectors.
     """
+    if len(cells) != len(target_degrees) or any(len(row) != len(source_degrees) for row in cells):
+        raise ValueError(f"cell grid does not have shape ({len(target_degrees)}, {len(source_degrees)})")
+    shape, flat, gather = _scatter_layout(tuple(source_degrees), tuple(target_degrees))
+    M = ScalarMatrix.zeros(field, *shape)
+    if not flat.size:
+        return M
     filled, size = [], 0
-    for i, (c, row) in enumerate(zip(target_degrees, cells, strict=True)):
-        for j, (b, f) in enumerate(zip(source_degrees, row, strict=True)):
+    for i, (c, row) in enumerate(zip(target_degrees, cells)):
+        for j, (b, f) in enumerate(zip(source_degrees, row)):
             if b >= 0 and not f.is_zero:
                 # The identity test spares most calls of the field's __eq__.
                 if f.degree != c - b or not (f.field is field or f.field == field):
@@ -326,35 +336,8 @@ def cell_vector(field: Field, cells: Sequence[Sequence[Form]],
     vec = np.full(size, field.zero(), dtype=field.dtype)
     for slot, array in filled:
         vec[slot:slot + array.size] = array
-    return vec
-
-
-def scatter_cells(field: Field, vector: np.ndarray, source_degrees: Sequence[int],
-                  target_degrees: Sequence[int]) -> ScalarMatrix:
-    """The block multiplication matrix of the cell grid whose `cell_vector`
-    is `vector`: one zero matrix and one scatter through the cached layout
-    of the twist shape."""
-    shape, flat, gather = _scatter_layout(tuple(source_degrees), tuple(target_degrees))
-    M = ScalarMatrix.zeros(field, *shape)
-    np.put(M.a, flat, vector[gather])
+    np.put(M.a, flat, vec[gather])
     return M
-
-
-def block_mult_map(field: Field, cells: Sequence[Sequence[Form]],
-                   source_degrees: Sequence[int], target_degrees: Sequence[int]) -> ScalarMatrix:
-    """Matrix of H^0 of the map +_j O(b_j) -> +_i O(c_i) whose cell (i, j) is a
-    form of degree c_i - b_j, for b = source_degrees and c = target_degrees.
-
-    Block (i, j) is the multiplication by cell (i, j) from degree-b_j to
-    degree-c_i forms.  Blocks are offset by `dim_forms`, with the frozen
-    monomial order inside each block, so a negative degree gives an empty
-    block.  The cells are gathered into their `cell_vector`, which checks
-    them (cells over a negative source degree are not read), and
-    `scatter_cells` places the vector through the layout cached per
-    (source_degrees, target_degrees).
-    """
-    return scatter_cells(field, cell_vector(field, cells, source_degrees, target_degrees),
-                         source_degrees, target_degrees)
 
 
 def mult_map(f: Form, b: int) -> ScalarMatrix:

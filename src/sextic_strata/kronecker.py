@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .fields import Field, PrimeField
-from .forms import Form
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix
 from .rng import SplitMix64
@@ -348,14 +347,6 @@ def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:
         if dim_next == dim_T:
             return _make_witness(K, S)
         dim_T = dim_next
-
-
-def transform(K: KroneckerModule, g: ScalarMatrix, h: ScalarMatrix) -> KroneckerModule:
-    """The module h * M * g for invertible scalar matrices; same verdict."""
-    F = K.field
-    cube = np.stack([h.matmul(S).matmul(g).a for S in K.coefficient_slices()], axis=-1)
-    rows = [[Form.from_coeff_vector(F, 1, cell) for cell in row] for row in cube]
-    return KroneckerModule(PolyMatrix(F, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ class ScalarMatrix:
 
     # -- element access ------------------------------------------------
 
-    def entry(self, i: int, j: int):
-        return self.a.item(i, j)
-
     def row(self, i: int) -> list:
         return self.a[i].tolist()
 

@@ -42,7 +42,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import field_from_json, json_int
-from .forms import Form, cell_vector, dim_forms, scatter_cells
+from .forms import Form, block_mult_map, dim_forms
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -93,7 +93,7 @@ class Presentation:
     the cohomology operations reject them.
     """
 
-    __slots__ = ("field", "source", "target", "matrix", "metadata", "_dual", "_cells")
+    __slots__ = ("field", "source", "target", "matrix", "metadata")
 
     def __init__(
         self,
@@ -115,8 +115,6 @@ class Presentation:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "metadata", dict(metadata) if metadata else None)
-        object.__setattr__(self, "_dual", None)  # built by dual_section_matrix on first use
-        object.__setattr__(self, "_cells", None)  # built by section_matrix on first use
         bad = validate_grid_only(self)
         if bad:
             raise InvalidPresentationError(bad)
@@ -239,33 +237,19 @@ def hilbert_polynomial(P: Presentation) -> HilbertPoly:
 
 def section_matrix(P: Presentation, t: int) -> ScalarMatrix:
     """Matrix of H^0(phi(t)): block (i, j) multiplies by phi_ij from
-    H^0(O(s_j + t)) to H^0(O(d_i + t)), in the layout of `block_mult_map`.
-
-    A cell's slot in the cell vector depends only on its degree d_i - s_j,
-    so one vector of P's coefficients serves every twist.  It is built on
-    the first call, at a twist where every cell is read, and kept on P;
-    each call then scatters it through the layout of the twist shape.
-    """
-    if P._cells is None:
-        base = -min(P.source)
-        cells = cell_vector(P.field, P.matrix.entries, [s + base for s in P.source],
-                            [d + base for d in P.target])
-        object.__setattr__(P, "_cells", cells)
-    return scatter_cells(P.field, P._cells, [s + t for s in P.source], [d + t for d in P.target])
+    H^0(O(s_j + t)) to H^0(O(d_i + t)), in the layout of `block_mult_map`."""
+    return block_mult_map(P.field, P.matrix.entries, [s + t for s in P.source], [d + t for d in P.target])
 
 
 def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
-    """Serre-dual multiplication map: `section_matrix(dual(P), -1 - t)`.
+    """Serre-dual multiplication map, equal to `section_matrix(dual(P), -1 - t)`.
 
-    The dual has twists -2 - d_i -> -2 - s_j and the transposed matrix, so
-    at twist -1 - t its block (j, i) is multiplication by phi_ij from
-    H^0(O(-3 - d_i - t)) to H^0(O(-3 - s_j - t)).  Its rank equals the
-    rank of the induced map H^2(A(t)) -> H^2(B(t)).  The dual is built on
-    the first call and kept on P, so a sweep over t builds it once.
+    Block (j, i) is multiplication by phi_ij from H^0(O(-3 - d_i - t)) to
+    H^0(O(-3 - s_j - t)), read off the transposed grid.  Its rank equals
+    the rank of the induced map H^2(A(t)) -> H^2(B(t)).
     """
-    if P._dual is None:
-        object.__setattr__(P, "_dual", dual(P))
-    return section_matrix(P._dual, -1 - t)
+    return block_mult_map(P.field, list(zip(*P.matrix.entries)),
+                          [-3 - d - t for d in P.target], [-3 - s - t for s in P.source])
 
 
 # ---------------------------------------------------------------------------

@@ -430,16 +430,6 @@ class StratumDimensions:
     fibre_dim: Optional[int]
     description: str
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label.value,
-            "codim": self.codim,
-            "dim": self.dim,
-            "base_dim": self.base_dim,
-            "fibre_dim": self.fibre_dim,
-            "description": self.description,
-        }
-
 
 AMBIENT_DIM = 6 * 6 + 1  # multiplicity^2 + 1 for these moduli of plane sheaves
 

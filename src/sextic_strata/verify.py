@@ -66,6 +66,8 @@ DEFAULT_SEED = 20260801
 
 LABELS = list(StratumLabel)
 
+SAMPLES_PER_STRATUM = 200  # sample pool of criteria 1-3, over F_101
+ORACLE_MATRICES = 1000  # random F_2 matrices in criterion 6
 NEGATIVE_CONTROLS = 100  # degenerate constructions per shape in criterion 9
 
 
@@ -313,13 +315,13 @@ def criterion_5_windows() -> CriterionResult:
     return _timed(5, "polarization windows", run)
 
 
-def criterion_6_x1_oracle(seed: int, matrices: int = 1000) -> CriterionResult:
+def criterion_6_x1_oracle(seed: int) -> CriterionResult:
     def run():
         t0 = time.perf_counter()
         field = GF(2)
         src, tgt = SHAPES[StratumLabel.X1]
         disagreements = 0
-        for k in range(matrices):
+        for k in range(ORACLE_MATRICES):
             rng = SplitMix64(derive_seed(seed, 700_000 + k))
             entries = [
                 [random_form(field, tgt[i] - src[j], rng) for j in range(3)]
@@ -333,7 +335,7 @@ def criterion_6_x1_oracle(seed: int, matrices: int = 1000) -> CriterionResult:
         elapsed = time.perf_counter() - t0
         ok = disagreements == 0 and elapsed < 600
         return ok, (
-            f"{matrices} random F_2 matrices, all four patterns, "
+            f"{ORACLE_MATRICES} random F_2 matrices, all four patterns, "
             f"{disagreements} disagreements, {elapsed:.1f}s of 600s budget"
         )
 
@@ -518,26 +520,19 @@ SUITES: Dict[str, Sequence[int]] = {
 }
 
 
-def run_suite(
-    suite: str,
-    seed: int = DEFAULT_SEED,
-    samples_per_stratum: int = 200,
-    oracle_matrices: int = 1000,
-) -> List[CriterionResult]:
+def run_suite(suite: str, seed: int = DEFAULT_SEED) -> List[CriterionResult]:
     """Run one named suite, one criterion after another in number order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    if samples_per_stratum < 1 or oracle_matrices < 1:
-        raise ValueError("samples_per_stratum and oracle_matrices must be at least 1")
     wanted = SUITES[suite]
-    pool = generate_samples(seed, samples_per_stratum) if {1, 2, 3}.intersection(wanted) else None
+    pool = generate_samples(seed, SAMPLES_PER_STRATUM) if {1, 2, 3}.intersection(wanted) else None
     criteria = {
         1: lambda: criterion_1_table(pool),
         2: lambda: criterion_2_hilbert(pool),
         3: lambda: criterion_3_duality(pool),
         4: criterion_4_dimensions,
         5: criterion_5_windows,
-        6: lambda: criterion_6_x1_oracle(seed, oracle_matrices),
+        6: lambda: criterion_6_x1_oracle(seed),
         7: lambda: criterion_7_kronecker(seed),
         8: lambda: criterion_8_construct_x5(seed),
         9: lambda: criterion_9_negative_controls(seed),

@@ -309,15 +309,6 @@ def test_verify_prints_criteria_in_order(capsys):
     assert out.index("criterion 4") < out.index("criterion 5")
 
 
-def test_verify_rejects_empty_pools(capsys):
-    # an empty sample pool or oracle batch is an input error, not a traceback
-    for argv in (("--suite", "duality", "--samples", "0"), ("--suite", "oracle", "--oracle-matrices", "0")):
-        code, out = run(capsys, "verify", *argv)
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["kind"] == "error" and doc["error"] == "ValueError"
-
-
 def test_det_pretty_on_constructed_example(tmp_path, capsys):
     from sextic_strata.fields import QQ
     from sextic_strata.forms import Form

@@ -78,7 +78,7 @@ def test_mult_map_by_x_from_constants():
     X, Y, Z = variables(QQ)
     M = mult_map(X, 0)
     assert M.shape == (3, 1)
-    assert [M.entry(i, 0) for i in range(3)] == [1, 0, 0]
+    assert M.to_lists() == [[1], [0], [0]]
 
 
 def test_mult_map_by_linear_form_injective():
@@ -390,3 +390,21 @@ def test_block_mult_map_matches_blockwise_reference(field, reference_mult_map):
     assert block_mult_map(field, wrong, source, target) == M
     with pytest.raises(ValueError):
         block_mult_map(field, cells, source[:3], target)
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2**31 - 1), GF(2**31 + 11), QQ], ids=repr)
+def test_empty_block_mult_map_keeps_shape_and_dtype(field):
+    # Maps with no entries: every source degree negative, or every cell
+    # degree negative.  No cell of an empty map is read, but a grid of
+    # another shape than the degree vectors is still an error.
+    rng = SplitMix64(910)
+    for source, target in (((-2, -1), (-1, 0, 2)), ((3, 4), (0, 2)), ((-1, 5), (1, 4))):
+        cells = [[random_form(field, max(c - b, 0), rng) for b in source] for c in target]
+        M = block_mult_map(field, cells, source, target)
+        assert M.shape == (sum(map(dim_forms, target)), sum(map(dim_forms, source)))
+        assert M.a.dtype == field.dtype
+        assert not M.a.any()
+        with pytest.raises(ValueError):
+            block_mult_map(field, cells[:-1], source, target)
+        with pytest.raises(ValueError):
+            block_mult_map(field, [row[:-1] for row in cells], source, target)

@@ -25,7 +25,6 @@ from sextic_strata.kronecker import (
     polarization_window_42,
     refined_conditions_42,
     subspace_lattice_size,
-    transform,
     verify_witness,
 )
 from sextic_strata.linalg import ScalarMatrix
@@ -34,6 +33,14 @@ from sextic_strata.rng import SplitMix64, derive_seed
 from sextic_strata.sampler import random_form
 
 F3 = GF(3)
+
+
+def transform(K, g, h):
+    """The module h * M * g for invertible scalar matrices; same verdict."""
+    F = K.field
+    cube = np.stack([h.matmul(S).matmul(g).a for S in K.coefficient_slices()], axis=-1)
+    rows = [[Form.from_coeff_vector(F, 1, cell) for cell in row] for row in cube]
+    return KroneckerModule(PolyMatrix(F, rows))
 
 
 def module_from(field, rows):

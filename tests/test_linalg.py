@@ -64,7 +64,7 @@ def test_stacking_and_transpose():
     B = ScalarMatrix(F, [[0, 1], [1, 0]])
     assert A.hstack(B).shape == (2, 4)
     assert A.vstack(B).shape == (4, 2)
-    assert A.transpose().entry(0, 1) == 3
+    assert A.transpose().to_lists()[0][1] == 3
     assert A.matmul(identity(F, 2)) == A
 
 

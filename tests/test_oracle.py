@@ -7,8 +7,9 @@ from sextic_strata.forms import Form, variables
 from sextic_strata.orbit_oracle import (
     GL2_F2,
     MUL11,
+    _build_mul_table,
+    _extract_masks,
     orbit_patterns,
-    orbit_patterns_bruteforce,
 )
 from sextic_strata.polymatrix import PolyMatrix
 from sextic_strata.presentation import Presentation
@@ -18,6 +19,83 @@ from sextic_strata.strata import SHAPES, PatternId, StratumLabel, x1_patterns
 
 F2 = GF(2)
 SRC, TGT = SHAPES[StratumLabel.X1]
+
+
+# zero cells of each forbidden pattern, 0-indexed
+PATTERN_CELLS = {
+    PatternId.P1: ((0, 1), (0, 2)),
+    PatternId.P2: ((0, 2), (1, 2)),
+    PatternId.P3: ((2, 1), (2, 2)),
+    PatternId.P4: ((0, 0), (0, 1)),
+}
+
+MUL12 = _build_mul_table(1, 2)   # 8 x 64
+
+
+def orbit_patterns_bruteforce(P):
+    """All patterns reachable, by plainly looping over all 147456 pairs.
+
+    Builds the complete sandwich h*phi*g for every pair and inspects the
+    zero cells.  Slow; the reference the vectorized oracle is checked against.
+    """
+    masks = _extract_masks(P)
+    mul11 = MUL11.tolist()
+    mul12 = MUL12.tolist()
+    remaining = set(PatternId)
+    found = set()
+
+    phi = [[masks[(i, j)] for j in range(3)] for i in range(3)]
+    us = range(8)
+
+    for (a, b, c, d) in GL2_F2:
+        for u21 in us:
+            m11_u21 = mul11[u21]
+            m12_u21 = mul12[u21]
+            for u31 in us:
+                m11_u31 = mul11[u31]
+                m12_u31 = mul12[u31]
+                # phi * g
+                pg = [
+                    [
+                        phi[0][0] ^ m11_u21[phi[0][1]] ^ m11_u31[phi[0][2]],
+                        (a and phi[0][1]) ^ (c and phi[0][2]),
+                        (b and phi[0][1]) ^ (d and phi[0][2]),
+                    ],
+                    [
+                        phi[1][0] ^ m12_u21[phi[1][1]] ^ m12_u31[phi[1][2]],
+                        (a and phi[1][1]) ^ (c and phi[1][2]),
+                        (b and phi[1][1]) ^ (d and phi[1][2]),
+                    ],
+                    [
+                        phi[2][0] ^ m12_u21[phi[2][1]] ^ m12_u31[phi[2][2]],
+                        (a and phi[2][1]) ^ (c and phi[2][2]),
+                        (b and phi[2][1]) ^ (d and phi[2][2]),
+                    ],
+                ]
+                for (h22, h23, h32, h33) in GL2_F2:
+                    for v21 in us:
+                        row1 = [
+                            mul12[v21][pg[0][0]] ^ (h22 and pg[1][0]) ^ (h23 and pg[2][0]),
+                            mul11[v21][pg[0][1]] ^ (h22 and pg[1][1]) ^ (h23 and pg[2][1]),
+                            mul11[v21][pg[0][2]] ^ (h22 and pg[1][2]) ^ (h23 and pg[2][2]),
+                        ]
+                        for v31 in us:
+                            row2 = [
+                                mul12[v31][pg[0][0]] ^ (h32 and pg[1][0]) ^ (h33 and pg[2][0]),
+                                mul11[v31][pg[0][1]] ^ (h32 and pg[1][1]) ^ (h33 and pg[2][1]),
+                                mul11[v31][pg[0][2]] ^ (h32 and pg[1][2]) ^ (h33 and pg[2][2]),
+                            ]
+                            sandwich = (pg[0], row1, row2)
+                            for pat in tuple(remaining):
+                                if all(
+                                    sandwich[i][j] == 0
+                                    for (i, j) in PATTERN_CELLS[pat]
+                                ):
+                                    found.add(pat)
+                                    remaining.discard(pat)
+                            if not remaining:
+                                return found
+    return found
 
 
 def rand_x1(seed):
