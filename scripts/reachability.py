@@ -39,7 +39,6 @@ ALLOWED = {
     "sextic_strata.fields.RationalField.one": "field interface; kernel_basis calls it over Q only",
     "sextic_strata.forms.Form.coeffs": "read by perfbench/workloads.py and tests/conftest.py",
     "sextic_strata.linalg.ScalarMatrix.shape": "read by ScalarMatrix.__eq__",
-    "sextic_strata.presentation.save": "called by scripts/sample_all_strata.py",
 }
 
 

@@ -1,11 +1,13 @@
-"""Command-line surface.
+"""Command-line surface: the package's one front end.
 
 Subcommands: classify, sample, dual, det, cohomology, kron check,
-kron window, verify.  Structured JSON (schema-versioned) is the default
-output; --human renders text.  Exit codes: 0 success, 1 malformed input,
+kron window, verify.  Every report, error documents included, is one
+schema-versioned JSON document in canonical encoding, written by `_emit`;
+--human renders it as text.  Exit codes: 0 success, 1 malformed input,
 2 contract violation (off-table profile / non-semistable cokernel /
-non-injective matrix, with the offending data in the report), 3 budget
-exceeded.
+non-injective or non-square matrix / failed criterion, with the offending
+data in the report), 3 budget exceeded; each package error names its own
+as `exit_code`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,11 @@ import json
 import sys
 
 from .errors import (
-    BudgetExceededError,
     InvalidPresentationError,
     NotInjectiveError,
     NotSemistable,
     NotSquareError,
     ProfileNotInTable,
-    RejectionBudgetExceeded,
     SexticStrataError,
 )
 from .fields import parse_field
@@ -35,6 +35,7 @@ from .presentation import (
     hilbert_polynomial,
     is_injective,
     load,
+    save,
     dual as dual_presentation,
 )
 from .sampler import SampleRequest, sample
@@ -44,10 +45,12 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_CONTRACT = 2
-EXIT_BUDGET = 3
 
 
 def _emit(doc: dict, human: bool) -> None:
+    """Print one report, stamped with the schema version: canonical JSON,
+    or text under --human."""
+    doc = {"schema_version": 1, **doc}
     if human:
         print(_render(doc))
     else:
@@ -69,9 +72,7 @@ def _render(doc: dict, indent: int = 0) -> str:
 def _load_presentation(path: str) -> Presentation:
     try:
         return load(path)
-    except FileNotFoundError:
-        raise
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InvalidPresentationError([f"malformed presentation file: {exc}"]) from exc
 
 
@@ -81,7 +82,6 @@ def cmd_classify(args) -> int:
         report = classification_report(P)
     except (ProfileNotInTable, NotInjectiveError, NotSquareError) as exc:
         doc = {
-            "schema_version": 1,
             "kind": "classification_error",
             "error": type(exc).__name__,
             "message": str(exc),
@@ -102,43 +102,30 @@ def cmd_sample(args) -> int:
     label = StratumLabel(args.stratum)
     req = SampleRequest(label, field, args.seed, max_rejects=args.max_rejects)
     P = sample(req)
-    text = dumps(P)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit({"schema_version": 1, "kind": "sample", "written": args.out,
-               "metadata": P.metadata}, args.human)
+        save(P, args.out)
+        _emit({"kind": "sample", "written": args.out, "metadata": P.metadata}, args.human)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(P))
     return EXIT_OK
 
 
 def cmd_dual(args) -> int:
     P = _load_presentation(args.file)
     G = dual_presentation(P)
-    text = dumps(G)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit({"schema_version": 1, "kind": "dual", "written": args.out}, args.human)
+        save(G, args.out)
+        _emit({"kind": "dual", "written": args.out}, args.human)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(G))
     return EXIT_OK
 
 
 def cmd_det(args) -> int:
     P = _load_presentation(args.file)
     det = fitting_determinant(P)
-    _emit(
-        {
-            "schema_version": 1,
-            "kind": "determinant",
-            "degree": det.degree,
-            "form": det.to_encoding(),
-            "pretty": det.pretty(),
-        },
-        args.human,
-    )
+    _emit({"kind": "determinant", "degree": det.degree, "form": det.to_encoding(),
+           "pretty": det.pretty()}, args.human)
     return EXIT_OK
 
 
@@ -152,15 +139,7 @@ def cmd_cohomology(args) -> int:
     for t in range(args.tmin, args.tmax + 1):
         a, b = h0(P, t), h1(P, t)
         rows.append({"t": t, "h0": a, "h1": b, "chi": a - b})
-    _emit(
-        {
-            "schema_version": 1,
-            "kind": "cohomology_table",
-            "hilbert": hp.as_list(),
-            "rows": rows,
-        },
-        args.human,
-    )
+    _emit({"kind": "cohomology_table", "hilbert": hp.as_list(), "rows": rows}, args.human)
     return EXIT_OK
 
 
@@ -169,7 +148,6 @@ def cmd_kron_check(args) -> int:
     K = KroneckerModule(P.matrix)
     res = is_semistable(K)
     doc = {
-        "schema_version": 1,
         "kind": "kronecker_check",
         "mode": res.mode,
         "verdict": res.verdict,
@@ -184,19 +162,29 @@ def cmd_kron_check(args) -> int:
 
 def cmd_kron_window(args) -> int:
     rep = polarization_window_42(args.grid)
-    doc = {"schema_version": 1, "kind": "polarization_windows"}
-    doc.update(rep.as_dict())
-    _emit(doc, args.human)
+    _emit({"kind": "polarization_windows", **rep.as_dict()}, args.human)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite, seed=args.seed)
-    for r in results:
-        print(r.line())
-    ok = all(r.passed for r in results)
-    print(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} criteria passed")
-    return EXIT_OK if ok else EXIT_CONTRACT
+    passed = sum(r.passed for r in results)
+    _emit(
+        {
+            "kind": "verification",
+            "suite": args.suite,
+            "seed": args.seed,
+            "passed": passed,
+            "total": len(results),
+            "criteria": {
+                str(r.number): {"name": r.name, "passed": r.passed, "details": r.details,
+                                "seconds": round(r.seconds, 3)}
+                for r in results
+            },
+        },
+        args.human,
+    )
+    return EXIT_OK if passed == len(results) else EXIT_CONTRACT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,22 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetExceededError, RejectionBudgetExceeded) as exc:
-        print(json.dumps({"kind": "error", "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(json.dumps({"kind": "error", "error": "FileNotFoundError", "message": str(exc)}))
-        return EXIT_MALFORMED
-    except (InvalidPresentationError, NotSquareError, ValueError) as exc:
-        print(json.dumps({"kind": "error", "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_MALFORMED
-    except SexticStrataError as exc:
-        print(json.dumps({"kind": "error", "error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_CONTRACT
+    except (SexticStrataError, FileNotFoundError, ValueError) as exc:
+        _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)}, args.human)
+        return exc.exit_code if isinstance(exc, SexticStrataError) else EXIT_MALFORMED
 
 
 if __name__ == "__main__":

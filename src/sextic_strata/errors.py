@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class SexticStrataError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `exit_code` is the CLI's exit
+    code for it: 1 malformed input, 2 contract violation, 3 budget exceeded."""
+
+    exit_code = 2
 
 
 class FieldMismatchError(SexticStrataError):
@@ -13,6 +16,8 @@ class FieldMismatchError(SexticStrataError):
 
 class InvalidPresentationError(SexticStrataError):
     """Presentation fails the degree-grid contract."""
+
+    exit_code = 1
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -96,6 +101,8 @@ class RejectionBudgetExceeded(SexticStrataError):
     Carries the reject count and the violations of the last rejected draw.
     """
 
+    exit_code = 3
+
     def __init__(self, rejects: int, last_violations):
         self.rejects = rejects
         self.last_violations = list(last_violations)
@@ -107,3 +114,5 @@ class RejectionBudgetExceeded(SexticStrataError):
 
 class BudgetExceededError(SexticStrataError):
     """Exact enumeration would exceed the configured work budget."""
+
+    exit_code = 3

@@ -48,9 +48,12 @@ CERTIFICATE_SEED = 0x5EED
 
 
 class KroneckerModule:
-    """n x m matrix of linear forms with semistability machinery."""
+    """n x m matrix of linear forms with semistability machinery; immutable.
 
-    __slots__ = ("field", "n", "m", "matrix", "_slices", "_stacked")
+    `slices` holds the scalar matrices (A, B, C) with M = X*A + Y*B + Z*C.
+    """
+
+    __slots__ = ("field", "n", "m", "matrix", "slices")
 
     def __init__(self, matrix: PolyMatrix):
         for i in range(matrix.nrows):
@@ -58,36 +61,26 @@ class KroneckerModule:
                 f = matrix.entry(i, j)
                 if not f.is_zero and f.degree != 1:
                     raise ValueError(f"entry ({i},{j}) has degree {f.degree}, want linear")
-        object.__setattr__(self, "field", matrix.field)
+        F = matrix.field
+        zero = np.full(3, F.zero(), dtype=F.dtype)
+        # cube[i, j] is the coefficient array (X, Y, Z) of cell (i, j)
+        cube = np.array([[zero if f.is_zero else f.array for f in row] for row in matrix.entries],
+                        dtype=F.dtype).reshape(matrix.nrows, matrix.ncols, 3)
+        slices = tuple(ScalarMatrix._wrap(F, cube[:, :, k].copy()) for k in range(3))
+        object.__setattr__(self, "field", F)
         object.__setattr__(self, "n", matrix.nrows)
         object.__setattr__(self, "m", matrix.ncols)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_slices", None)
-        object.__setattr__(self, "_stacked", None)
+        object.__setattr__(self, "slices", slices)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("KroneckerModule is immutable")
 
-    def coefficient_slices(self) -> Tuple[ScalarMatrix, ScalarMatrix, ScalarMatrix]:
-        """Scalar matrices (A, B, C) with M = X*A + Y*B + Z*C."""
-        if self._slices is not None:
-            return self._slices
-        F = self.field
-        zero = np.full(3, F.zero(), dtype=F.dtype)
-        # cube[i, j] is the coefficient array (X, Y, Z) of cell (i, j)
-        cube = np.array([[zero if f.is_zero else f.array for f in row] for row in self.matrix.entries],
-                        dtype=F.dtype).reshape(self.n, self.m, 3)
-        slices = [ScalarMatrix._wrap(F, cube[:, :, k].copy()) for k in range(3)]
-        object.__setattr__(self, "_slices", tuple(slices))
-        return self._slices
-
     def stacked_slices(self) -> ScalarMatrix:
         """W = [A^T | B^T | C^T], m x 3n: for a row s of S, the row of S @ W
-        is (A s, B s, C s)."""
-        if self._stacked is None:
-            A, B, C = (S.transpose() for S in self.coefficient_slices())
-            object.__setattr__(self, "_stacked", A.hstack(B).hstack(C))
-        return self._stacked
+        is (A s, B s, C s).  Not kept: the certificate path never reads it."""
+        A, B, C = (S.transpose() for S in self.slices)
+        return A.hstack(B).hstack(C)
 
     def images(self, S_rows: ScalarMatrix) -> ScalarMatrix:
         """The vectors A s, B s, C s of every row s of S_rows, as rows of a
@@ -297,7 +290,7 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     if mode != "certificate":
         raise ValueError(f"unknown mode {mode!r}")
     F = K.field
-    slices = K.coefficient_slices()
+    slices = K.slices
     rng = SplitMix64(CERTIFICATE_SEED)
     bound = F.p if F.kind == "prime" else 19
     best_rank, best = -1, None
@@ -335,7 +328,7 @@ def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:
     rows spanning the annihilator of T.
     """
     F, n, m = K.field, K.n, K.m
-    slices = K.coefficient_slices()
+    slices = K.slices
     dim_T, T_basis = 0, []
     while True:
         Q = ScalarMatrix(F, ScalarMatrix(F, T_basis, shape=(dim_T, n)).kernel_basis(), (n - dim_T, n))

@@ -19,12 +19,12 @@ conditions on the matrix:
 The classifier's domain is semistable sheaves with Hilbert polynomial
 6m+1.  It maps the profile of a valid injective presentation with that
 Hilbert polynomial to the unique row above and rejects every other
-presentation.  When the presentation has exactly the row's twist shape,
-it also checks that row's matrix conditions and rejects a cokernel that
-fails them as not semistable.  That gate is the only place the
-classifier runs the conditions.  On each row's shape every condition is
-invariant under Aut(source) x Aut(target), so none needs normal
-position: X0's is the certified Kronecker decision on the linear block,
+presentation.  When the presentation has the row's twist shape, up to
+the order of its twists, it also checks that row's matrix conditions and
+rejects a cokernel that fails them as not semistable.  That gate is the
+only place the classifier runs the conditions.  On each row's shape every
+condition is invariant under Aut(source) x Aut(target), so none needs
+normal position: X0's is the certified Kronecker decision on the linear block,
 which the group moves by GL_4 x GL_5; X1, X3 and X5 have only forms of
 positive degree; X2's constant block is zero on its row (a nonzero
 constant there moves the profile to X1's); and X4's constant c only
@@ -120,15 +120,17 @@ def classify(P: Presentation) -> StratumLabel:
     semistable sheaf with Hilbert polynomial 6m+1, or an arithmetic bug, and
     carries the profile and the Hilbert polynomial.  Raises its subclass
     NotSemistable when the presentation has the canonical twist shape of its
-    row but fails that row's matrix conditions, so the cokernel is not
-    semistable; it carries the profile and the violated conditions, every
-    forbidden pattern of an X1 matrix included.
+    row, up to the order of its twists, but fails that row's matrix
+    conditions, so the cokernel is not semistable; it carries the profile
+    and the violated conditions, every forbidden pattern of an X1 matrix
+    included.
     """
     return _classify(P)[0]
 
 
-def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, HilbertPoly]:
-    """`classify`, also returning the profile and Hilbert polynomial it computed."""
+def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, HilbertPoly, List[str]]:
+    """`classify`, also returning the profile and Hilbert polynomial it
+    computed and the wrong-shape finding (empty on the row's shape)."""
     if not P.is_square:
         raise NotSquareError("classification needs a square presentation")
     if not is_injective(P):
@@ -138,11 +140,25 @@ def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, Hilbert
     label = PROFILE_TO_LABEL.get(pr.as_tuple()) if hp.as_list() == [6, 1] else None
     if label is None:
         raise ProfileNotInTable(pr.as_tuple(), hp.as_list())
-    if not _wrong_shape(P, label):
+    P = _ascending_twists(P)
+    wrong = _wrong_shape(P, label)
+    if not wrong:
         violations = _conditions(P, label)
         if violations:
             raise NotSemistable(pr.as_tuple(), violations)
-    return label, pr, hp
+    return label, pr, hp, wrong
+
+
+def _ascending_twists(P: Presentation) -> Presentation:
+    """P with its twists in stable ascending order, columns and rows permuted
+    to match (P itself if already so), as every row of SHAPES is; neither
+    the profile nor a row's conditions change under the permutation."""
+    if P.source == tuple(sorted(P.source)) and P.target == tuple(sorted(P.target)):
+        return P
+    cols = sorted(range(len(P.source)), key=P.source.__getitem__)
+    rows = sorted(range(len(P.target)), key=P.target.__getitem__)
+    return Presentation([P.source[j] for j in cols], [P.target[i] for i in rows],
+                        P.matrix.submatrix(rows, cols))
 
 
 def classification_report(P: Presentation) -> dict:
@@ -153,7 +169,7 @@ def classification_report(P: Presentation) -> dict:
     empty.  On the row's canonical shape the gate has just proved its
     conditions hold, so the only possible violation is a wrong twist shape.
     """
-    label, pr, hp = _classify(P)
+    label, pr, hp, wrong = _classify(P)
     return {
         "schema_version": 1,
         "kind": "classification",
@@ -161,7 +177,7 @@ def classification_report(P: Presentation) -> dict:
         "profile": pr.as_list(),
         "hilbert": hp.as_list(),
         "det_degree": hp.r,
-        "violations": _wrong_shape(P, label),
+        "violations": wrong,
     }
 
 

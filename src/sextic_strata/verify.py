@@ -1,19 +1,20 @@
 """Acceptance suites: exact invariant checks and oracle-equivalence runs.
 
-Each criterion is a pure function returning a CriterionResult; the CLI
-`verify` command and the acceptance test module both drive these with the
-full documented sizes.  Criteria:
+Each criterion is a plain function returning (passed, details), run at
+the full documented sizes by the CLI `verify` command and the acceptance
+test module.  `CRITERIA` numbers and names them; `run_suite` times them
+and builds the CriterionResults.  What each one checks:
 
- 1. table reproduction     sampled profiles equal the stratum rows exactly
- 2. Hilbert polynomial     h0 - h1 = 6m + 1 on [-5, 5] for every sample, and
-                           h0, h1, h0_omega equal their section-matrix ranks
- 3. duality                dual shapes, dual cohomology, involution, chi sums
- 4. dimension arithmetic   fibration identities with exact summands
- 5. polarization windows   (1/4, 1/2), (3/7, 1/2) and (0, 1/5) on the grid
- 6. X1 oracle equivalence  fast pattern tests vs exhaustive orbit search, F_2
- 7. Kronecker oracle       exact verdicts re-verified and certified; block forms unstable
- 8. X5 constructor         determinant roundtrip, bit-exact
- 9. negative controls      degenerate X3/X5 constructions vs the classifier
+ 1. sampled profiles equal the stratum rows exactly
+ 2. h0 - h1 = 6m + 1 on [-5, 5] for every sample, and h0, h1, h0_omega
+    equal their section-matrix ranks
+ 3. dual shapes, dual cohomology, involution, chi sums
+ 4. fibration identities with exact summands
+ 5. windows (1/4, 1/2), (3/7, 1/2) and (0, 1/5) on the grid
+ 6. fast X1 pattern tests vs exhaustive orbit search, F_2
+ 7. exact Kronecker verdicts re-verified and certified; block forms unstable
+ 8. X5 constructor: determinant roundtrip, bit-exact
+ 9. degenerate X3/X5 constructions vs the classifier
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotInjectiveError, ProfileNotInTable
 from .fields import GF, QQ, Field
@@ -79,29 +80,19 @@ class CriterionResult:
     details: str
     seconds: float
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.number} ({self.name}): {self.details} [{self.seconds:.1f}s]"
-
-
-def _timed(number: int, name: str, fn) -> CriterionResult:
-    t0 = time.perf_counter()
-    passed, details = fn()
-    return CriterionResult(number, name, passed, details, time.perf_counter() - t0)
-
 
 # ---------------------------------------------------------------------------
 # shared sample pool
 # ---------------------------------------------------------------------------
 
 
-def generate_samples(seed: int, per_stratum: int) -> Dict[StratumLabel, List[Presentation]]:
+def generate_samples(seed: int) -> Dict[StratumLabel, List[Presentation]]:
     field = GF(101)
     pool: Dict[StratumLabel, List[Presentation]] = {}
     for li, label in enumerate(LABELS):
         pool[label] = [
             sample(SampleRequest(label, field, derive_seed(seed, li * 100003 + k)))
-            for k in range(per_stratum)
+            for k in range(SAMPLES_PER_STRATUM)
         ]
     return pool
 
@@ -178,168 +169,150 @@ def rank_model_mismatches(P: Presentation, twists: Sequence[int]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_table(pool) -> CriterionResult:
-    def run():
-        t0 = time.perf_counter()
-        bad = []
-        total = 0
-        for label, samples in pool.items():
-            want = EXPECTED_PROFILES[label]
-            for P in samples:
+def criterion_1_table(pool) -> Tuple[bool, str]:
+    t0 = time.perf_counter()
+    bad = []
+    total = 0
+    for label, samples in pool.items():
+        want = EXPECTED_PROFILES[label]
+        for P in samples:
+            total += 1
+            got_label, pr = _classify(P)[:2]
+            got = pr.as_tuple()
+            if got_label != label or got != want:
+                bad.append((label.value, got_label.value, got))
+    elapsed = time.perf_counter() - t0
+    ok = not bad and elapsed < 300
+    detail = f"{total} samples, {len(bad)} mismatches, {elapsed:.1f}s of 300s budget"
+    if bad:
+        detail += f"; first mismatch {bad[0]}"
+    return ok, detail
+
+
+def criterion_2_hilbert(pool) -> Tuple[bool, str]:
+    bad = 0
+    total = 0
+    mismatches = []
+    for samples in pool.values():
+        for P in samples:
+            for m in range(-5, 6):
                 total += 1
-                got_label, pr, _ = _classify(P)
-                got = pr.as_tuple()
-                if got_label != label or got != want:
-                    bad.append((label.value, got_label.value, got))
-        elapsed = time.perf_counter() - t0
-        ok = not bad and elapsed < 300
-        detail = f"{total} samples, {len(bad)} mismatches, {elapsed:.1f}s of 300s budget"
-        if bad:
-            detail += f"; first mismatch {bad[0]}"
-        return ok, detail
-
-    return _timed(1, "table reproduction", run)
+                if h0(P, m) - h1(P, m) != 6 * m + 1:
+                    bad += 1
+            mismatches += rank_model_mismatches(P, range(-5, 6))
+    detail = (
+        f"{total} evaluations of h0 - h1 = 6m + 1, {bad} failures; "
+        f"{len(mismatches)} mismatches of h0, h1, h0_omega against section-matrix ranks"
+    )
+    if mismatches:
+        detail += f"; first {mismatches[0]}"
+    return bad == 0 and not mismatches, detail
 
 
-def criterion_2_hilbert(pool) -> CriterionResult:
-    def run():
-        bad = 0
-        total = 0
-        mismatches = []
-        for samples in pool.values():
-            for P in samples:
-                for m in range(-5, 6):
-                    total += 1
-                    if h0(P, m) - h1(P, m) != 6 * m + 1:
-                        bad += 1
-                mismatches += rank_model_mismatches(P, range(-5, 6))
-        detail = (
-            f"{total} evaluations of h0 - h1 = 6m + 1, {bad} failures; "
-            f"{len(mismatches)} mismatches of h0, h1, h0_omega against section-matrix ranks"
-        )
-        if mismatches:
-            detail += f"; first {mismatches[0]}"
-        return bad == 0 and not mismatches, detail
-
-    return _timed(2, "Hilbert polynomial", run)
-
-
-def criterion_3_duality(pool) -> CriterionResult:
-    def run():
-        problems = []
-        x3 = pool[StratumLabel.X3]
-        for P in x3:
-            G = dual(P)
-            if sorted(G.source) != [-2, -2, -2, 0] or sorted(G.target) != [-1, -1, 1, 1]:
-                problems.append("dual twist shape wrong")
-                break
-            if h0(G, -1) != 2 or h1(G, 0) != 0:
-                problems.append(f"dual cohomology wrong: h0(G(-1))={h0(G, -1)}, h1(G)={h1(G, 0)}")
-                break
-        flat = [P for samples in pool.values() for P in samples]
-        for P in flat[:100]:
-            if dual(dual(P)) != P:
-                problems.append("dual is not an involution")
-                break
-        for label in LABELS:
-            P = pool[label][0]
-            s = hilbert_polynomial(P).chi + hilbert_polynomial(dual(P)).chi
-            if s != 6:
-                problems.append(f"chi + chi(dual) = {s} != 6 on {label.value}")
-        detail = (
-            f"{len(x3)} X3 duals, {min(100, len(flat))} involutions, "
-            f"chi sums on all shapes"
-        )
-        if problems:
-            detail += "; " + problems[0]
-        return not problems, detail
-
-    return _timed(3, "duality", run)
+def criterion_3_duality(pool) -> Tuple[bool, str]:
+    problems = []
+    x3 = pool[StratumLabel.X3]
+    for P in x3:
+        G = dual(P)
+        if sorted(G.source) != [-2, -2, -2, 0] or sorted(G.target) != [-1, -1, 1, 1]:
+            problems.append("dual twist shape wrong")
+            break
+        if h0(G, -1) != 2 or h1(G, 0) != 0:
+            problems.append(f"dual cohomology wrong: h0(G(-1))={h0(G, -1)}, h1(G)={h1(G, 0)}")
+            break
+    flat = [P for samples in pool.values() for P in samples]
+    for P in flat[:100]:
+        if dual(dual(P)) != P:
+            problems.append("dual is not an involution")
+            break
+    for label in LABELS:
+        P = pool[label][0]
+        s = hilbert_polynomial(P).chi + hilbert_polynomial(dual(P)).chi
+        if s != 6:
+            problems.append(f"chi + chi(dual) = {s} != 6 on {label.value}")
+    detail = (
+        f"{len(x3)} X3 duals, {min(100, len(flat))} involutions, "
+        f"chi sums on all shapes"
+    )
+    if problems:
+        detail += "; " + problems[0]
+    return not problems, detail
 
 
-def criterion_4_dimensions() -> CriterionResult:
-    def run():
-        rows = {r.label: r for r in stratum_dimensions()}
-        checks = [
-            moduli_dimension(3, 5, 4) == 20,
-            moduli_dimension(3, 2, 3) == 6,
-            rows[StratumLabel.X0].base_dim == 20,
-            rows[StratumLabel.X0].fibre_dim == 17,
-            rows[StratumLabel.X0].dim == 37,
-            rows[StratumLabel.X2].base_dim == 12,
-            rows[StratumLabel.X2].fibre_dim == 21,
-            rows[StratumLabel.X2].dim == 33 == 37 - 4,
-            rows[StratumLabel.X3].base_dim == 8,
-            rows[StratumLabel.X3].dim == 31 == 37 - 6,
-            rows[StratumLabel.X4].base_dim == 8,
-            rows[StratumLabel.X4].fibre_dim == 23,
-            rows[StratumLabel.X4].dim == 31,
-            rows[StratumLabel.X5].dim == 29 == 37 - 8,
-            all(r.dim + r.codim == 37 for r in rows.values()),
-            all(
-                r.base_dim is None or r.base_dim + r.fibre_dim == r.dim
-                for r in rows.values()
-            ),
+def criterion_4_dimensions() -> Tuple[bool, str]:
+    rows = {r.label: r for r in stratum_dimensions()}
+    checks = [
+        moduli_dimension(3, 5, 4) == 20,
+        moduli_dimension(3, 2, 3) == 6,
+        rows[StratumLabel.X0].base_dim == 20,
+        rows[StratumLabel.X0].fibre_dim == 17,
+        rows[StratumLabel.X0].dim == 37,
+        rows[StratumLabel.X2].base_dim == 12,
+        rows[StratumLabel.X2].fibre_dim == 21,
+        rows[StratumLabel.X2].dim == 33 == 37 - 4,
+        rows[StratumLabel.X3].base_dim == 8,
+        rows[StratumLabel.X3].dim == 31 == 37 - 6,
+        rows[StratumLabel.X4].base_dim == 8,
+        rows[StratumLabel.X4].fibre_dim == 23,
+        rows[StratumLabel.X4].dim == 31,
+        rows[StratumLabel.X5].dim == 29 == 37 - 8,
+        all(r.dim + r.codim == 37 for r in rows.values()),
+        all(
+            r.base_dim is None or r.base_dim + r.fibre_dim == r.dim
+            for r in rows.values()
+        ),
+    ]
+    ok = all(checks)
+    return ok, f"{sum(checks)}/{len(checks)} identities hold"
+
+
+def criterion_5_windows() -> Tuple[bool, str]:
+    problems = []
+    for grid in (100, 700):
+        rep = polarization_window_42(grid)
+        six_expect = [
+            k for k in range(1, grid // 2 + 1) if Fraction(1, 4) < Fraction(k, grid) < Fraction(1, 2)
         ]
-        ok = all(checks)
-        return ok, f"{sum(checks)}/{len(checks)} identities hold"
-
-    return _timed(4, "dimension arithmetic", run)
-
-
-def criterion_5_windows() -> CriterionResult:
-    def run():
-        problems = []
-        for grid in (100, 700):
-            rep = polarization_window_42(grid)
-            six_expect = [
-                k for k in range(1, grid // 2 + 1) if Fraction(1, 4) < Fraction(k, grid) < Fraction(1, 2)
-            ]
-            refined_expect = [
-                k for k in range(1, grid // 2 + 1) if Fraction(3, 7) < Fraction(k, grid) < Fraction(1, 2)
-            ]
-            mu2_expect = [
-                k for k in range(1, grid) if Fraction(0) < Fraction(k, grid) < Fraction(1, 5)
-            ]
-            if list(rep.six_accepted) != six_expect:
-                problems.append(f"grid {grid}: six-inequality window off")
-            if list(rep.refined_accepted) != refined_expect:
-                problems.append(f"grid {grid}: refined window off")
-            if list(rep.mu2_accepted) != mu2_expect:
-                problems.append(f"grid {grid}: mu2 window off")
-        detail = "windows (1/4,1/2), (3/7,1/2), (0,1/5) at grids 100 and 700"
-        if problems:
-            detail += "; " + "; ".join(problems)
-        return not problems, detail
-
-    return _timed(5, "polarization windows", run)
+        refined_expect = [
+            k for k in range(1, grid // 2 + 1) if Fraction(3, 7) < Fraction(k, grid) < Fraction(1, 2)
+        ]
+        mu2_expect = [
+            k for k in range(1, grid) if Fraction(0) < Fraction(k, grid) < Fraction(1, 5)
+        ]
+        if list(rep.six_accepted) != six_expect:
+            problems.append(f"grid {grid}: six-inequality window off")
+        if list(rep.refined_accepted) != refined_expect:
+            problems.append(f"grid {grid}: refined window off")
+        if list(rep.mu2_accepted) != mu2_expect:
+            problems.append(f"grid {grid}: mu2 window off")
+    detail = "windows (1/4,1/2), (3/7,1/2), (0,1/5) at grids 100 and 700"
+    if problems:
+        detail += "; " + "; ".join(problems)
+    return not problems, detail
 
 
-def criterion_6_x1_oracle(seed: int) -> CriterionResult:
-    def run():
-        t0 = time.perf_counter()
-        field = GF(2)
-        src, tgt = SHAPES[StratumLabel.X1]
-        disagreements = 0
-        for k in range(ORACLE_MATRICES):
-            rng = SplitMix64(derive_seed(seed, 700_000 + k))
-            entries = [
-                [random_form(field, tgt[i] - src[j], rng) for j in range(3)]
-                for i in range(3)
-            ]
-            P = Presentation(src, tgt, PolyMatrix(field, entries))
-            fast = {p.value for p in x1_patterns(P)}
-            slow = {p.value for p in orbit_patterns(P)}
-            if fast != slow:
-                disagreements += 1
-        elapsed = time.perf_counter() - t0
-        ok = disagreements == 0 and elapsed < 600
-        return ok, (
-            f"{ORACLE_MATRICES} random F_2 matrices, all four patterns, "
-            f"{disagreements} disagreements, {elapsed:.1f}s of 600s budget"
-        )
-
-    return _timed(6, "X1 oracle equivalence", run)
+def criterion_6_x1_oracle(seed: int) -> Tuple[bool, str]:
+    t0 = time.perf_counter()
+    field = GF(2)
+    src, tgt = SHAPES[StratumLabel.X1]
+    disagreements = 0
+    for k in range(ORACLE_MATRICES):
+        rng = SplitMix64(derive_seed(seed, 700_000 + k))
+        entries = [
+            [random_form(field, tgt[i] - src[j], rng) for j in range(3)]
+            for i in range(3)
+        ]
+        P = Presentation(src, tgt, PolyMatrix(field, entries))
+        fast = {p.value for p in x1_patterns(P)}
+        slow = {p.value for p in orbit_patterns(P)}
+        if fast != slow:
+            disagreements += 1
+    elapsed = time.perf_counter() - t0
+    ok = disagreements == 0 and elapsed < 600
+    return ok, (
+        f"{ORACLE_MATRICES} random F_2 matrices, all four patterns, "
+        f"{disagreements} disagreements, {elapsed:.1f}s of 600s budget"
+    )
 
 
 def _block_module(field, dims, rng) -> KroneckerModule:
@@ -357,79 +330,73 @@ def _block_module(field, dims, rng) -> KroneckerModule:
     return KroneckerModule(PolyMatrix(field, entries))
 
 
-def criterion_7_kronecker(seed: int) -> CriterionResult:
-    def run():
-        field = GF(3)
-        problems = []
-        unstable_seen = 0
+def criterion_7_kronecker(seed: int) -> Tuple[bool, str]:
+    field = GF(3)
+    problems = []
+    unstable_seen = 0
 
-        def decide(K, what):
-            res, cert = is_semistable(K, mode="exact_smallfield"), is_semistable(K)
-            if cert.verdict != res.verdict or (cert.witness and not verify_witness(K, cert.witness)):
-                problems.append(f"{what}: certified decision disagrees with enumeration")
-            return res
+    def decide(K, what):
+        res, cert = is_semistable(K, mode="exact_smallfield"), is_semistable(K)
+        if cert.verdict != res.verdict or (cert.witness and not verify_witness(K, cert.witness)):
+            problems.append(f"{what}: certified decision disagrees with enumeration")
+        return res
 
-        for k in range(60):
-            rng = SplitMix64(derive_seed(seed, 800_000 + k))
-            n, m = (4, 5) if k % 2 == 0 else (3, 2)
-            entries = [
-                [random_form(field, 1, rng) for _ in range(m)] for _ in range(n)
-            ]
-            K = KroneckerModule(PolyMatrix(field, entries))
-            res = decide(K, f"module {k}")
-            if res.verdict == "unstable":
-                unstable_seen += 1
-                if not verify_witness(K, res.witness):
-                    problems.append(f"witness re-verification failed on module {k}")
-        block_dims = [(1, 0), (2, 1), (3, 2), (4, 3)]
-        for idx, dims in enumerate(block_dims):
-            rng = SplitMix64(derive_seed(seed, 900_000 + idx))
-            K = _block_module(field, dims, rng)
-            res = decide(K, f"block module {dims}")
-            if res.verdict != "unstable":
-                problems.append(f"block module {dims} not reported unstable")
-                continue
-            w = res.witness
-            if (w.dim_S, w.dim_T) != dims:
-                problems.append(f"block module {dims}: witness dims ({w.dim_S},{w.dim_T})")
-            elif not verify_witness(K, w):
-                problems.append(f"block module {dims}: witness fails re-verification")
-        detail = (
-            f"60 exact F_3 modules ({unstable_seen} unstable, all witnesses "
-            f"re-verified, certified verdicts agree), block forms {block_dims} unstable with matching dims"
-        )
-        if problems:
-            detail += "; " + problems[0]
-        return not problems, detail
-
-    return _timed(7, "Kronecker oracle", run)
+    for k in range(60):
+        rng = SplitMix64(derive_seed(seed, 800_000 + k))
+        n, m = (4, 5) if k % 2 == 0 else (3, 2)
+        entries = [
+            [random_form(field, 1, rng) for _ in range(m)] for _ in range(n)
+        ]
+        K = KroneckerModule(PolyMatrix(field, entries))
+        res = decide(K, f"module {k}")
+        if res.verdict == "unstable":
+            unstable_seen += 1
+            if not verify_witness(K, res.witness):
+                problems.append(f"witness re-verification failed on module {k}")
+    block_dims = [(1, 0), (2, 1), (3, 2), (4, 3)]
+    for idx, dims in enumerate(block_dims):
+        rng = SplitMix64(derive_seed(seed, 900_000 + idx))
+        K = _block_module(field, dims, rng)
+        res = decide(K, f"block module {dims}")
+        if res.verdict != "unstable":
+            problems.append(f"block module {dims} not reported unstable")
+            continue
+        w = res.witness
+        if (w.dim_S, w.dim_T) != dims:
+            problems.append(f"block module {dims}: witness dims ({w.dim_S},{w.dim_T})")
+        elif not verify_witness(K, w):
+            problems.append(f"block module {dims}: witness fails re-verification")
+    detail = (
+        f"60 exact F_3 modules ({unstable_seen} unstable, all witnesses "
+        f"re-verified, certified verdicts agree), block forms {block_dims} unstable with matching dims"
+    )
+    if problems:
+        detail += "; " + problems[0]
+    return not problems, detail
 
 
-def criterion_8_construct_x5(seed: int) -> CriterionResult:
-    def run():
-        bad = 0
-        for k in range(100):
-            field = GF(101) if k % 10 else QQ
-            rng = SplitMix64(derive_seed(seed, 500_000 + k))
+def criterion_8_construct_x5(seed: int) -> Tuple[bool, str]:
+    bad = 0
+    for k in range(100):
+        field = GF(101) if k % 10 else QQ
+        rng = SplitMix64(derive_seed(seed, 500_000 + k))
+        l = random_form(field, 1, rng)
+        while l.is_zero:
             l = random_form(field, 1, rng)
-            while l.is_zero:
-                l = random_form(field, 1, rng)
+        q = random_form(field, 2, rng)
+        while q.is_zero or divides(l, q):
             q = random_form(field, 2, rng)
-            while q.is_zero or divides(l, q):
-                q = random_form(field, 2, rng)
+        f = l * random_form(field, 5, rng) + q * random_form(field, 4, rng)
+        while f.is_zero:
             f = l * random_form(field, 5, rng) + q * random_form(field, 4, rng)
-            while f.is_zero:
-                f = l * random_form(field, 5, rng) + q * random_form(field, 4, rng)
-            P = construct_x5(f, l, q)
-            det = fitting_determinant(P)
-            if det != f or det.to_encoding() != f.to_encoding():
-                bad += 1
-        return bad == 0, f"100 roundtrips (F_101 and Q), {bad} determinant mismatches"
-
-    return _timed(8, "X5 constructor roundtrip", run)
+        P = construct_x5(f, l, q)
+        det = fitting_determinant(P)
+        if det != f or det.to_encoding() != f.to_encoding():
+            bad += 1
+    return bad == 0, f"100 roundtrips (F_101 and Q), {bad} determinant mismatches"
 
 
-def criterion_9_negative_controls(seed: int) -> CriterionResult:
+def criterion_9_negative_controls(seed: int) -> Tuple[bool, str]:
     """Degenerate X3 (dependent phi_11 entries) and X5 (l | q) constructions.
 
     The criterion asserts these classify away from their shape's row (or
@@ -438,63 +405,59 @@ def criterion_9_negative_controls(seed: int) -> CriterionResult:
     and the determinant is kept nonzero so the classifier's preconditions
     hold.
     """
+    field = GF(101)
+    outcomes = Counter()
 
-    def run():
-        field = GF(101)
-        outcomes = Counter()
-
-        src3, tgt3 = SHAPES[StratumLabel.X3]
-        for k in range(NEGATIVE_CONTROLS):
-            rng = SplitMix64(derive_seed(seed, 910_000 + k))
-            while True:
+    src3, tgt3 = SHAPES[StratumLabel.X3]
+    for k in range(NEGATIVE_CONTROLS):
+        rng = SplitMix64(derive_seed(seed, 910_000 + k))
+        while True:
+            l = random_form(field, 1, rng)
+            while l.is_zero:
                 l = random_form(field, 1, rng)
-                while l.is_zero:
-                    l = random_form(field, 1, rng)
-                c = rng.next_below(101)
-                entries = [
-                    [l, l.scale(c), Form.zero(field, -1), Form.zero(field, -1)],
-                ]
-                for i in range(3):
-                    entries.append(
-                        [
-                            random_form(field, 3, rng),
-                            random_form(field, 3, rng),
-                            random_form(field, 1, rng),
-                            random_form(field, 1, rng),
-                        ]
-                    )
-                P = Presentation(src3, tgt3, PolyMatrix(field, entries))
-                if is_injective(P):
-                    break
-            outcomes[_classify_outcome(P, StratumLabel.X3)] += 1
+            c = rng.next_below(101)
+            entries = [
+                [l, l.scale(c), Form.zero(field, -1), Form.zero(field, -1)],
+            ]
+            for i in range(3):
+                entries.append(
+                    [
+                        random_form(field, 3, rng),
+                        random_form(field, 3, rng),
+                        random_form(field, 1, rng),
+                        random_form(field, 1, rng),
+                    ]
+                )
+            P = Presentation(src3, tgt3, PolyMatrix(field, entries))
+            if is_injective(P):
+                break
+        outcomes[_classify_outcome(P, StratumLabel.X3)] += 1
 
-        src5, tgt5 = SHAPES[StratumLabel.X5]
-        for k in range(NEGATIVE_CONTROLS):
-            rng = SplitMix64(derive_seed(seed, 920_000 + k))
-            while True:
+    src5, tgt5 = SHAPES[StratumLabel.X5]
+    for k in range(NEGATIVE_CONTROLS):
+        rng = SplitMix64(derive_seed(seed, 920_000 + k))
+        while True:
+            l = random_form(field, 1, rng)
+            u = random_form(field, 1, rng)
+            while l.is_zero:
                 l = random_form(field, 1, rng)
+            while u.is_zero:
                 u = random_form(field, 1, rng)
-                while l.is_zero:
-                    l = random_form(field, 1, rng)
-                while u.is_zero:
-                    u = random_form(field, 1, rng)
-                q = l * u
-                h = random_form(field, 4, rng)
-                g = random_form(field, 5, rng)
-                P = Presentation(src5, tgt5, PolyMatrix(field, [[h, l], [g, q]]))
-                if is_injective(P):
-                    break
-            outcomes[_classify_outcome(P, StratumLabel.X5)] += 1
+            q = l * u
+            h = random_form(field, 4, rng)
+            g = random_form(field, 5, rng)
+            P = Presentation(src5, tgt5, PolyMatrix(field, [[h, l], [g, q]]))
+            if is_injective(P):
+                break
+        outcomes[_classify_outcome(P, StratumLabel.X5)] += 1
 
-        escaped = outcomes["not_in_table"] + outcomes["other_label"]
-        same = outcomes["same_label"]
-        ok = same == 0
-        return ok, (
-            f"2x{NEGATIVE_CONTROLS} degenerate constructions: {escaped} flagged "
-            f"(ProfileNotInTable or different row), {same} still classified as the shape's row"
-        )
-
-    return _timed(9, "negative-control classifier", run)
+    escaped = outcomes["not_in_table"] + outcomes["other_label"]
+    same = outcomes["same_label"]
+    ok = same == 0
+    return ok, (
+        f"2x{NEGATIVE_CONTROLS} degenerate constructions: {escaped} flagged "
+        f"(ProfileNotInTable or different row), {same} still classified as the shape's row"
+    )
 
 
 def _classify_outcome(P: Presentation, shape_label: StratumLabel) -> str:
@@ -511,6 +474,19 @@ def _classify_outcome(P: Presentation, shape_label: StratumLabel) -> str:
 # suite driver
 # ---------------------------------------------------------------------------
 
+# number -> (name, criterion, what it is called with: the pool, the seed or nothing)
+CRITERIA: Dict[int, Tuple[str, Callable[..., Tuple[bool, str]], Optional[str]]] = {
+    1: ("table reproduction", criterion_1_table, "pool"),
+    2: ("Hilbert polynomial", criterion_2_hilbert, "pool"),
+    3: ("duality", criterion_3_duality, "pool"),
+    4: ("dimension arithmetic", criterion_4_dimensions, None),
+    5: ("polarization windows", criterion_5_windows, None),
+    6: ("X1 oracle equivalence", criterion_6_x1_oracle, "seed"),
+    7: ("Kronecker oracle", criterion_7_kronecker, "seed"),
+    8: ("X5 constructor roundtrip", criterion_8_construct_x5, "seed"),
+    9: ("negative-control classifier", criterion_9_negative_controls, "seed"),
+}
+
 SUITES: Dict[str, Sequence[int]] = {
     "table": (1, 2, 8, 9),
     "duality": (3,),
@@ -521,20 +497,17 @@ SUITES: Dict[str, Sequence[int]] = {
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> List[CriterionResult]:
-    """Run one named suite, one criterion after another in number order."""
+    """Run one named suite, one criterion after another in number order,
+    timing each; the sample pool is built once, when a criterion reads it."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     wanted = SUITES[suite]
-    pool = generate_samples(seed, SAMPLES_PER_STRATUM) if {1, 2, 3}.intersection(wanted) else None
-    criteria = {
-        1: lambda: criterion_1_table(pool),
-        2: lambda: criterion_2_hilbert(pool),
-        3: lambda: criterion_3_duality(pool),
-        4: criterion_4_dimensions,
-        5: criterion_5_windows,
-        6: lambda: criterion_6_x1_oracle(seed),
-        7: lambda: criterion_7_kronecker(seed),
-        8: lambda: criterion_8_construct_x5(seed),
-        9: lambda: criterion_9_negative_controls(seed),
-    }
-    return [criteria[n]() for n in wanted]
+    pool = generate_samples(seed) if any(CRITERIA[n][2] == "pool" for n in wanted) else None
+    arguments = {"pool": (pool,), "seed": (seed,), None: ()}
+    results = []
+    for n in wanted:
+        name, criterion, argument = CRITERIA[n]
+        t0 = time.perf_counter()
+        passed, details = criterion(*arguments[argument])
+        results.append(CriterionResult(n, name, passed, details, time.perf_counter() - t0))
+    return results

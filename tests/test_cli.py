@@ -18,6 +18,9 @@ from sextic_strata.strata import StratumLabel, classify
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
+    if code != 0 and "--human" not in argv:
+        # every error document is schema-versioned
+        assert json.loads(out)["schema_version"] == 1, out
     return code, out
 
 
@@ -299,14 +302,31 @@ def test_kron_window(capsys):
 def test_verify_dims_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "dims")
     assert code == 0
-    assert "[PASS] criterion 4" in out
-    assert "[PASS] criterion 5" in out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (doc["schema_version"], doc["kind"], doc["passed"], doc["total"]) == (1, "verification", 2, 2)
+    assert doc["criteria"]["4"]["details"] == "16/16 identities hold"
+    assert all(c["passed"] and c["seconds"] >= 0 for c in doc["criteria"].values())
 
 
 def test_verify_prints_criteria_in_order(capsys):
     code, out = run(capsys, "verify", "--suite", "dims")
     assert code == 0
-    assert out.index("criterion 4") < out.index("criterion 5")
+    assert list(json.loads(out)["criteria"]) == ["4", "5"]
+    code, out = run(capsys, "--human", "verify", "--suite", "dims")
+    assert code == 0
+    assert "kind: verification" in out and "passed: 2" in out
+    assert out.index("  4:") < out.index("    name: dimension arithmetic") < out.index("  5:")
+
+
+def test_verify_failing_criterion_exits_2(capsys, monkeypatch):
+    from sextic_strata import verify
+
+    monkeypatch.setitem(verify.CRITERIA, 5, ("polarization windows", lambda: (False, "forced"), None))
+    code, out = run(capsys, "verify", "--suite", "dims")
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["passed"], doc["total"], doc["criteria"]["5"]["passed"]) == (1, 2, False)
 
 
 def test_det_pretty_on_constructed_example(tmp_path, capsys):
@@ -347,3 +367,19 @@ def test_human_rendering(tmp_path, capsys):
     code, out = run(capsys, "--human", "classify", str(f))
     assert code == 0
     assert "label: X1" in out
+    code, out = run(capsys, "--human", "det", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert "kind: error" in out and "error: FileNotFoundError" in out
+
+
+def test_rectangular_presentation_exits_2(tmp_path, capsys):
+    # a 3 x 2 presentation is a contract violation for every square-only command
+    field = GF(101)
+    X, Y, Z = variables(field)
+    P = Presentation((-1, -1), (0, 0, 0), PolyMatrix(field, [[X, Y], [Y, Z], [Z, X]]))
+    f = tmp_path / "rect.json"
+    save(P, f)
+    for command in ("classify", "cohomology", "det"):
+        code, out = run(capsys, command, str(f))
+        assert code == 2, command
+        assert json.loads(out)["error"] == "NotSquareError", command

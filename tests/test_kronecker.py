@@ -38,7 +38,7 @@ F3 = GF(3)
 def transform(K, g, h):
     """The module h * M * g for invertible scalar matrices; same verdict."""
     F = K.field
-    cube = np.stack([h.matmul(S).matmul(g).a for S in K.coefficient_slices()], axis=-1)
+    cube = np.stack([h.matmul(S).matmul(g).a for S in K.slices], axis=-1)
     rows = [[Form.from_coeff_vector(F, 1, cell) for cell in row] for row in cube]
     return KroneckerModule(PolyMatrix(F, rows))
 

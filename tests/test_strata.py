@@ -17,6 +17,7 @@ from sextic_strata.strata import (
     SHAPES,
     PatternId,
     StratumLabel,
+    _ascending_twists,
     _in_linear_ideal_slice,
     _pencil_degenerates,
     _row_clearing_exists,
@@ -260,6 +261,34 @@ def test_gate_verdict_is_orbit_invariant(case, field):
             g = _random_aut(field, P.source, rng)
             M = poly_matmul(field, poly_matmul(field, h, P.matrix.entries), g)
             assert _gate_outcome(Presentation(P.source, P.target, PolyMatrix(field, M))) == want
+
+
+def _reversed(P):
+    """P with its twists, and so its rows and columns, in reverse order."""
+    rows = [row[::-1] for row in P.matrix.entries[::-1]]
+    return Presentation(P.source[::-1], P.target[::-1], PolyMatrix(P.field, rows))
+
+
+def test_permuted_twists_are_gated():
+    # X5 with l = X dividing q = XY and both twist pairs swapped: the gate
+    # must not read the permuted shape as a wrong one and let it through
+    X, Y, Z = variables(F101)
+    P = Presentation((-4, -1), (0, 1), PolyMatrix(F101, [[Z * Z * Z * Z, X], [Y * Y * Y * Y * Y, X * Y]]))
+    for Q in (P, _reversed(P)):
+        with pytest.raises(NotSemistable) as exc:
+            classify(Q)
+        assert exc.value.violations == ["l divides q"]
+
+
+@FIELDS
+def test_reversed_twists_keep_their_label(field):
+    for label in StratumLabel:
+        P = sample(SampleRequest(label, field, seed=5))
+        assert _ascending_twists(P) is P
+        Q = _reversed(P)
+        assert (Q.source, Q.target) != SHAPES[label]
+        rep = classification_report(Q)
+        assert (rep["label"], rep["violations"]) == (label.value, [])
 
 
 @FIELDS
