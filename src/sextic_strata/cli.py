@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SexticStrataError, FileNotFoundError, ValueError) as exc:
+    except (SexticStrataError, OSError, ValueError) as exc:
         _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)}, args.human)
         return exc.exit_code if isinstance(exc, SexticStrataError) else EXIT_MALFORMED
 

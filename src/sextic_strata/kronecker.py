@@ -16,6 +16,15 @@ that `verify_witness` re-checks (Ivanyos-Qiao-Subrahmanyam 2017).  Over a
 small prime field, enumerating the subspace lattice is the reference; it
 takes dim T of a whole chunk of echelon bases from one matrix product and
 one batched rank elimination, in the frozen order of `echelon_chunks`.
+
+The slope test is symmetric under transposition, so the target lattice
+bounds the search from the other side.  For T of dim n - b, with rows U
+spanning its annihilator, the largest S sent into T (x) V is
+S_max(T) = ker (UA; UB; UC).  Some S of dim a destabilizes iff some T has
+dim S_max(T) >= a > m dim T / n, so the least destabilizing dimension is
+the least floor(m dim T / n) + 1 that a T's S_max reaches.  When n < m the
+target lattice is the smaller one: one pass over it either proves
+semistability or says where the source enumeration may start.
 """
 
 from __future__ import annotations
@@ -240,6 +249,35 @@ def _batched_ranks(a: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
+def _stacked_ranks(F: PrimeField, bases: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """For bases of shape (N, a, k) and W = [W_1 | W_2 | W_3] of shape
+    (k, 3c) in dot_dtype(k), the ranks of the N (3a) x c matrices whose
+    rows are r W_1, r W_2, r W_3 for the rows r of each basis."""
+    N, a, _ = bases.shape
+    images = F.reduce(bases.astype(W.dtype, copy=False) @ W).astype(F.dtype, copy=False)
+    return _batched_ranks(images.reshape(N, 3 * a, W.shape[1] // 3), F.p)
+
+
+def _smallest_destabilizing_dim(K: KroneckerModule) -> Optional[int]:
+    """The least dim S of a destabilizing source subspace, None if K is
+    semistable, from one pass over the target lattice of F_p^n.
+
+    Annihilators U of dim b come in echelon chunks; the rank of
+    (UA; UB; UC) gives dim S_max(T) = m - rank.  Its T of dim n - b
+    destabilizes from dimension a = floor(m (n - b) / n) + 1 on, which
+    shrinks as b grows, so b runs downward and the first b with a
+    qualifying T gives the least a.
+    """
+    F, n, m = K.field, K.n, K.m
+    ABC = np.hstack([S.a for S in K.slices]).astype(F.dot_dtype(n))
+    for b in range(n, 0, -1):
+        a = m * (n - b) // n + 1
+        for U in echelon_chunks(F, n, b):
+            if (m - _stacked_ranks(F, U, ABC) >= a).any():
+                return a
+    return None
+
+
 # ---------------------------------------------------------------------------
 # semistability
 # ---------------------------------------------------------------------------
@@ -254,14 +292,19 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     that, exact_smallfield decides if the lattice fits its budget, and
     BudgetExceededError is raised if not.  Nothing is accepted by default.
 
-    exact_smallfield: exhaustive enumeration of the source subspace
-    lattice over F_p, by increasing dimension and lexicographic pivot
-    pattern, batched ENUMERATION_CHUNK echelon bases per rank elimination.
-    The order is frozen: the first violating subspace becomes the witness
-    (rebuilt alone by `minimal_span`), `checked` counts the subspaces up to
-    and including it (all of them when semistable), and `budget` is the
-    lattice size.  Raises BudgetExceededError, before any enumeration,
-    when the lattice has more than EXACT_LATTICE_BUDGET elements.
+    exact_smallfield: the source subspace lattice over F_p in a frozen
+    order, by increasing dimension and lexicographic pivot pattern, batched
+    ENUMERATION_CHUNK echelon bases per rank elimination.  The first
+    violating subspace becomes the witness (rebuilt alone by
+    `minimal_span`), `checked` is its index in the frozen order, counting
+    from 1 (the lattice size when semistable), and `budget` is the lattice
+    size.  `checked` is not the number of subspaces whose rank was taken:
+    when n < m, one pass over the smaller target lattice
+    (`_smallest_destabilizing_dim`) first returns "semistable" outright or
+    skips the source dimensions below the least destabilizing one, none of
+    which can hold the witness.  Raises BudgetExceededError, before any
+    enumeration, when the source lattice has more than
+    EXACT_LATTICE_BUDGET elements.
     """
     if mode == "exact_smallfield":
         F = K.field
@@ -272,13 +315,16 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
             raise BudgetExceededError(
                 f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
-        dt = F.dot_dtype(K.m)
-        W = K.stacked_slices().a.astype(dt)
-        checked = 0
-        for a in range(1, K.m + 1):
+        start, checked = 1, 0
+        if K.n < K.m:
+            start = _smallest_destabilizing_dim(K)
+            if start is None:
+                return SemistabilityResult("semistable", mode, None, size, size)
+            checked = sum(gaussian_binomial(K.m, a, F.p) for a in range(1, start))
+        W = K.stacked_slices().a.astype(F.dot_dtype(K.m))
+        for a in range(start, K.m + 1):
             for bases in echelon_chunks(F, K.m, a):
-                images = F.reduce(bases.astype(dt, copy=False) @ W).astype(F.dtype, copy=False)
-                dim_T = _batched_ranks(images.reshape(len(bases), 3 * a, K.n), F.p)
+                dim_T = _stacked_ranks(F, bases, W)
                 violating = np.flatnonzero(K.n * a - K.m * dim_T > 0)
                 if violating.size:
                     first = int(violating[0])

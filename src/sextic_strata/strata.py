@@ -140,10 +140,11 @@ def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, Hilbert
     label = PROFILE_TO_LABEL.get(pr.as_tuple()) if hp.as_list() == [6, 1] else None
     if label is None:
         raise ProfileNotInTable(pr.as_tuple(), hp.as_list())
-    P = _ascending_twists(P)
-    wrong = _wrong_shape(P, label)
+    Q = _ascending_twists(P)
+    # compared sorted, quoted as the input lists them
+    wrong = _wrong_shape(P, label) if (Q.source, Q.target) != SHAPES[label] else []
     if not wrong:
-        violations = _conditions(P, label)
+        violations = _conditions(Q, label)
         if violations:
             raise NotSemistable(pr.as_tuple(), violations)
     return label, pr, hp, wrong

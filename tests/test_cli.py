@@ -202,6 +202,13 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+def test_directory_path_exit_code(tmp_path, capsys):
+    code, out = run(capsys, "classify", str(tmp_path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["kind"] == "error" and doc["error"] == "IsADirectoryError"
+
+
 def test_det_and_cohomology(tmp_path, capsys):
     f = tmp_path / "x5.json"
     run(capsys, "sample", "--stratum", "X5", "--field", "p:101", "--seed", "3", "--out", str(f))

@@ -233,12 +233,28 @@ def reference_exact_smallfield(K):
     return SemistabilityResult("semistable", "exact_smallfield", None, checked, size)
 
 
+def equality_module(field):
+    """Strictly semistable 2x4: the zero 1x2 lower-left block gives a pair
+    with n dim S = m dim T = 4, and no pair violates the slope test."""
+    X, Y, Z = variables(field)
+    z = Form.zero(field, 1)
+    return module_from(field, [[X, Y, Z, X], [z, z, Y, Z]])
+
+
+def zero_block_module(field):
+    """Unstable 2x4 whose least destabilizing S, from its zero 1x3 block, has dim 3."""
+    X, Y, Z = variables(field)
+    z = Form.zero(field, 1)
+    return module_from(field, [[X, Y, Z, X], [z, z, z, Y]])
+
+
 def _equivalence_cases():
     from sextic_strata.verify import _block_module
 
     for p in (2, 3, 5):
         field = GF(p)
-        for n, m in [(4, 5), (3, 2), (5, 4), (2, 3), (1, 2), (3, 1)]:
+        shapes = [(4, 5), (3, 2), (5, 4), (2, 3), (1, 2), (3, 1)] + [(2, 4)] * (p < 5)
+        for n, m in shapes:
             if (p, m) == (5, 5):
                 continue  # the reference walks 42k subspaces, about 5 s per module
             for k in range(4):
@@ -248,6 +264,9 @@ def _equivalence_cases():
         X, Y, Z = variables(field)
         yield pytest.param(module_from(field, [[z, z], [z, z], [z, z]]), id=f"F{p}-zero")
         yield pytest.param(module_from(field, [[X, z, Y], [Y, z, Z], [Z, z, X]]), id=f"F{p}-zero-column")
+        if p < 5:
+            yield pytest.param(equality_module(field), id=f"F{p}-equality")
+            yield pytest.param(zero_block_module(field), id=f"F{p}-zero-block")
     # the block modules of criterion 7
     for idx, dims in enumerate([(1, 0), (2, 1), (3, 2), (4, 3)]):
         K = _block_module(F3, dims, SplitMix64(derive_seed(20260801, 900_000 + idx)))
@@ -257,6 +276,37 @@ def _equivalence_cases():
 @pytest.mark.parametrize("K", list(_equivalence_cases()))
 def test_batched_enumeration_matches_per_subspace_loop(K):
     assert is_semistable(K, mode="exact_smallfield") == reference_exact_smallfield(K)
+
+
+def test_target_pass_skips_dimensions_that_cannot_destabilize(monkeypatch):
+    calls = []
+
+    def recording(field, m, a):
+        calls.append((m, a))
+        return echelon_chunks(field, m, a)
+
+    monkeypatch.setattr(kronecker, "echelon_chunks", recording)
+    semistable_4x5 = random_module(F3, 4, 5, derive_seed(4245, 450))
+    for K, verdict in [(semistable_4x5, "semistable"), (equality_module(F3), "semistable"),
+                       (zero_block_module(F3), "unstable")]:
+        calls.clear()
+        res = is_semistable(K, mode="exact_smallfield")
+        assert res.verdict == verdict
+        # the target pass walks F_3^n; the source enumeration, if any, F_3^m
+        source_dims = [a for m, a in calls if m == K.m]
+        assert source_dims == ([] if verdict == "semistable" else [3])
+        assert [a for m, a in calls if m == K.n] and all(m in (K.n, K.m) for m, _ in calls)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_verdict_is_invariant_under_transposition(p):
+    # King's slope test is self-dual: S, T destabilize K iff ann T, ann S destabilize K^T
+    field = GF(p)
+    for k, (n, m) in enumerate([(2, 3), (3, 2), (4, 5), (5, 4), (1, 3), (2, 4), (4, 2)] * 3):
+        K = random_module(field, n, m, derive_seed(777 + p, k))
+        Kt = KroneckerModule(K.matrix.transpose())
+        assert (is_semistable(K, mode="exact_smallfield").verdict
+                == is_semistable(Kt, mode="exact_smallfield").verdict)
 
 
 def test_large_prime_two_columns_without_size_p_tables():

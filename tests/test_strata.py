@@ -123,6 +123,19 @@ def test_x2_shape_out_of_normal_position_classifies_as_x1():
     assert validate_shape(P, StratumLabel.X2)  # but it is not in X2 normal position
 
 
+def test_wrong_shape_quotes_twists_in_file_order():
+    # the presentation above with its twists reversed: still X1 on the X2 shape,
+    # and the violation names the vectors as given, not sorted
+    rng = SplitMix64(3)
+    src, tgt = SHAPES[StratumLabel.X2]
+    ent = [[random_form(F101, d - s, rng) for s in src] for d in tgt]
+    P = Presentation(src[::-1], tgt[::-1], PolyMatrix(F101, [row[::-1] for row in ent[::-1]]))
+    rep = classification_report(P)
+    assert rep["label"] == "X1"
+    assert rep["violations"] == [f"wrong twist shape: expected {SHAPES[StratumLabel.X1][0]} -> "
+                                 f"{SHAPES[StratumLabel.X1][1]}, got {src[::-1]} -> {tgt[::-1]}"]
+
+
 def test_classification_report_schema():
     rep = classification_report(sample_of(StratumLabel.X3))
     assert rep["kind"] == "classification"
