@@ -14,7 +14,9 @@ hook such as __repr__, __hash__, an immutability guard or an error
 constructor, which Python calls and no entry point needs to) nor listed
 in ALLOWED, is printed and makes the exit code 1.  So does an ALLOWED
 entry that was reached after all or names no function, which keeps the
-list short and true.  Run from the repository root:
+list short and true, and so does any command that exits nonzero: a
+failing command reaches the code of its failure, not the code it names.
+Run from the repository root:
 
     PYTHONPATH=src python scripts/reachability.py
 """
@@ -120,6 +122,7 @@ def main() -> int:
         finally:
             sys.setprofile(None)
 
+    failed = []
     t0 = time.perf_counter()
     # The package is imported here and in the helpers, never at the top, so
     # that its import-time calls run under the hook.
@@ -133,7 +136,10 @@ def main() -> int:
                 code = cli.main(argv)
             if argv[0] == "verify":
                 print(out.getvalue(), end="")
-            print(f"exit {code}: {' '.join(a if '/' not in a else Path(a).name for a in argv)}")
+            line = f"exit {code}: {' '.join(a if '/' not in a else Path(a).name for a in argv)}"
+            print(line)
+            if code != 0:
+                failed.append(line)
     reached = {functions[key] for key in ((c.co_filename, c.co_firstlineno, c.co_name)
                                           for c in reached_codes.values()) if key in functions}
     unreached = sorted(set(functions.values()) - reached - ALLOWED.keys())
@@ -142,9 +148,12 @@ def main() -> int:
         print(f"unreached: {name}")
     for name in stale:
         print(f"allowlisted but reached or missing: {name}")
+    for line in failed:
+        print(f"failed: {line}")
     print(f"{len(reached)} of {len(functions)} functions reached, {len(ALLOWED)} allowlisted, "
-          f"{len(unreached)} unreached, {len(stale)} stale entries; {time.perf_counter() - t0:.1f}s")
-    return 1 if unreached or stale else 0
+          f"{len(unreached)} unreached, {len(stale)} stale entries, {len(failed)} failed commands; "
+          f"{time.perf_counter() - t0:.1f}s")
+    return 1 if unreached or stale or failed else 0
 
 
 if __name__ == "__main__":

@@ -113,6 +113,6 @@ class RejectionBudgetExceeded(SexticStrataError):
 
 
 class BudgetExceededError(SexticStrataError):
-    """Exact enumeration would exceed the configured work budget."""
+    """A computation would exceed a configured work budget."""
 
     exit_code = 3

@@ -11,8 +11,9 @@ with equality allowed (strict inequality everywhere is stability).  With
 M = X*A + Y*B + Z*C, a destabilizing S shrinks S (x) k^n into T (x) k^m
 under every blow-up element sum A_i (x) E_i (E_i in M_{m x n}), so one of
 full rank nm proves semistability (King 1994; Derksen-Weyman 2000); the
-second Wong sequence of a rank-deficient one yields a destabilizing pair
-that `verify_witness` re-checks (Ivanyos-Qiao-Subrahmanyam 2017).  Over a
+second Wong sequence of a rank-deficient one may yield a destabilizing
+pair that `verify_witness` re-checks (Ivanyos-Qiao-Subrahmanyam 2017).
+Each drawn element is one certificate attempt, decided on its own.  Over a
 small prime field, enumerating the subspace lattice is the reference; it
 takes dim T of a whole chunk of echelon bases from one matrix product and
 one batched rank elimination, in the frozen order of `echelon_chunks`.
@@ -286,10 +287,11 @@ def _smallest_destabilizing_dim(K: KroneckerModule) -> Optional[int]:
 def is_semistable(K: KroneckerModule, mode: str = "certificate") -> SemistabilityResult:
     """Decide semistability of a Kronecker module; every verdict is certified.
 
-    certificate: up to CERTIFICATE_TRIES random blow-up elements; rank nm
-    proves "semistable" (`checked` counts the tries).  Otherwise the Wong
-    sequence of the highest-rank one gives an "unstable" witness; failing
-    that, exact_smallfield decides if the lattice fits its budget, and
+    certificate: up to CERTIFICATE_TRIES random blow-up elements G, each
+    built once and decided alone: rank nm proves "semistable", else the
+    Wong sequence started at ker G may give an "unstable" witness.
+    `checked` counts the elements drawn, for both verdicts.  If none
+    decides, exact_smallfield decides if the lattice fits its budget, and
     BudgetExceededError is raised if not.  Nothing is accepted by default.
 
     exact_smallfield: the source subspace lattice over F_p in a frozen
@@ -336,21 +338,17 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     if mode != "certificate":
         raise ValueError(f"unknown mode {mode!r}")
     F = K.field
-    slices = K.slices
     rng = SplitMix64(CERTIFICATE_SEED)
     bound = F.p if F.kind == "prime" else 19
-    best_rank, best = -1, None
     for tries in range(1, CERTIFICATE_TRIES + 1):
         Es = [ScalarMatrix(F, [[rng.next_below(bound) for _ in range(K.n)] for _ in range(K.m)])
-              for _ in slices]
-        rank = _blowup_element(slices, Es).rank()
-        if rank == K.n * K.m:
+              for _ in K.slices]
+        G = _blowup_element(K.slices, Es)
+        if G.rank() == K.n * K.m:
             return SemistabilityResult("semistable", mode, None, tries, CERTIFICATE_TRIES)
-        if rank > best_rank:
-            best_rank, best = rank, Es
-    w = _wong_witness(K, best)
-    if w is not None:
-        return SemistabilityResult("unstable", mode, w, CERTIFICATE_TRIES, CERTIFICATE_TRIES)
+        w = _wong_witness(K, Es, G)
+        if w is not None:
+            return SemistabilityResult("unstable", mode, w, tries, CERTIFICATE_TRIES)
     if F.kind == "prime" and subspace_lattice_size(K.m, F.p) <= EXACT_LATTICE_BUDGET:
         return is_semistable(K, mode="exact_smallfield")
     raise BudgetExceededError(f"no certificate in {CERTIFICATE_TRIES} tries and the subspace "
@@ -366,19 +364,17 @@ def _blowup_element(slices, Es) -> ScalarMatrix:
     return ScalarMatrix._wrap(F, F.reduce(total).astype(F.dtype, copy=False))
 
 
-def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:
+def _wong_witness(K: KroneckerModule, Es, G: ScalarMatrix) -> Optional[Witness]:
     """The limit of the second Wong sequence of G = sum A_i (x) E_i, if destabilizing.
 
-    The blow-up maps U onto minimal_span(S) (x) k^m, S the column span of U
-    read as m x n matrices; G^-1 (T (x) k^m) = ker sum (Q A_i) (x) E_i, Q's
-    rows spanning the annihilator of T.
+    The sequence starts at ker G.  The blow-up maps U onto
+    minimal_span(S) (x) k^m, S the column span of U read as m x n matrices;
+    G^-1 (T (x) k^m) = ker sum (Q A_i) (x) E_i, Q's rows spanning the
+    annihilator of T.
     """
     F, n, m = K.field, K.n, K.m
-    slices = K.slices
-    dim_T, T_basis = 0, []
+    dim_T, U = 0, G.kernel_basis()
     while True:
-        Q = ScalarMatrix(F, ScalarMatrix(F, T_basis, shape=(dim_T, n)).kernel_basis(), (n - dim_T, n))
-        U = _blowup_element([Q.matmul(A) for A in slices], Es).kernel_basis()
         cols = [[u[j * n + b] for j in range(m)] for u in U for b in range(n)]
         R, pivots = ScalarMatrix(F, cols, shape=(len(cols), m)).rref()
         S = ScalarMatrix(F, R.to_lists()[:len(pivots)], shape=(len(pivots), m))
@@ -386,6 +382,8 @@ def _wong_witness(K: KroneckerModule, Es) -> Optional[Witness]:
         if dim_next == dim_T:
             return _make_witness(K, S)
         dim_T = dim_next
+        Q = ScalarMatrix(F, ScalarMatrix(F, T_basis, shape=(dim_T, n)).kernel_basis(), (n - dim_T, n))
+        U = _blowup_element([Q.matmul(A) for A in K.slices], Es).kernel_basis()
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ class ScalarMatrix:
 
     def pivots(self) -> List[int]:
         """The pivot columns of the RREF, found by forward elimination alone."""
-        # h0 and h1 meet many empty matrices, at twists with no sections.
+        # verify's rank model meets many empty section matrices, at twists
+        # with no sections.
         return self._eliminate(reduced=False)[1] if self.a.size else []
 
     def rank(self) -> int:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    BudgetExceededError,
     InvalidPresentationError,
     NotSquareError,
 )
@@ -47,6 +48,13 @@ from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
 FORMAT_VERSION = 1
+# Largest cell degree d_i - s_j that `loads` accepts.  A cell of degree d is
+# built as dim_forms(d) coefficients before anything else is checked, so one
+# twist far from the others would cost memory quadratic in it.  Every cell
+# of a table shape has degree at most 5, and shifting all twists by one
+# amount keeps the degrees, so 64 (2145 coefficients a cell) leaves wide
+# room for every presentation in scope.
+MAX_CELL_DEGREE = 64
 
 
 def chi_line_bundle(e: int) -> int:
@@ -371,6 +379,9 @@ def presentation_from_dict(doc: dict) -> Presentation:
     field = field_from_json(doc["field"])
     source = tuple(json_int(x, "twist") for x in doc["source_twists"])
     target = tuple(json_int(x, "twist") for x in doc["target_twists"])
+    if source and target and max(target) - min(source) > MAX_CELL_DEGREE:
+        raise BudgetExceededError(f"cell degree {max(target) - min(source)} is past the "
+                                  f"load budget {MAX_CELL_DEGREE}")
     raw = doc["matrix"]
     if len(raw) != len(target):
         raise ValueError("matrix row count does not match target twists")

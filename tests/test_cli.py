@@ -10,7 +10,7 @@ from sextic_strata.errors import ProfileNotInTable
 from sextic_strata.fields import GF
 from sextic_strata.forms import variables
 from sextic_strata.polymatrix import PolyMatrix
-from sextic_strata.presentation import Presentation, save
+from sextic_strata.presentation import MAX_CELL_DEGREE, Presentation, save
 from sextic_strata.sampler import SampleRequest, sample
 from sextic_strata.strata import StratumLabel, classify
 
@@ -195,6 +195,25 @@ def test_wrong_degree_cell_exit_code(tmp_path, capsys):
     err = json.loads(out)
     assert err["kind"] == "error" and err["error"] == "InvalidPresentationError"
     assert "Traceback" not in out
+
+
+def test_cell_degree_past_load_budget_exits_3(tmp_path, capsys):
+    # each cell is built as dim_forms(degree) coefficients, so the degree is
+    # checked before any cell is read
+    doc = {"format_version": 1, "field": {"kind": "prime", "p": 101},
+           "source_twists": [-1_000_000], "target_twists": [0], "matrix": [[[]]]}
+    f = tmp_path / "far.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "classify", str(f))
+    assert code == 3
+    err = json.loads(out)
+    assert err["kind"] == "error" and err["error"] == "BudgetExceededError"
+    # a cell at the bound still loads: O(-64) -> O by X^64
+    f.write_text(json.dumps(dict(doc, source_twists=[-MAX_CELL_DEGREE],
+                                 matrix=[[[[1, MAX_CELL_DEGREE, 0, 0]]]])))
+    code, out = run(capsys, "det", str(f))
+    assert code == 0
+    assert json.loads(out)["degree"] == MAX_CELL_DEGREE
 
 
 def test_missing_file_exit_code(capsys):

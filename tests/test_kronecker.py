@@ -131,7 +131,7 @@ def test_certificate_agrees_with_enumeration(p):
         assert fallbacks >= 1
 
 
-@pytest.mark.parametrize("field", [GF(101), QQ], ids=["F101", "QQ"])
+@pytest.mark.parametrize("field", [GF(3), GF(101), QQ], ids=["F3", "F101", "QQ"])
 def test_certificate_block_witness_dims(field):
     from sextic_strata.verify import _block_module
 
@@ -139,8 +139,62 @@ def test_certificate_block_witness_dims(field):
         K = _block_module(field, dims, SplitMix64(derive_seed(31, idx)))
         res = is_semistable(K)
         assert (res.verdict, res.mode) == ("unstable", "certificate")
+        # the first drawn element is rank-deficient and its own Wong limit decides
+        assert res.checked == 1
         assert (res.witness.dim_S, res.witness.dim_T) == dims
         assert verify_witness(K, res.witness)
+
+
+def semistable_after_deficient_draw():
+    """A semistable F_3 module whose first blow-up element is rank-deficient."""
+    return random_module(F3, 4, 5, derive_seed(58, 2))
+
+
+def test_semistable_after_rank_deficient_first_element():
+    K = semistable_after_deficient_draw()
+    res = is_semistable(K)
+    assert (res.verdict, res.mode, res.checked) == ("semistable", "certificate", 2)
+    assert is_semistable(K, mode="exact_smallfield").verdict == "semistable"
+
+
+def _certificate_events(monkeypatch, K):
+    """Run the certificate on K and log, in order, "G" for each blow-up
+    element built from K's own slices, "step" for each built from other
+    slices (a later Wong step) and "wong" for each Wong sequence started."""
+    events = []
+    blowup, wong = kronecker._blowup_element, kronecker._wong_witness
+
+    def spy_blowup(slices, Es):
+        own = all(S == A for S, A in zip(slices, K.slices))
+        events.append("G" if own else "step")
+        return blowup(slices, Es)
+
+    def spy_wong(*args):
+        events.append("wong")
+        return wong(*args)
+
+    monkeypatch.setattr(kronecker, "_blowup_element", spy_blowup)
+    monkeypatch.setattr(kronecker, "_wong_witness", spy_wong)
+    return is_semistable(K), events
+
+
+def block_module_2_1():
+    from sextic_strata.verify import _block_module
+
+    return _block_module(GF(101), (2, 1), SplitMix64(derive_seed(31, 1)))
+
+
+@pytest.mark.parametrize("make, verdict, checked", [
+    (block_module_2_1, "unstable", 1),
+    (semistable_after_deficient_draw, "semistable", 2),
+], ids=["unstable", "semistable"])
+def test_blowup_element_built_once_per_draw(monkeypatch, make, verdict, checked):
+    res, events = _certificate_events(monkeypatch, make())
+    assert (res.verdict, res.checked) == (verdict, checked)
+    # each draw builds G once; Wong starts at ker G, never at a rebuilt G
+    assert events[:2] == ["G", "wong"]
+    assert events.count("G") == checked and events.count("wong") == 1
+
 
 
 def test_orbit_invariance_of_verdict():
