@@ -30,8 +30,7 @@ from .kronecker import (
     gaussian_binomial,
     is_semistable,
     moduli_dimension,
-    polarization_valid_42,
-    polarization_window_42,
+    polarization_windows,
     verify_witness,
 )
 from .linalg import ScalarMatrix

@@ -3,8 +3,8 @@
 Subcommands: classify, sample, dual, det, cohomology, kron check,
 kron window, verify.  Every report, error documents included, is one
 schema-versioned JSON document in canonical encoding, written by `_emit`;
---human renders it as text.  Exit codes: 0 success, 1 malformed input,
-2 contract violation (off-table profile / non-semistable cokernel /
+--human renders it as text.  Exit codes: 0 success, 1 malformed input
+or a usage error (--help exits 0), 2 contract violation (off-table profile / non-semistable cokernel /
 non-injective or non-square matrix / failed criterion, with the offending
 data in the report), 3 budget exceeded; each package error names its own
 as `exit_code`.
@@ -25,7 +25,7 @@ from .errors import (
     SexticStrataError,
 )
 from .fields import parse_field
-from .kronecker import KroneckerModule, is_semistable, polarization_window_42
+from .kronecker import KroneckerModule, is_semistable, polarization_windows
 from .presentation import (
     Presentation,
     dumps,
@@ -161,8 +161,7 @@ def cmd_kron_check(args) -> int:
 
 
 def cmd_kron_window(args) -> int:
-    rep = polarization_window_42(args.grid)
-    _emit({"kind": "polarization_windows", **rep.as_dict()}, args.human)
+    _emit({"kind": "polarization_windows", **polarization_windows()}, args.human)
     return EXIT_OK
 
 
@@ -187,8 +186,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_CONTRACT
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # to main's error document and exit 1, not argparse's exit 2
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sextic-strata",
         description="Exact classification of degree-6 Euler-characteristic-1 plane sheaf presentations.",
     )
@@ -227,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ksub.add_parser("check", help="semistability of an all-linear matrix")
     p.add_argument("file")
     p.set_defaults(fn=cmd_kron_check)
-    p = ksub.add_parser("window", help="polarization window sweep")
-    p.add_argument("--grid", type=int, default=700)
+    p = ksub.add_parser("window", help="exact polarization windows")
     p.set_defaults(fn=cmd_kron_window)
 
     p = sub.add_parser("verify", help="run acceptance suites")
@@ -240,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(human=False)  # what a usage error is rendered with
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.fn(args)
     except (SexticStrataError, OSError, ValueError) as exc:
         _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)}, args.human)

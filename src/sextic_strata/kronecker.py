@@ -398,107 +398,71 @@ def moduli_dimension(q: int, m: int, n: int) -> int:
     return q * m * n - m * m - n * n + 1
 
 
-def polarization_valid_42(lam1, lam2, mu1) -> bool:
-    """The six strict weight inequalities for the 2 x (1+2) morphism space.
+# A row (a, b1, b2, c, strict) of a window table states
+# a + b1*lam1 + b2*lam2 + c*mu1 > 0 (>= 0 when not strict) in the weights of
+# the 2 x (1+2) morphism space with lambda_3 = lambda_2 and mu_2 = mu_1.
 
-    With lambda_3 = lambda_2 and mu_2 = mu_1, properness of every zero
-    submatrix pattern under the one-parameter subgroup test reduces to:
+# Properness of every zero submatrix pattern under the one-parameter
+# subgroup test (King 1994), and positivity of all weights.
+SIX_INEQUALITIES_42 = (
+    (-1, 0, 2, 1, True),   # mu1 + 2*lam2 > 1
+    (-1, 0, 1, 2, True),   # 2*mu1 + lam2 > 1
+    (-1, 1, 1, 1, True),   # mu1 + lam1 + lam2 > 1
+    (-1, 1, 0, 2, True),   # 2*mu1 + lam1 > 1
+    (1, -1, 0, -1, True),  # mu1 + lam1 < 1
+    (1, 0, -1, -1, True),  # mu1 + lam2 < 1
+    (0, 1, 0, 0, True),    # lam1 > 0
+    (0, 0, 1, 0, True),    # lam2 > 0
+    (0, 0, 0, 1, True),    # mu1 > 0
+)
 
-        mu1 + 2*lam2 > 1,  2*mu1 + lam2 > 1,  mu1 + lam1 + lam2 > 1,
-        2*mu1 + lam1 > 1,  mu1 + lam1 < 1,    mu1 + lam2 < 1,
+# Sufficient conditions for a projective good quotient of the 2 x 3 setup,
+# with 3 = dim Hom(O(-3), O(-2)) and the quotient constant c = 1/5 of the
+# non-reductive GIT construction: quoted from it, hard-coded, not derived.
+REFINED_CONDITIONS_42 = (
+    (0, 1, 0, 0, True),                  # alpha_1 = lam1 > 0
+    (0, -3, 1, 0, True),                 # alpha_2 = lam2 - 3*lam1 > 0
+    (Fraction(-3, 10), 0, 1, 0, False),  # lam2 >= (3/2) * c
+    (0, 0, 1, Fraction(-3, 5), False),   # lam2 >= 3 * c * mu1
+)
 
-    together with positivity of all weights.  Exact rational comparisons.
-    """
-    lam1, lam2, mu1 = Fraction(lam1), Fraction(lam2), Fraction(mu1)
-    if lam1 <= 0 or lam2 <= 0 or mu1 <= 0:
-        return False
-    return (
-        mu1 + 2 * lam2 > 1
-        and 2 * mu1 + lam2 > 1
-        and mu1 + lam1 + lam2 > 1
-        and 2 * mu1 + lam1 > 1
-        and mu1 + lam1 < 1
-        and mu1 + lam2 < 1
-    )
+# The open stratum of the 2 x 2 setup; its rows read the last weight as mu_2.
+MU2_CONDITIONS_22 = (
+    (0, 0, 0, 1, True),                # mu2 > 0
+    (Fraction(1, 5), 0, 0, -1, True),  # mu2 < 1/5
+)
 
-
-def refined_conditions_42(lam1, lam2, mu1) -> bool:
-    """Sufficient conditions for a projective good quotient of the 2 x 3 setup.
-
-    alpha_1 = lam1 > 0, alpha_2 = lam2 - 3*lam1 > 0, and the two bounds
-    lam2 >= (3/2) * c and lam2 >= 3 * c * mu1 with the quotient constant
-    c = 1/5 (quoted from the non-reductive GIT construction; hard-coded,
-    not derived here).
-    """
-    lam1, lam2, mu1 = Fraction(lam1), Fraction(lam2), Fraction(mu1)
-    c = Fraction(1, 5)
-    a21 = 3  # dim Hom(O(-3), O(-2))
-    alpha1 = lam1
-    alpha2 = lam2 - a21 * lam1
-    return (
-        alpha1 > 0
-        and alpha2 > 0
-        and lam2 >= Fraction(a21, 2) * c
-        and lam2 >= c * a21 * mu1
-    )
+# lam1 = 1 - 2*lam2 and mu1 = 1/2, as the line (u, v) of weights u + lam2*v
+LINE_42 = ((1, 0, Fraction(1, 2)), (-2, 1, 0))
 
 
-def mu2_valid_22(mu2) -> bool:
-    """Open stratum polarization constraint 0 < mu_2 < 1/5."""
-    mu2 = Fraction(mu2)
-    return 0 < mu2 < Fraction(1, 5)
-
-
-@dataclass(frozen=True)
-class WindowReport:
-    """Accepted grid points of the polarization sweeps at a fixed denominator."""
-
-    grid: int
-    six_accepted: Tuple[int, ...]       # numerators k with lam2 = k/grid
-    refined_accepted: Tuple[int, ...]
-    mu2_accepted: Tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        def endpoints(ks):
-            if not ks:
+def _window(system, line) -> Optional[dict]:
+    """The t at which u + t*v satisfies every row of `system`, line = (u, v),
+    as one half-line per row intersected exactly: None if empty, else the
+    endpoints as text (None where unbounded) and whether each is excluded."""
+    u, v = line
+    # per side the tightest (endpoint, open) so far, the upper endpoint
+    # negated, so that on both sides the larger pair is the tighter bound
+    bounds = [None, None]
+    for a, *b, strict in system:
+        p = a + sum(x * y for x, y in zip(b, u))
+        q = sum(x * y for x, y in zip(b, v))
+        if q == 0:
+            if p < 0 or p == 0 and strict:
                 return None
-            return [f"{ks[0]}/{self.grid}", f"{ks[-1]}/{self.grid}"]
-
-        return {
-            "grid": self.grid,
-            "six_inequalities": {
-                "accepted_numerators": list(self.six_accepted),
-                "endpoints": endpoints(self.six_accepted),
-            },
-            "refined": {
-                "accepted_numerators": list(self.refined_accepted),
-                "endpoints": endpoints(self.refined_accepted),
-            },
-            "mu2": {
-                "accepted_numerators": list(self.mu2_accepted),
-                "endpoints": endpoints(self.mu2_accepted),
-            },
-        }
+            continue
+        bound = (Fraction(-p) / abs(q), strict)
+        bounds[q < 0] = max(bounds[q < 0] or bound, bound)
+    lo, hi = bounds
+    if lo and hi and (lo[0] > -hi[0] or lo[0] == -hi[0] and (lo[1] or hi[1])):
+        return None
+    return {"lower": lo and str(lo[0]), "upper": hi and str(-hi[0]),
+            "open": [not lo or lo[1], not hi or hi[1]]}
 
 
-def polarization_window_42(grid: int) -> WindowReport:
-    """Sweep lam2 = k/grid over (0, 1/2] under lam1 = 1 - 2*lam2, mu1 = 1/2.
-
-    Reports the accepted sets for the six inequalities (the open window
-    (1/4, 1/2)) and for the refined system (the open window (3/7, 1/2)),
-    plus the sweep of mu_2 = k/grid over (0, 1) against 0 < mu_2 < 1/5.
-    """
-    if grid < 100:
-        raise ValueError("grid denominator must be >= 100")
-    mu1 = Fraction(1, 2)
-    six = []
-    refined = []
-    for k in range(1, grid // 2 + 1):
-        lam2 = Fraction(k, grid)
-        lam1 = 1 - 2 * lam2
-        if polarization_valid_42(lam1, lam2, mu1):
-            six.append(k)
-        if lam1 > 0 and refined_conditions_42(lam1, lam2, mu1):
-            refined.append(k)
-    mu2 = [k for k in range(1, grid) if mu2_valid_22(Fraction(k, grid))]
-    return WindowReport(grid, tuple(six), tuple(refined), tuple(mu2))
+def polarization_windows() -> dict:
+    """The windows in lam2 on LINE_42 of the six inequalities, (1/4, 1/2),
+    and of the refined conditions, (3/7, 1/2); and in mu2, (0, 1/5)."""
+    return {"six_inequalities": _window(SIX_INEQUALITIES_42, LINE_42),
+            "refined": _window(REFINED_CONDITIONS_42, LINE_42),
+            "mu2": _window(MU2_CONDITIONS_22, ((0, 0, 0), (0, 0, 1)))}

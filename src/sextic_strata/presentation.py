@@ -33,6 +33,8 @@ the curve det phi = 0, which is what keeps the check exact over F_2.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,13 +50,27 @@ from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
 FORMAT_VERSION = 1
-# Largest cell degree d_i - s_j that `loads` accepts.  A cell of degree d is
-# built as dim_forms(d) coefficients before anything else is checked, so one
-# twist far from the others would cost memory quadratic in it.  Every cell
-# of a table shape has degree at most 5, and shifting all twists by one
-# amount keeps the degrees, so 64 (2145 coefficients a cell) leaves wide
-# room for every presentation in scope.
+# Load budgets, checked from the twists before any cell is built as its
+# dim_forms(d_i - s_j) coefficients: the largest cell degree, so that one
+# twist far from the others cannot cost memory quadratic in it, and the
+# largest total over all cells, so that many cells cannot either.  A table
+# shape has cells of degree at most 5 and at most 90 coefficients (X0), and
+# shifting all twists by one amount keeps both, so 64 (2145 coefficients a
+# cell) and 2^16 leave wide room for every presentation in scope.
 MAX_CELL_DEGREE = 64
+MAX_LOAD_COEFFICIENTS = 2 ** 16
+
+
+def _coefficient_count(source: Sequence[int], target: Sequence[int]) -> int:
+    """Sum over cells of dim_forms(t - s), from prefix sums of the sorted
+    sources: 2 dim_forms(t - s) = (t + 1)(t + 2) - (2t + 3) s + s^2 for s <= t."""
+    src = sorted(source)
+    sums, squares = [0, *itertools.accumulate(src)], [0, *itertools.accumulate(s * s for s in src)]
+    total = 0
+    for t in target:
+        k = bisect.bisect_right(src, t)
+        total += k * (t + 1) * (t + 2) - (2 * t + 3) * sums[k] + squares[k]
+    return total // 2
 
 
 def chi_line_bundle(e: int) -> int:
@@ -382,6 +398,9 @@ def presentation_from_dict(doc: dict) -> Presentation:
     if source and target and max(target) - min(source) > MAX_CELL_DEGREE:
         raise BudgetExceededError(f"cell degree {max(target) - min(source)} is past the "
                                   f"load budget {MAX_CELL_DEGREE}")
+    if _coefficient_count(source, target) > MAX_LOAD_COEFFICIENTS:
+        raise BudgetExceededError(f"the cells hold more coefficients than the load budget "
+                                  f"{MAX_LOAD_COEFFICIENTS}")
     raw = doc["matrix"]
     if len(raw) != len(target):
         raise ValueError("matrix row count does not match target twists")

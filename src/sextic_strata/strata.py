@@ -300,20 +300,18 @@ def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
 
 
 def x2_conditions(P: Presentation) -> List[str]:
-    """The zero constant block and the three pencil conditions of X2.
+    """The three pencil conditions of X2.
 
     (i) the last-column one-forms are independent; (ii) the linear 2x2
     block has nonzero determinant delta; (iii) the two mixed 2x2 minors
     are independent modulo delta * V*, checked as a rank-5 condition on
-    the cubics {m1, m2, delta*X, delta*Y, delta*Z}.  A nonzero constant
-    block never reaches the gate: it moves the profile to X1's.
+    the cubics {m1, m2, delta*X, delta*Y, delta*Z}.  The constant block at
+    (0,3), (1,3) is not read: a nonzero one moves the profile to X1's, so
+    it never reaches the gate, and `validate_shape` reports the profile.
     """
     _require_shape(P, StratumLabel.X2)
     M = P.matrix
     violations = []
-    for cell in ((0, 3), (1, 3)):
-        if not M.entry(*cell).is_zero:
-            violations.append(f"not in normal position: expected zero block at {cell}")
     q1, q2 = M.entry(0, 0), M.entry(1, 0)
     l11, l12 = M.entry(0, 1), M.entry(0, 2)
     l21, l22 = M.entry(1, 1), M.entry(1, 2)
@@ -398,13 +396,18 @@ def x5_conditions(P: Presentation) -> List[str]:
 
 
 def validate_shape(P: Presentation, label: StratumLabel) -> List[str]:
-    """Twist shape, injectivity and the stratum's matrix conditions.
+    """Twist shape, injectivity, profile and the stratum's matrix conditions.
 
     Returns all violations as data, every forbidden X1 pattern included;
     an empty list certifies the presentation as a member of the stratum's
     family on its canonical shape.  The samplers reject draws with it.
     """
-    return _wrong_shape(P, label) or validate(P) or _conditions(P, label)
+    return _wrong_shape(P, label) or validate(P) or _wrong_profile(P, label) or _conditions(P, label)
+
+
+def _wrong_profile(P: Presentation, label: StratumLabel) -> List[str]:
+    pr, want = profile(P).as_tuple(), EXPECTED_PROFILES[label]
+    return [f"profile {pr} is not {label.value}'s {want}"] if pr != want else []
 
 
 def _wrong_shape(P: Presentation, label: StratumLabel) -> List[str]:

@@ -10,7 +10,7 @@ and builds the CriterionResults.  What each one checks:
     equal their section-matrix ranks
  3. dual shapes, dual cohomology, involution, chi sums
  4. fibration identities with exact summands
- 5. windows (1/4, 1/2), (3/7, 1/2) and (0, 1/5) on the grid
+ 5. exact windows: endpoints and openness equal (1/4, 1/2), (3/7, 1/2), (0, 1/5)
  6. fast X1 pattern tests vs exhaustive orbit search, F_2
  7. exact Kronecker verdicts re-verified and certified; block forms unstable
  8. X5 constructor: determinant roundtrip, bit-exact
@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +33,7 @@ from .kronecker import (
     KroneckerModule,
     is_semistable,
     moduli_dimension,
-    polarization_window_42,
+    polarization_windows,
     verify_witness,
 )
 from .orbit_oracle import orbit_patterns
@@ -267,28 +266,12 @@ def criterion_4_dimensions() -> Tuple[bool, str]:
 
 
 def criterion_5_windows() -> Tuple[bool, str]:
-    problems = []
-    for grid in (100, 700):
-        rep = polarization_window_42(grid)
-        six_expect = [
-            k for k in range(1, grid // 2 + 1) if Fraction(1, 4) < Fraction(k, grid) < Fraction(1, 2)
-        ]
-        refined_expect = [
-            k for k in range(1, grid // 2 + 1) if Fraction(3, 7) < Fraction(k, grid) < Fraction(1, 2)
-        ]
-        mu2_expect = [
-            k for k in range(1, grid) if Fraction(0) < Fraction(k, grid) < Fraction(1, 5)
-        ]
-        if list(rep.six_accepted) != six_expect:
-            problems.append(f"grid {grid}: six-inequality window off")
-        if list(rep.refined_accepted) != refined_expect:
-            problems.append(f"grid {grid}: refined window off")
-        if list(rep.mu2_accepted) != mu2_expect:
-            problems.append(f"grid {grid}: mu2 window off")
-    detail = "windows (1/4,1/2), (3/7,1/2), (0,1/5) at grids 100 and 700"
-    if problems:
-        detail += "; " + "; ".join(problems)
-    return not problems, detail
+    # the paper's open windows: in lam2 on kronecker.LINE_42, and in mu2
+    paper = {"six_inequalities": ("1/4", "1/2"), "refined": ("3/7", "1/2"), "mu2": ("0", "1/5")}
+    windows = polarization_windows()
+    problems = [f"{name} window is {windows[name]}" for name, (lo, hi) in paper.items()
+                if windows[name] != {"lower": lo, "upper": hi, "open": [True, True]}]
+    return not problems, "; ".join(["exact open windows (1/4,1/2), (3/7,1/2), (0,1/5)", *problems])
 
 
 def criterion_6_x1_oracle(seed: int) -> Tuple[bool, str]:

@@ -69,8 +69,8 @@ def test_criterion_4_dimension_arithmetic():
 
 
 def test_criterion_5_king_windows():
-    # grid-700 sweep reproduces the open windows (1/4, 1/2) and (3/7, 1/2);
-    # the open-stratum constraint reproduces (0, 1/5)
+    # the exact windows are the open intervals (1/4, 1/2) and (3/7, 1/2) in
+    # lam2, and (0, 1/5) in mu2
     _report(criterion_5_windows())
 
 

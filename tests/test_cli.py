@@ -10,7 +10,7 @@ from sextic_strata.errors import ProfileNotInTable
 from sextic_strata.fields import GF
 from sextic_strata.forms import variables
 from sextic_strata.polymatrix import PolyMatrix
-from sextic_strata.presentation import MAX_CELL_DEGREE, Presentation, save
+from sextic_strata.presentation import MAX_CELL_DEGREE, MAX_LOAD_COEFFICIENTS, Presentation, save
 from sextic_strata.sampler import SampleRequest, sample
 from sextic_strata.strata import StratumLabel, classify
 
@@ -216,6 +216,21 @@ def test_cell_degree_past_load_budget_exits_3(tmp_path, capsys):
     assert json.loads(out)["degree"] == MAX_CELL_DEGREE
 
 
+def test_many_cells_past_load_budget_exit_3(tmp_path, capsys):
+    # 40 x 40 empty cells of degree 64 (a 7 KB file) would build 3432000
+    # coefficients; the total is counted from the twists, before any cell
+    n = 40
+    doc = {"format_version": 1, "field": {"kind": "prime", "p": 101},
+           "source_twists": [-MAX_CELL_DEGREE] * n, "target_twists": [0] * n,
+           "matrix": [[[] for _ in range(n)] for _ in range(n)]}
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "classify", str(f))
+    assert code == 3
+    err = json.loads(out)
+    assert err["error"] == "BudgetExceededError" and str(MAX_LOAD_COEFFICIENTS) in err["message"]
+
+
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, "classify", "/nonexistent/path.json")
     assert code == 1
@@ -318,11 +333,36 @@ def test_kron_check_budget_exit(tmp_path, capsys, monkeypatch):
 
 
 def test_kron_window(capsys):
-    code, out = run(capsys, "kron", "window", "--grid", "100")
+    code, out = run(capsys, "kron", "window")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["six_inequalities"]["endpoints"] == ["26/100", "49/100"]
-    assert doc["mu2"]["endpoints"] == ["1/100", "19/100"]
+    assert json.loads(out) == {
+        "schema_version": 1,
+        "kind": "polarization_windows",
+        "six_inequalities": {"lower": "1/4", "upper": "1/2", "open": [True, True]},
+        "refined": {"lower": "3/7", "upper": "1/2", "open": [True, True]},
+        "mu2": {"lower": "0", "upper": "1/5", "open": [True, True]},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--stratum", "X9", "--seed", "1"),
+    ("kron", "window", "--grid", "abc"),
+    ("kron", "window", "--grid", "700"),  # the option is gone
+], ids=["unknown-choice", "unknown-option-bad-value", "unknown-option"])
+def test_usage_error_exits_1_with_error_document(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    err = json.loads(out)
+    assert (err["kind"], err["error"]) == ("error", "ValueError")
+    assert argv[-1] in err["message"]
+
+
+def test_usage_error_under_human_and_help(capsys):
+    code, out = run(capsys, "--human", "sample", "--stratum", "X9", "--seed", "1")
+    assert code == 1 and "kind: error" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["kron", "--help"])
+    assert exc.value.code == 0
 
 
 def test_verify_dims_suite(capsys):

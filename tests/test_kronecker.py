@@ -20,10 +20,7 @@ from sextic_strata.kronecker import (
     gaussian_binomial,
     is_semistable,
     moduli_dimension,
-    mu2_valid_22,
-    polarization_valid_42,
-    polarization_window_42,
-    refined_conditions_42,
+    polarization_windows,
     subspace_lattice_size,
     verify_witness,
 )
@@ -411,42 +408,68 @@ def test_moduli_dimension_values():
 # ---------------------------------------------------------------------------
 
 
+def _inside(window, t) -> bool:
+    lo, hi = Fraction(window["lower"]), Fraction(window["upper"])
+    return (lo < t if window["open"][0] else lo <= t) and (t < hi if window["open"][1] else t <= hi)
+
+
 def test_polarization_examples():
-    assert polarization_valid_42(Fraction(1, 5), Fraction(2, 5), Fraction(1, 2))
-    # mu1 + 2*lam2 = 9/10 < 1
-    assert not polarization_valid_42(Fraction(3, 5), Fraction(1, 5), Fraction(1, 2))
-    # boundary / positivity
-    assert not polarization_valid_42(Fraction(0), Fraction(1, 2), Fraction(1, 2))
+    # points on lam1 = 1 - 2*lam2, mu1 = 1/2, read by lam2
+    six = polarization_windows()["six_inequalities"]
+    assert _inside(six, Fraction(2, 5))                  # lam1 = 1/5
+    assert not _inside(six, Fraction(1, 5))              # mu1 + 2*lam2 = 9/10 < 1
+    assert six["upper"] == "1/2" and six["open"][1]      # lam1 = 0 at the open endpoint
+    assert not _inside(six, Fraction(1, 2))
 
 
 def test_refined_conditions_window():
-    mu1 = Fraction(1, 2)
-    for k in range(1, 350):
-        lam2 = Fraction(k, 700)
-        lam1 = 1 - 2 * lam2
-        inside = Fraction(3, 7) < lam2 < Fraction(1, 2)
-        if lam1 > 0:
-            assert refined_conditions_42(lam1, lam2, mu1) == inside
+    refined = polarization_windows()["refined"]
+    assert refined == {"lower": "3/7", "upper": "1/2", "open": [True, True]}
+    assert [_inside(refined, t) for t in (Fraction(3, 7), Fraction(3, 7) + Fraction(1, 700),
+                                          Fraction(349, 700), Fraction(1, 2))] == [False, True, True, False]
 
 
-def test_window_sweep_grid_100():
-    rep = polarization_window_42(100)
-    assert list(rep.six_accepted) == list(range(26, 50))
-    assert list(rep.mu2_accepted) == list(range(1, 20))
-
-
-def test_window_sweep_grid_700():
-    rep = polarization_window_42(700)
-    assert rep.six_accepted[0] == 176 and rep.six_accepted[-1] == 349
-    assert rep.refined_accepted[0] == 301 and rep.refined_accepted[-1] == 349
+def test_polarization_windows_exact():
+    assert polarization_windows() == {
+        "six_inequalities": {"lower": "1/4", "upper": "1/2", "open": [True, True]},
+        "refined": {"lower": "3/7", "upper": "1/2", "open": [True, True]},
+        "mu2": {"lower": "0", "upper": "1/5", "open": [True, True]},
+    }
 
 
 def test_mu2_constraint():
-    assert mu2_valid_22(Fraction(1, 10))
-    assert not mu2_valid_22(Fraction(1, 5))
-    assert not mu2_valid_22(Fraction(0))
+    mu2 = polarization_windows()["mu2"]
+    assert _inside(mu2, Fraction(1, 10))
+    assert not _inside(mu2, Fraction(1, 5))
+    assert not _inside(mu2, Fraction(0))
 
 
-def test_window_grid_minimum():
-    with pytest.raises(ValueError):
-        polarization_window_42(50)
+def test_window_closed_and_empty_intersections():
+    line = kronecker.LINE_42
+    # lam2 >= 3/10 and lam2 <= 3/10 meet in one closed point; made strict, in none
+    point = ((Fraction(-3, 10), 0, 1, 0, False), (Fraction(3, 10), 0, -1, 0, False))
+    assert kronecker._window(point, line) == {"lower": "3/10", "upper": "3/10", "open": [False, False]}
+    assert kronecker._window(((Fraction(-3, 10), 0, 1, 0, True),) + point[1:], line) is None
+    # mu1 > 1 does not depend on lam2 and fails everywhere on the line
+    assert kronecker._window(((-1, 0, 0, 1, True),), line) is None
+    assert kronecker._window(((1, 0, 0, 0, True),), line) == {"lower": None, "upper": None,
+                                                               "open": [True, True]}
+
+
+@pytest.mark.parametrize("table, row, mutated, name", [
+    # alpha_2 = lam2 - 2*lam1 > 0 instead of lam2 - 3*lam1 > 0
+    ("REFINED_CONDITIONS_42", 1, (0, -2, 1, 0, True), "refined"),
+    # mu1 + lam2 > 1 instead of mu1 + 2*lam2 > 1: the window is empty.  Each
+    # endpoint of the six has two rows or more, so only a tightened row moves it.
+    ("SIX_INEQUALITIES_42", 0, (-1, 0, 1, 1, True), "six_inequalities"),
+    # mu2 < 1/4 instead of mu2 < 1/5
+    ("MU2_CONDITIONS_22", 1, (Fraction(1, 4), 0, 0, -1, True), "mu2"),
+], ids=["refined-alpha2", "six-first-row", "mu2-upper"])
+def test_criterion_5_fails_on_a_mutated_row(monkeypatch, table, row, mutated, name):
+    from sextic_strata.verify import criterion_5_windows
+
+    rows = list(getattr(kronecker, table))
+    rows[row] = mutated
+    monkeypatch.setattr(kronecker, table, tuple(rows))
+    passed, detail = criterion_5_windows()
+    assert not passed and f"{name} window is" in detail

@@ -534,3 +534,9 @@ def test_format_version_checked():
         from sextic_strata.presentation import presentation_from_dict
 
         presentation_from_dict(doc)
+
+
+@given(src=st.lists(st.integers(-80, 10), max_size=8), tgt=st.lists(st.integers(-80, 10), max_size=8))
+def test_coefficient_count_closed_form(src, tgt):
+    # the load budget's count equals the coefficients the cells would hold
+    assert presentation._coefficient_count(src, tgt) == sum(dim_forms(d - s) for d in tgt for s in src)

@@ -120,7 +120,8 @@ def test_x2_shape_out_of_normal_position_classifies_as_x1():
     assert not fitting_determinant(P).is_zero
     assert profile(P).as_tuple() == (0, 1, 0, 0)
     assert classify(P) == StratumLabel.X1
-    assert validate_shape(P, StratumLabel.X2)  # but it is not in X2 normal position
+    # on the X2 shape it is reported by its profile, X1's
+    assert validate_shape(P, StratumLabel.X2) == ["profile (0, 1, 0, 0) is not X2's (0, 1, 1, 0)"]
 
 
 def test_wrong_shape_quotes_twists_in_file_order():
