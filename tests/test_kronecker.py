@@ -437,6 +437,25 @@ def test_polarization_windows_exact():
     }
 
 
+def _grid_points_inside(window, n):
+    return [k for k in range(1, n) if _inside(window, Fraction(k, n))]
+
+
+def test_window_sweep_grid_100():
+    # the numerators k of k/100 that fall inside the exact windows
+    windows = polarization_windows()
+    assert _grid_points_inside(windows["six_inequalities"], 100) == list(range(26, 50))
+    assert _grid_points_inside(windows["mu2"], 100) == list(range(1, 20))
+
+
+def test_window_sweep_grid_700():
+    windows = polarization_windows()
+    six = _grid_points_inside(windows["six_inequalities"], 700)
+    refined = _grid_points_inside(windows["refined"], 700)
+    assert six[0] == 176 and six[-1] == 349
+    assert refined[0] == 301 and refined[-1] == 349
+
+
 def test_mu2_constraint():
     mu2 = polarization_windows()["mu2"]
     assert _inside(mu2, Fraction(1, 10))
