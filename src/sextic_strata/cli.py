@@ -72,7 +72,7 @@ def _render(doc: dict, indent: int = 0) -> str:
 def _load_presentation(path: str) -> Presentation:
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise InvalidPresentationError([f"malformed presentation file: {exc}"]) from exc
 
 

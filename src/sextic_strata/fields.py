@@ -35,7 +35,8 @@ _MR_BOUND = 318_665_857_834_031_151_167_461
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or above _MR_BOUND."""
+    """Trial division by the bases, then deterministic Miller-Rabin for
+    n >= 41^2; raises ValueError at or above _MR_BOUND."""
     if n >= _MR_BOUND:
         raise ValueError(f"primality of {n} is not decided at or above {_MR_BOUND}")
     if n < 2:
@@ -43,6 +44,10 @@ def _is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    if n < 41 * 41:
+        # a composite below 41^2 has a prime factor below 41, and every
+        # prime below 41 is a base
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

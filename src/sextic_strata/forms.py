@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +55,10 @@ class Form:
 
     The payload `array` holds the canonical coefficients in the monomial
     order of `degree`, read-only, of length `dim_forms(degree)` and the
-    field's dtype.  A zero form may carry any degree tag, including a
-    negative one (cells of a presentation whose Hom space is zero), and all
-    zero forms over one field are equal.
+    field's dtype; it may be a view of a buffer that other forms share.
+    A zero form may carry any degree tag, including a negative one (cells
+    of a presentation whose Hom space is zero), and all zero forms over
+    one field are equal.
     """
 
     __slots__ = ("field", "degree", "array", "is_zero")
@@ -70,10 +71,15 @@ class Form:
             vec[_position(degree, tuple(e))] = c
         self._fill(field, degree, field.array(vec, len(vec)))
 
-    def _fill(self, field: Field, degree: int, array: np.ndarray) -> None:
-        array.flags.writeable = False
-        for name, value in zip(Form.__slots__, (field, degree, array, not array.any())):
-            object.__setattr__(self, name, value)
+    def _fill(self, field: Field, degree: int, array: np.ndarray, is_zero=None) -> None:
+        if is_zero is None:
+            array.flags.writeable = False
+            is_zero = not array.any()
+        setter = object.__setattr__
+        setter(self, "field", field)
+        setter(self, "degree", degree)
+        setter(self, "array", array)
+        setter(self, "is_zero", is_zero)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Form is immutable")
@@ -81,10 +87,16 @@ class Form:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _of(cls, field: Field, degree: int, array: np.ndarray) -> "Form":
-        """The form whose payload is `array`, which no one else may hold."""
+    def _of(cls, field: Field, degree: int, array: np.ndarray, is_zero=None) -> "Form":
+        """The form whose payload is `array`, which no one may write.
+
+        Either `array` is new and no one else holds it, and it is made
+        read-only here, or it is a view of a read-only buffer shared by
+        several forms (the cells `loads` decodes), and the caller passes
+        the `is_zero` it already knows, which spares the scan.
+        """
         f = cls.__new__(cls)
-        f._fill(field, degree, array)
+        f._fill(field, degree, array, is_zero)
         return f
 
     @classmethod
@@ -187,25 +199,9 @@ class Form:
         return F.normalize(self.array.astype(dt, copy=False) @ values.astype(dt, copy=False))
 
     def to_encoding(self) -> list:
-        """Serialized as [[coeff, e_X, e_Y, e_Z], ...] in monomial order."""
+        """Serialized as [[coeff, e_X, e_Y, e_Z], ...] in monomial order;
+        `presentation.loads` reads it back."""
         return [[self.field.encode_coeff(c), *e] for e, c in self._terms()]
-
-    @classmethod
-    def from_encoding(cls, field: Field, degree: int, data: Iterable) -> "Form":
-        """Inverse of `to_encoding`.  Every listed exponent must be a monomial
-        of `degree`, even under a zero coefficient, and be listed once."""
-        vec = [field.zero()] * dim_forms(degree)
-        seen = set()
-        for c, ex, ey, ez in data:
-            e = (ex, ey, ez)
-            if not (type(ex) is type(ey) is type(ez) is int):
-                raise ValueError(f"exponents must be integers, not {e!r}")
-            k = _position(degree, e)
-            if k in seen:
-                raise ValueError(f"monomial {e} is listed twice")
-            seen.add(k)
-            vec[k] = field.decode_coeff(c)
-        return cls._of(field, degree, np.array(vec, dtype=field.dtype))
 
     def pretty(self) -> str:
         if self.is_zero:

@@ -29,6 +29,14 @@ determinant: phi evaluated at a point of the plane is a scalar matrix,
 and full rank there proves det phi != 0.  The symbolic determinant
 (`fitting_determinant`) is expanded only when every probe point lies on
 the curve det phi = 0, which is what keeps the check exact over F_2.
+
+Serialization is a frozen interchange format: `dumps` writes the twists
+and each cell's nonzero terms as [coeff, e_X, e_Y, e_Z] in canonical JSON,
+byte-stable.  `loads` checks the twists against the load budgets before it
+reads a cell, then decodes every cell in one pass into one flat list of
+coefficients, checking each term; one read-only array holds that list and
+each cell's form is a view of its slice, so a load makes one array, not one
+per cell.  The cells of one negative degree share one zero form.
 """
 
 from __future__ import annotations
@@ -39,13 +47,15 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     InvalidPresentationError,
     NotSquareError,
 )
-from .fields import field_from_json, json_int
-from .forms import Form, block_mult_map, dim_forms
+from .fields import Field, field_from_json, json_int
+from .forms import Form, block_mult_map, dim_forms, monomial_index
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -402,19 +412,60 @@ def presentation_from_dict(doc: dict) -> Presentation:
         raise BudgetExceededError(f"the cells hold more coefficients than the load budget "
                                   f"{MAX_LOAD_COEFFICIENTS}")
     raw = doc["matrix"]
-    if len(raw) != len(target):
+    if type(raw) is not list or len(raw) != len(target):
         raise ValueError("matrix row count does not match target twists")
-    entries = []
-    for i, row in enumerate(raw):
-        if len(row) != len(source):
+    return Presentation(source, target, PolyMatrix(field, _decode_cells(field, source, target, raw)),
+                        metadata=doc.get("metadata"))
+
+
+def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], raw: list) -> List[List[Form]]:
+    """The cells of `raw`, rows of `to_encoding` lists, as views of one
+    read-only buffer (module docstring).
+
+    Cell (i, j) holds its dim_forms(target[i] - source[j]) coefficients
+    from `start` on in the flat list.  Every listed exponent must be a
+    monomial of the cell's degree, even under a zero coefficient, and be
+    listed once, so a cell of negative degree lists no term.
+    """
+    zero, decode = field.zero(), field.decode_coeff
+    flat: list = []
+    layout = []  # (degree, start, is_zero) per cell, row by row
+    for row, d in zip(raw, target):
+        if type(row) is not list or len(row) != len(source):
             raise ValueError("matrix column count does not match source twists")
-        entries.append(
-            [
-                Form.from_encoding(field, target[i] - source[j], cell)
-                for j, cell in enumerate(row)
-            ]
-        )
-    return Presentation(source, target, PolyMatrix(field, entries), metadata=doc.get("metadata"))
+        for cell, s in zip(row, source):
+            if type(cell) is not list:
+                raise ValueError(f"a cell is a list of terms, not {cell!r}")
+            degree, start = d - s, len(flat)
+            index = monomial_index(degree) if degree >= 0 else {}
+            flat += [zero] * len(index)
+            seen = set()
+            for c, ex, ey, ez in cell:
+                e = (ex, ey, ez)
+                if not (type(ex) is type(ey) is type(ez) is int):
+                    raise ValueError(f"exponents must be integers, not {e!r}")
+                k = index.get(e)
+                if k is None:
+                    raise ValueError(f"exponent {e} does not have degree {degree}")
+                if k in seen:
+                    raise ValueError(f"monomial {e} is listed twice")
+                seen.add(k)
+                flat[start + k] = decode(c)
+            layout.append((degree, start, not any(flat[start:])))
+    buf = np.array(flat, dtype=field.dtype)
+    buf.flags.writeable = False
+    zeros: Dict[int, Form] = {}
+    forms = []
+    for degree, start, is_zero in layout:
+        if degree >= 0:
+            f = Form._of(field, degree, buf[start:start + dim_forms(degree)], is_zero)
+        elif degree in zeros:
+            f = zeros[degree]
+        else:
+            f = zeros[degree] = Form._of(field, degree, buf[:0], True)
+        forms.append(f)
+    m = len(source)
+    return [forms[k:k + m] for k in range(0, len(forms), m)]
 
 
 def dumps(P: Presentation) -> str:

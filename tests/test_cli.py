@@ -170,17 +170,27 @@ def test_malformed_file_exit_code(tmp_path, capsys):
         dict(x5, format_version=True),
         dict(x5, source_twists=[-4.7, -1]),
         dict(x5, field={"kind": "prime", "p": 101.9}),
+        # and an empty object as a zero cell
+        with_cell_01({}),
+    ]
+    malformed_terms = [
+        with_cell_01([[1, 1, 0]]),
+        with_cell_01(5),
+        with_cell_01([[1, 2**70, 0, 0]]),
+        dict(x5, source_twists=[0], target_twists=[-1], matrix=[[[[1, 0, 0, 0]]]]),
+        with_cell_01([[1, "1", 0, 0]]),
     ]
     f = tmp_path / "junk.json"
     f.write_text(json.dumps(x5))
     assert run(capsys, "classify", str(f))[0] != 1
     for text in ("{not json", "[]", json.dumps(x5_zero_denominator), json.dumps(field_not_an_object),
-                 *map(json.dumps, not_strict)):
+                 *map(json.dumps, not_strict + malformed_terms), "[" * 100_000 + "]" * 100_000):
         f.write_text(text)
         code, out = run(capsys, "classify", str(f))
         assert code == 1, text
         err = json.loads(out)
         assert err["kind"] == "error" and err["error"] == "InvalidPresentationError", text
+        assert "Traceback" not in out
 
 
 def test_wrong_degree_cell_exit_code(tmp_path, capsys):
@@ -229,6 +239,20 @@ def test_many_cells_past_load_budget_exit_3(tmp_path, capsys):
     assert code == 3
     err = json.loads(out)
     assert err["error"] == "BudgetExceededError" and str(MAX_LOAD_COEFFICIENTS) in err["message"]
+
+
+def test_many_negative_degree_cells_exit_2(tmp_path, capsys):
+    # 300 x 300 empty cells of degree -1 hold no coefficient, so the load
+    # budget passes them; they share one zero form and classify exits 2
+    n = 300
+    doc = {"format_version": 1, "field": {"kind": "prime", "p": 101},
+           "source_twists": [0] * n, "target_twists": [-1] * n,
+           "matrix": [[[] for _ in range(n)] for _ in range(n)]}
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps(doc))
+    code, out = run(capsys, "classify", str(f))
+    assert code == 2
+    assert json.loads(out)["error"] == "NotInjectiveError"
 
 
 def test_missing_file_exit_code(capsys):

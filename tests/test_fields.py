@@ -28,6 +28,9 @@ def test_primality_is_fast_and_exact():
     for i in range(2, 142):
         sieve[i * i::i] = [False] * len(sieve[i * i::i])
     assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if sieve[n]]
+    # trial division by the bases decides every n below 41^2; 41^2 and
+    # 41 * 43, the first composites with no factor up to 37, go to Miller-Rabin
+    assert [_is_prime(n) for n in (1669, 1681, 1693, 1763)] == [True, False, True, False]
     for n in (561, 3215031751):  # Carmichael; strong pseudoprime to bases 2, 3, 5, 7
         with pytest.raises(ValueError):
             GF(n)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -502,11 +505,11 @@ def test_serialization_rational():
     seed=st.integers(0, 2**32),
     src=st.lists(st.integers(-4, 0), min_size=1, max_size=3),
     tgt=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
-    prime=st.sampled_from([2, 101]),
+    field=st.sampled_from([GF(2), F101, GF(2**31 + 11), QQ]),
 )
-def test_serialization_roundtrip_arbitrary_shapes(seed, src, tgt, prime):
-    # beyond the six strata shapes: any grid-valid presentation round-trips
-    field = GF(prime)
+def test_serialization_roundtrip_arbitrary_shapes(seed, src, tgt, field):
+    # beyond the six strata shapes: any grid-valid presentation round-trips,
+    # over int64 and object-dtype fields alike
     rng = SplitMix64(seed)
     entries = [
         [
@@ -522,6 +525,44 @@ def test_serialization_roundtrip_arbitrary_shapes(seed, src, tgt, prime):
     from sextic_strata.presentation import validate_grid_only
 
     assert validate_grid_only(Q) == validate_grid_only(P) == []
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 - 1), GF(2**31 + 11), QQ], ids=repr)
+def test_loaded_cells_keep_the_form_invariants(field):
+    # each loaded cell is a view of one read-only buffer, and must hold what
+    # a form built on its own holds
+    rng = SplitMix64(43)
+    src, tgt = (-3, -1, 0, 1), (-2, 0, 1, 2)
+    entries = [[random_form(field, d - s, rng).scale(Fraction(1, 3)) if d >= s and rng.next_below(3)
+                else Form.zero(field, d - s) for s in src] for d in tgt]
+    entries[3][3] = Form.zero(field, 1)
+    P = Presentation(src, tgt, PolyMatrix(field, entries))
+    doc = json.loads(dumps(P))
+    doc["matrix"][3][3] = [[field.encode_coeff(field.zero()), 0, 1, 0]]  # a zero coefficient, listed
+    Q = presentation.presentation_from_dict(doc)
+    assert Q == P
+    for i, (row, d) in enumerate(zip(Q.matrix.entries, tgt)):
+        for j, (f, s) in enumerate(zip(row, src)):
+            assert f.degree == d - s
+            assert not f.array.flags.writeable and f.array.dtype == field.dtype
+            assert f.array.shape == (dim_forms(d - s),)
+            assert f.is_zero == (not f.array.any())
+            built = Form(field, d - s, dict(P.matrix.entry(i, j).coeffs))
+            assert f == built and hash(f) == hash(built)
+    assert Q.matrix.entry(3, 3).is_zero and Q.matrix.entry(3, 3).array.size == 3
+
+
+def test_negative_degree_cells_share_one_zero_form():
+    # one load builds one zero form per negative degree, however many cells
+    # have it; cells of other degrees are forms of their own
+    doc = {"format_version": 1, "field": {"kind": "prime", "p": 101},
+           "source_twists": [0, 0, 1], "target_twists": [-1, -1, 0],
+           "matrix": [[[], [], []], [[], [], []], [[], [[2, 0, 0, 0]], []]]}
+    M = presentation.presentation_from_dict(doc).matrix
+    minus_one = {id(M.entry(i, j)) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))}
+    minus_two = {id(M.entry(0, 2)), id(M.entry(1, 2))}
+    assert len(minus_one) == len(minus_two) == 1 and minus_one != minus_two
+    assert M.entry(2, 0) is not M.entry(2, 1) and M.entry(2, 1).array.tolist() == [2]
 
 
 def test_format_version_checked():
