@@ -100,8 +100,7 @@ def cmd_classify(args) -> int:
 def cmd_sample(args) -> int:
     field = parse_field(args.field)
     label = StratumLabel(args.stratum)
-    req = SampleRequest(label, field, args.seed, max_rejects=args.max_rejects)
-    P = sample(req)
+    P = sample(SampleRequest(label, field, args.seed))
     if args.out:
         save(P, args.out)
         _emit({"kind": "sample", "written": args.out, "metadata": P.metadata}, args.human)
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratum", required=True, choices=[l.value for l in StratumLabel])
     p.add_argument("--field", default="p:101", help="'p:<prime>' or 'rational'")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-rejects", type=int, default=1000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sample)
 

@@ -6,19 +6,18 @@ elimination loop on a copy of a numpy array whose dtype the field chooses
 array for Q and larger primes).  The loop runs in two modes:
 
 * full (Gauss-Jordan), behind `rref`, `kernel_basis` and `solve`: each
-  pivot clears its column in every row, and the array is reduced at the
-  end;
+  pivot clears its column in every row, so the array ends as the RREF;
 * forward, behind `pivots` and `rank`: each pivot clears only the rows
-  below it, and the array is never reduced at the end, since only the
-  pivot columns are read.  They are the RREF's pivot columns.
+  below it, since only the pivot columns are read.  They are the RREF's
+  pivot columns.
 
-Over an int64 prime the loop defers the reduction mod p: each step
-reduces only what it reads (the searched column and the pivot row), and
-the whole array is reduced only when one more row update could overflow
-int64 (the bound comes from `Field.dot_dtype`).  Q and object-dtype primes
-reduce after every update, so every answer is exact.  All matrices here
-are small (at most a few hundred rows), so no sparse or asymptotically
-fast methods are needed.
+Every entry stays canonical at every step: the pivot row and each row
+update are reduced mod p as they are made.  An update subtracts one
+product of two canonical entries from a canonical entry, and
+(p - 1)**2 < 2**62 for every int64 prime, so nothing overflows; Q and
+object-dtype primes are exact anyway.  All matrices here are small (at
+most a few hundred rows), so no sparse or asymptotically fast methods
+are needed.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ class ScalarMatrix:
         """Reduced row echelon form: (R, pivots) with R the RREF and pivots
         the pivot column indices."""
         a, pivots = self._eliminate(reduced=True)
-        return ScalarMatrix._wrap(self.field, self.field.reduce(a)), pivots
+        return ScalarMatrix._wrap(self.field, a), pivots
 
     def pivots(self) -> List[int]:
         """The pivot columns of the RREF, found by forward elimination alone."""
@@ -144,41 +143,32 @@ class ScalarMatrix:
         """Gaussian elimination on a copy of the payload: (array, pivots).
 
         With `reduced` each pivot clears its column in every other row, and
-        the array, once reduced mod p, is the RREF.  Without it each pivot
-        clears only the rows below it and the array is left unreduced: the
-        pivot columns are the same, and nothing else of the array is read.
+        the array is the RREF.  Without it each pivot clears only the rows
+        below it: the pivot columns are the same, and nothing else of the
+        array is read.  Every entry is canonical after every step.
         """
         F = self.field
         a = self.a.copy()
         nrows, ncols = a.shape
-        budget = _update_budget(F, min(nrows, ncols))
-        pending = 0  # row updates applied since `a` was last reduced
         pivots: List[int] = []
         r = 0
         for c in range(ncols):
             if r == nrows:
                 break
-            # The reduced column: a copy over F_p, a view of `a` over Q.
-            col = F.reduce(a[:, c])
-            nz = col[r:].nonzero()[0]
+            nz = a[r:, c].nonzero()[0]
             if nz.size == 0:
                 continue
             i = r + int(nz[0])
-            # Columns left of c are zero mod p in rows r and below, so the
-            # pivot row and the update start at c.
-            row = F.reduce(F.reduce(a[i, c:]) * F.inv(col.item(i)))
+            # Columns left of c are zero in rows r and below, so the pivot
+            # row and the update start at c.
+            row = F.reduce(a[i, c:] * F.inv(a.item(i, c)))
             if i != r:  # swap rows r and i; row r is overwritten below
                 a[i, c:] = a[r, c:]
-                col[i] = col[r]
-            if pending == budget:
-                a, pending = F.reduce(a), 0
-            # The product is formed before the subtraction, so a view is read
-            # intact.  A full update also clears row r, which takes the pivot
-            # row; a forward one starts below it.
+            # A full update also clears row r, which takes the pivot row; a
+            # forward one starts below it.
             top = 0 if reduced else r + 1
-            a[top:, c:] -= col[top:, None] * row
+            a[top:, c:] = F.reduce(a[top:, c:] - a[top:, c, None] * row)
             a[r, c:] = row
-            pending += 1
             pivots.append(c)
             r += 1
         return a, pivots
@@ -215,19 +205,3 @@ class ScalarMatrix:
         x = np.full(self.ncols, F.zero(), dtype=F.dtype)
         x[pivots] = R.a[:len(pivots), -1]
         return x.tolist()
-
-
-def _update_budget(field: Field, steps: int) -> int:
-    """Row updates an elimination may apply before it must reduce its array.
-
-    After k unreduced updates an entry is a canonical entry minus k products
-    of canonical entries, so it stays exact while `dot_dtype(k + 1)` is the
-    payload's int64.  Object payloads (Q, primes of 2**31 and above) are
-    reduced after every update.
-    """
-    if field.dtype is object:
-        return 1
-    k = max(steps, 1)
-    while k > 1 and field.dot_dtype(k + 1) is not np.int64:
-        k //= 2
-    return k

@@ -37,7 +37,7 @@ class PolyMatrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
             for f in r:
-                if f.field != field:
+                if f.field is not field and f.field != field:
                     raise FieldMismatchError("entry over a different field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", nrows)

@@ -22,20 +22,19 @@ from .presentation import Presentation, fitting_determinant
 from .rng import SplitMix64
 from .strata import SHAPES, StratumLabel, validate_shape
 
+MAX_REJECTS = 1000  # rejections `sample` allows before it gives up
+
 
 @dataclass(frozen=True)
 class SampleRequest:
-    """What to sample: stratum, field, seed and the rejection budget."""
+    """What to sample: stratum, field and seed."""
 
     label: StratumLabel
     field: Field
     seed: int
-    max_rejects: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "label", StratumLabel(self.label))
-        if self.max_rejects < 1:
-            raise ValueError("max_rejects must be >= 1")
 
 
 def random_form(field: Field, degree: int, rng: SplitMix64) -> Form:
@@ -83,15 +82,15 @@ def sample(req: SampleRequest) -> Presentation:
     """Rejection-sample a presentation of the requested stratum.
 
     Deterministic in (seed, field, label).  Raises RejectionBudgetExceeded
-    with the reject count and the last violation list when the budget runs
-    out.
+    with the reject count and the last violation list after MAX_REJECTS + 1
+    rejections.
     """
     rng = SplitMix64(req.seed)
     source, target = SHAPES[req.label]
     fixed = {"stratum": req.label.value, "seed": req.seed, "field": field_name(req.field)}
     rejects = 0
     last_violations = []
-    while rejects <= req.max_rejects:
+    while rejects <= MAX_REJECTS:
         case = None
         if req.label is StratumLabel.X4:
             case = "i" if rng.next_below(2) == 0 else "ii"

@@ -372,7 +372,8 @@ def test_kron_window(capsys):
     ("sample", "--stratum", "X9", "--seed", "1"),
     ("kron", "window", "--grid", "abc"),
     ("kron", "window", "--grid", "700"),  # the option is gone
-], ids=["unknown-choice", "unknown-option-bad-value", "unknown-option"])
+    ("sample", "--stratum", "X5", "--seed", "1", "--max-rejects", "5"),  # gone too
+], ids=["unknown-choice", "unknown-option-bad-value", "unknown-option", "removed-max-rejects"])
 def test_usage_error_exits_1_with_error_document(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1

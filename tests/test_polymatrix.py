@@ -4,12 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sextic_strata.errors import FieldMismatchError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, variables
 from sextic_strata.polymatrix import PolyMatrix, det_poly, maximal_minors
 from sextic_strata.rng import SplitMix64
 from sextic_strata.sampler import random_form
 from sextic_strata.strata import SHAPES, StratumLabel
+
+
+def test_entries_over_another_field_rejected():
+    F101 = GF(101)
+    X = variables(F101)[0]
+    for other in (GF(103), QQ):
+        with pytest.raises(FieldMismatchError):
+            PolyMatrix(F101, [[X, variables(other)[1]]])
+
+
+def test_entries_over_an_equal_field_accepted():
+    # an equal but separately built field passes the check
+    F101, again = GF(101), GF(101)
+    assert again is not F101 and again == F101
+    M = PolyMatrix(F101, [[variables(again)[0], variables(F101)[1]]])
+    assert M.field is F101 and M.shape == (1, 2)
 
 
 def test_det_diagonal():

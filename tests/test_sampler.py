@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from sextic_strata import sampler
 from sextic_strata.errors import (
     DivisibilityFailure,
     MembershipFailure,
@@ -44,10 +45,11 @@ def test_x4_metadata_records_case():
     assert cases == {"i", "ii"}
 
 
-def test_rejection_budget_error():
+def test_rejection_budget_error(monkeypatch):
     # over F_2 the X2 conditions reject often; seed 11 needs > 1 attempts
+    monkeypatch.setattr(sampler, "MAX_REJECTS", 1)
     with pytest.raises(RejectionBudgetExceeded) as exc:
-        sample(SampleRequest(StratumLabel.X2, GF(2), seed=11, max_rejects=1))
+        sample(SampleRequest(StratumLabel.X2, GF(2), seed=11))
     assert exc.value.rejects == 2
     assert exc.value.last_violations
 
@@ -66,11 +68,6 @@ def test_rational_sampling_gate():
     assert classify(P) == StratumLabel.X5
     assert P.metadata["field"] == "rational"
     assert all(c.denominator == 1 and abs(c) <= 9 for row in P.matrix.entries for f in row for c in f.array.tolist())
-
-
-def test_max_rejects_validation():
-    with pytest.raises(ValueError):
-        SampleRequest(StratumLabel.X0, F101, seed=1, max_rejects=0)
 
 
 # ---------------------------------------------------------------------------
