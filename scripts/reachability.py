@@ -4,7 +4,10 @@ Runs the CLI in one process under sys.setprofile:
 
 * sample, classify, det, dual and cohomology for every stratum over
   GF(2), GF(3), GF(101), GF(2^31 - 1), GF(2^31 + 11) and Q;
-* kron check on one semistable and one unstable module;
+* kron check on one semistable GF(3) module and on a GF(101) and a Q
+  module, each with a destabilizing (3, 2) zero block (verdict unstable);
+* classify on a conic O(-2) -> O over GF(101), which must exit 2: its
+  Hilbert polynomial 2m+1 is not in the table;
 * kron window and verify --suite all;
 * one usage error, a removed option, which must exit 1.
 
@@ -16,8 +19,8 @@ constructor, which Python calls and no entry point needs to) nor listed
 in ALLOWED, is printed and makes the exit code 1.  So does an ALLOWED
 entry that was reached after all or names no function, which keeps the
 list short and true, and so does any command that exits with another
-code than the one listed for it (0 for all but the usage error): a failing
-command reaches the code of its failure, not the code it names.
+code than the one listed for it (0 for all but the conic and the usage
+error): a failing command reaches the code of its failure, not the code it names.
 Run from the repository root:
 
     PYTHONPATH=src python scripts/reachability.py
@@ -39,8 +42,6 @@ FIELDS = ("p:2", "p:3", "p:101", "p:2147483647", "p:2147483659", "rational")
 
 # Functions no entry point reaches, each with the reason it stays.
 ALLOWED = {
-    "sextic_strata.errors._hilbert_text": "message of ProfileNotInTable, raised on off-table input only",
-    "sextic_strata.fields.RationalField.one": "field interface; kernel_basis calls it over Q only",
     "sextic_strata.forms.Form.coeffs": "read by perfbench/workloads.py and tests/conftest.py",
     "sextic_strata.linalg.ScalarMatrix.shape": "read by ScalarMatrix.__eq__",
 }
@@ -68,10 +69,12 @@ def package_functions() -> dict:
     return found
 
 
-def module_files(tmp: Path) -> list:
-    """One semistable GF(3) module and one GF(101) module with a
-    destabilizing (3, 2) zero block, as presentation files."""
-    from sextic_strata.fields import GF
+def probe_files(tmp: Path) -> dict:
+    """Presentation files beyond the samples: one semistable GF(3) module,
+    a GF(101) and a Q module with a destabilizing (3, 2) zero block, and
+    a conic O(-2) -> O over GF(101), whose Hilbert polynomial 2m+1 keeps
+    it out of the table."""
+    from sextic_strata.fields import GF, QQ
     from sextic_strata.forms import Form, variables
     from sextic_strata.polymatrix import PolyMatrix
     from sextic_strata.presentation import Presentation, dumps
@@ -81,19 +84,23 @@ def module_files(tmp: Path) -> list:
     F3, F101 = GF(3), GF(101)
     X, Y, Z = variables(F3)
     z = Form.zero(F3, 1)
-    semistable = Presentation((-2, -2), (-1, -1, -1), PolyMatrix(F3, [[X, z], [Y, X], [Z, Y]]))
-    rng = SplitMix64(9)
-    rows = [[Form.zero(F101, 1) if i >= 2 and j < 3 else random_form(F101, 1, rng) for j in range(5)]
-            for i in range(4)]
-    unstable = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(F101, rows))
-    paths = []
-    for name, P in (("semistable", semistable), ("unstable", unstable)):
-        paths.append(tmp / f"{name}.json")
-        paths[-1].write_text(dumps(P), encoding="utf-8")
+    files = {"semistable": Presentation((-2, -2), (-1, -1, -1), PolyMatrix(F3, [[X, z], [Y, X], [Z, Y]]))}
+    for name, field in (("unstable", F101), ("unstable_qq", QQ)):
+        rng = SplitMix64(9)
+        rows = [[Form.zero(field, 1) if i >= 2 and j < 3 else random_form(field, 1, rng) for j in range(5)]
+                for i in range(4)]
+        files[name] = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(field, rows))
+    # built without variables(F101), whose per-field cache would hide its call under the hook
+    conic = Form(F101, 2, {(2, 0, 0): 1, (0, 1, 1): 1})
+    files["conic"] = Presentation((-2,), (0,), PolyMatrix(F101, [[conic]]))
+    paths = {}
+    for name, P in files.items():
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(dumps(P), encoding="utf-8")
     return paths
 
 
-def commands(tmp: Path, modules: list):
+def commands(tmp: Path, probes: dict):
     """(argv, expected exit code) of every command the script runs."""
     from sextic_strata.strata import StratumLabel
 
@@ -103,8 +110,9 @@ def commands(tmp: Path, modules: list):
             yield ["sample", "--stratum", label.value, "--field", field, "--seed", "1", "--out", str(path)], 0
             for command in ("classify", "det", "dual", "cohomology"):
                 yield [command, str(path)], 0
-    for path in modules:
-        yield ["kron", "check", str(path)], 0
+    for name in ("semistable", "unstable", "unstable_qq"):
+        yield ["kron", "check", str(probes[name])], 0
+    yield ["classify", str(probes["conic"])], 2
     yield ["--human", "kron", "window"], 0
     yield ["kron", "window", "--grid", "700"], 1
     yield ["verify", "--suite", "all"], 0
@@ -133,8 +141,8 @@ def main() -> int:
     with profiled():
         from sextic_strata import cli
     with tempfile.TemporaryDirectory() as tmp:
-        modules = module_files(Path(tmp))
-        for argv, expected in commands(Path(tmp), modules):
+        probes = probe_files(Path(tmp))
+        for argv, expected in commands(Path(tmp), probes):
             out = io.StringIO()
             with profiled(), contextlib.redirect_stdout(out):
                 code = cli.main(argv)

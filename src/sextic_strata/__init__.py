@@ -35,7 +35,7 @@ from .kronecker import (
 )
 from .linalg import ScalarMatrix
 from .orbit_oracle import orbit_patterns
-from .polymatrix import PolyMatrix, det_poly, maximal_minors
+from .polymatrix import PolyMatrix, det_poly
 from .presentation import (
     CohomologyProfile,
     HilbertPoly,

@@ -138,7 +138,7 @@ def cmd_cohomology(args) -> int:
     for t in range(args.tmin, args.tmax + 1):
         a, b = h0(P, t), h1(P, t)
         rows.append({"t": t, "h0": a, "h1": b, "chi": a - b})
-    _emit({"kind": "cohomology_table", "hilbert": hp.as_list(), "rows": rows}, args.human)
+    _emit({"kind": "cohomology_table", "hilbert": list(hp), "rows": rows}, args.human)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ class InvalidPresentationError(SexticStrataError):
 
 
 class NotSquareError(SexticStrataError):
-    """Cohomology requested for a rectangular presentation."""
+    """An operation that needs a square presentation got a rectangular one."""
 
 
 class NotInjectiveError(SexticStrataError):

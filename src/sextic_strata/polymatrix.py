@@ -1,4 +1,4 @@
-"""Matrices of homogeneous forms: determinants and maximal minors.
+"""Matrices of homogeneous forms and their determinants.
 
 Matrices coming from twisted resolutions have heterogeneous cell degrees
 but a constant total degree along every permutation, so determinants are
@@ -10,14 +10,12 @@ Injectivity does not need the expansion (`presentation.is_injective`
 evaluates the matrix at points and falls back to `det_poly` only when
 every probe lies on the curve).  `det_poly` is for callers that need the
 determinant itself: the `det` command and `construct_x5` (through
-`presentation.fitting_determinant`), criterion 8's roundtrip, and the
-X3 condition's maximal minors.
+`presentation.fitting_determinant`) and criterion 8's roundtrip.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import FieldMismatchError
 from .fields import Field
@@ -126,10 +124,3 @@ def det_poly(M: PolyMatrix) -> Form:
 
     return minor(tuple(range(n)))
 
-
-def maximal_minors(M: PolyMatrix) -> List[Form]:
-    """All (rows choose cols) maximal minors, in lexicographic row-subset order."""
-    if M.nrows < M.ncols:
-        raise ValueError(f"need rows >= cols, got {M.shape}")
-    cols = tuple(range(M.ncols))
-    return [det_poly(M.submatrix(rows, cols)) for rows in combinations(range(M.nrows), M.ncols)]

@@ -44,8 +44,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,34 +87,20 @@ def chi_line_bundle(e: int) -> int:
     return (e + 1) * (e + 2) // 2
 
 
-@dataclass(frozen=True)
-class HilbertPoly:
+class HilbertPoly(NamedTuple):
     """P(m) = r*m + chi for the one-dimensional sheaves in scope."""
 
     r: int
     chi: int
 
-    def __call__(self, m: int) -> int:
-        return self.r * m + self.chi
 
-    def as_list(self) -> List[int]:
-        return [self.r, self.chi]
-
-
-@dataclass(frozen=True)
-class CohomologyProfile:
+class CohomologyProfile(NamedTuple):
     """The classifying quadruple (h0 F(-1), h1 F, h0(F x Omega^1(1)), h1 F(1))."""
 
     a: int
     b: int
     c: int
     e: int
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.e)
-
-    def as_list(self) -> List[int]:
-        return [self.a, self.b, self.c, self.e]
 
 
 class Presentation:
@@ -243,7 +228,7 @@ def _require_square(P: Presentation) -> None:
     if not P.is_square:
         raise NotSquareError(
             f"presentation is {P.matrix.nrows}x{P.matrix.ncols}; "
-            "cohomology is only defined here for square resolutions"
+            "only square resolutions are in scope"
         )
 
 
@@ -371,8 +356,7 @@ def fitting_determinant(P: Presentation) -> Form:
     injective as a sheaf map.  Callers that need only that bit use
     `is_injective`, which rarely expands the determinant.
     """
-    if not P.is_square:
-        raise NotSquareError("Fitting determinant needs a square presentation")
+    _require_square(P)
     return det_poly(P.matrix)
 
 

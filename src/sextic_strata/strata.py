@@ -41,13 +41,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from .errors import (
     NotInjectiveError,
     NotSemistable,
-    NotSquareError,
     ProfileNotInTable,
     WrongShapeError,
 )
 from .forms import Form, block_mult_map, dim_forms, forms_rank, divides, common_factor
 from .kronecker import KroneckerModule, is_semistable, moduli_dimension
-from .polymatrix import maximal_minors
 from .presentation import (
     CohomologyProfile,
     HilbertPoly,
@@ -131,22 +129,20 @@ def classify(P: Presentation) -> StratumLabel:
 def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, HilbertPoly, List[str]]:
     """`classify`, also returning the profile and Hilbert polynomial it
     computed and the wrong-shape finding (empty on the row's shape)."""
-    if not P.is_square:
-        raise NotSquareError("classification needs a square presentation")
     if not is_injective(P):
         raise NotInjectiveError("matrix has det = 0; the cokernel is not one-dimensional")
     pr = profile(P)
     hp = hilbert_polynomial(P)
-    label = PROFILE_TO_LABEL.get(pr.as_tuple()) if hp.as_list() == [6, 1] else None
+    label = PROFILE_TO_LABEL.get(pr) if hp == (6, 1) else None
     if label is None:
-        raise ProfileNotInTable(pr.as_tuple(), hp.as_list())
+        raise ProfileNotInTable(pr, hp)
     Q = _ascending_twists(P)
     # compared sorted, quoted as the input lists them
     wrong = _wrong_shape(P, label) if (Q.source, Q.target) != SHAPES[label] else []
     if not wrong:
         violations = _conditions(Q, label)
         if violations:
-            raise NotSemistable(pr.as_tuple(), violations)
+            raise NotSemistable(pr, violations)
     return label, pr, hp, wrong
 
 
@@ -175,8 +171,8 @@ def classification_report(P: Presentation) -> dict:
         "schema_version": 1,
         "kind": "classification",
         "label": label.value,
-        "profile": pr.as_list(),
-        "hilbert": hp.as_list(),
+        "profile": list(pr),
+        "hilbert": list(hp),
         "det_degree": hp.r,
         "violations": wrong,
     }
@@ -299,15 +295,22 @@ def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
     return M.ncols - 1 not in M.pivots()
 
 
+def _minors(a, b, c) -> List[Form]:
+    """2x2 minors of the 3x2 block with rows a, b, c, for row pairs (0,1), (0,2), (1,2)."""
+    return [u[0] * v[1] - u[1] * v[0] for u, v in ((a, b), (a, c), (b, c))]
+
+
 def x2_conditions(P: Presentation) -> List[str]:
     """The three pencil conditions of X2.
 
     (i) the last-column one-forms are independent; (ii) the linear 2x2
     block has nonzero determinant delta; (iii) the two mixed 2x2 minors
-    are independent modulo delta * V*, checked as a rank-5 condition on
-    the cubics {m1, m2, delta*X, delta*Y, delta*Z}.  The constant block at
-    (0,3), (1,3) is not read: a nonzero one moves the profile to X1's, so
-    it never reaches the gate, and `validate_shape` reports the profile.
+    m1, m2 are independent modulo delta * V*, checked as a rank-5
+    condition on the cubics {m1, m2, delta*X, delta*Y, delta*Z}.  m1, m2
+    and delta are the `_minors` of rows (q1, q2), (l11, l21), (l12, l22).
+    The constant block at (0,3), (1,3) is not read: a nonzero one moves
+    the profile to X1's, so it never reaches the gate, and `validate_shape`
+    reports the profile.
     """
     _require_shape(P, StratumLabel.X2)
     M = P.matrix
@@ -318,25 +321,22 @@ def x2_conditions(P: Presentation) -> List[str]:
     l1, l2 = M.entry(2, 3), M.entry(3, 3)
     if forms_rank([l1, l2]) != 2:
         violations.append("l_1, l_2 dependent")
-    delta = l11 * l22 - l12 * l21
+    m1, m2, delta = _minors((q1, q2), (l11, l21), (l12, l22))
     if delta.is_zero:
         violations.append("linear block determinant vanishes")
-    m1 = q1 * l21 - q2 * l11
-    m2 = q1 * l22 - q2 * l12
     if block_mult_map(P.field, [[m1, m2, delta]], [0, 0, 1], [3]).rank() != 5:
         violations.append("minors dependent mod (delta)V*")
     return violations
 
 
 def x3_conditions(P: Presentation) -> List[str]:
-    """Independent linear entries up top, independent maximal minors below."""
+    """Independent linear entries up top, independent 2x2 `_minors` of the linear block phi_22 below."""
     _require_shape(P, StratumLabel.X3)
     M = P.matrix
     violations = []
     if forms_rank([M.entry(0, 0), M.entry(0, 1)]) != 2:
         violations.append("phi_11 entries dependent")
-    block = M.submatrix(range(1, 4), range(2, 4))
-    if forms_rank(maximal_minors(block)) != 3:
+    if forms_rank(_minors(*(row[2:] for row in M.entries[1:]))) != 3:
         violations.append("phi_22 maximal minors dependent")
     return violations
 
@@ -406,7 +406,7 @@ def validate_shape(P: Presentation, label: StratumLabel) -> List[str]:
 
 
 def _wrong_profile(P: Presentation, label: StratumLabel) -> List[str]:
-    pr, want = profile(P).as_tuple(), EXPECTED_PROFILES[label]
+    pr, want = tuple(profile(P)), EXPECTED_PROFILES[label]
     return [f"profile {pr} is not {label.value}'s {want}"] if pr != want else []
 
 

@@ -373,7 +373,9 @@ def test_kron_window(capsys):
     ("kron", "window", "--grid", "abc"),
     ("kron", "window", "--grid", "700"),  # the option is gone
     ("sample", "--stratum", "X5", "--seed", "1", "--max-rejects", "5"),  # gone too
-], ids=["unknown-choice", "unknown-option-bad-value", "unknown-option", "removed-max-rejects"])
+    ("verify", "--suite", "table"),  # so is this suite
+], ids=["unknown-choice", "unknown-option-bad-value", "unknown-option", "removed-max-rejects",
+        "removed-suite"])
 def test_usage_error_exits_1_with_error_document(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sextic_strata.errors import FieldMismatchError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, variables
-from sextic_strata.polymatrix import PolyMatrix, det_poly, maximal_minors
+from sextic_strata.polymatrix import PolyMatrix, det_poly
 from sextic_strata.rng import SplitMix64
 from sextic_strata.sampler import random_form
 from sextic_strata.strata import SHAPES, StratumLabel
@@ -78,31 +78,3 @@ def test_det_transpose_invariant(seed, label):
     M = PolyMatrix(field, entries)
     assert det_poly(M.transpose()) == det_poly(M)
 
-
-def test_maximal_minors_hand_expansion():
-    # rows (0,1): X*X - 0*Y = X^2; rows (0,2): X*Y; rows (1,2): Y*Y - X*Z
-    X, Y, Z = variables(QQ)
-    z = Form.zero(QQ, 1)
-    M = PolyMatrix(QQ, [[X, z], [Y, X], [Z, Y]])
-    minors = maximal_minors(M)
-    assert minors == [X * X, X * Y, Y * Y - X * Z]
-
-
-def test_maximal_minors_square_is_det():
-    field = GF(101)
-    rng = SplitMix64(3)
-    M = PolyMatrix(field, [[random_form(field, 1, rng) for _ in range(2)] for _ in range(2)])
-    assert maximal_minors(M) == [det_poly(M)]
-
-
-def test_minor_with_repeated_row_vanishes():
-    X, Y, Z = variables(QQ)
-    M = PolyMatrix(QQ, [[X, Y], [X, Y], [Y, Z]])
-    minors = maximal_minors(M)
-    assert minors[0].is_zero  # rows (0,1) are equal
-
-
-def test_maximal_minors_needs_tall_matrix():
-    X, Y, Z = variables(QQ)
-    with pytest.raises(ValueError):
-        maximal_minors(PolyMatrix(QQ, [[X, Y, Z]]))

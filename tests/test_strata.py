@@ -8,17 +8,19 @@ from sextic_strata.errors import NotInjectiveError, NotSemistable, ProfileNotInT
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, divides, forms_rank, variables
 from sextic_strata.linalg import ScalarMatrix
-from sextic_strata.polymatrix import PolyMatrix
-from sextic_strata.presentation import Presentation, fitting_determinant, profile
+from sextic_strata.polymatrix import PolyMatrix, det_poly
+from sextic_strata.presentation import Presentation, fitting_determinant, hilbert_polynomial, profile
 from sextic_strata.rng import SplitMix64, derive_seed
 from sextic_strata.sampler import SampleRequest, random_form, sample
 from sextic_strata.strata import (
     EXPECTED_PROFILES,
+    PROFILE_TO_LABEL,
     SHAPES,
     PatternId,
     StratumLabel,
     _ascending_twists,
     _in_linear_ideal_slice,
+    _minors,
     _pencil_degenerates,
     _row_clearing_exists,
     _x4_syzygy_solvable,
@@ -66,7 +68,22 @@ def test_classify_every_stratum():
     for label in StratumLabel:
         P = sample_of(label)
         assert classify(P) == label
-        assert profile(P).as_tuple() == EXPECTED_PROFILES[label]
+        assert profile(P) == EXPECTED_PROFILES[label]
+
+
+def test_profile_and_hilbert_polynomial_are_plain_tuples():
+    for label in StratumLabel:
+        P = sample_of(label)
+        pr, hp = profile(P), hilbert_polynomial(P)
+        assert pr == EXPECTED_PROFILES[label] and PROFILE_TO_LABEL[pr] is label
+        assert (pr.a, pr.b, pr.c, pr.e) == EXPECTED_PROFILES[label]
+        assert (hp.r, hp.chi) == (6, 1)
+    X, Y, Z = variables(F101)
+    conic = Presentation((-2,), (0,), PolyMatrix(F101, [[X * X + Y * Z]]))
+    with pytest.raises(ProfileNotInTable) as exc:
+        classify(conic)
+    assert type(exc.value.profile) is tuple
+    assert str(exc.value) == "profile (0, 0, 0, 0) with Hilbert polynomial 2m+1 is not in the table (needs 6m+1)"
 
 
 def test_classify_rejects_non_injective():
@@ -103,7 +120,7 @@ def test_classify_rejects_other_hilbert_polynomials(curve, field):
     P = Presentation(src, tgt, PolyMatrix(field, [[f]]))
     with pytest.raises(ProfileNotInTable) as exc:
         classify(P)
-    assert exc.value.profile == profile(P).as_tuple()
+    assert exc.value.profile == profile(P)
     assert exc.value.hilbert == {"conic": [2, 1], "line": [1, 0], "cubic": [3, 0]}[curve]
     assert exc.value.profile[:3] == ((0, 1, 0) if curve == "cubic" else (0, 0, 0))
     assert not isinstance(exc.value, NotSemistable)
@@ -118,7 +135,7 @@ def test_x2_shape_out_of_normal_position_classifies_as_x1():
     ent = [[random_form(field, d - s, rng) for s in src] for d in tgt]
     P = Presentation(src, tgt, PolyMatrix(field, ent))
     assert not fitting_determinant(P).is_zero
-    assert profile(P).as_tuple() == (0, 1, 0, 0)
+    assert profile(P) == (0, 1, 0, 0)
     assert classify(P) == StratumLabel.X1
     # on the X2 shape it is reported by its profile, X1's
     assert validate_shape(P, StratumLabel.X2) == ["profile (0, 1, 0, 0) is not X2's (0, 1, 1, 0)"]
@@ -252,7 +269,7 @@ def _gate_outcome(P):
 def test_classify_rejects_unstable_canonical_shape(case, field):
     label = StratumLabel(case[:2])
     P = _degenerate(case, field, seed=90)
-    assert profile(P).as_tuple() == EXPECTED_PROFILES[label]
+    assert profile(P) == EXPECTED_PROFILES[label]
     with pytest.raises(NotSemistable) as exc:
         classify(P)
     assert exc.value.profile == EXPECTED_PROFILES[label]
@@ -618,6 +635,27 @@ def test_pencil_with_dependent_forms_matches_enumeration(p):
 # ---------------------------------------------------------------------------
 # X2, X3, X4, X5 conditions
 # ---------------------------------------------------------------------------
+
+
+def test_minors_hand_expansion():
+    # rows (0,1): X*X - 0*Y = X^2; rows (0,2): X*Y; rows (1,2): Y*Y - X*Z
+    X, Y, Z = variables(QQ)
+    z = Form.zero(QQ, 1)
+    assert _minors((X, z), (Y, X), (Z, Y)) == [X * X, X * Y, Y * Y - X * Z]
+
+
+def test_minor_with_repeated_row_vanishes():
+    X, Y, Z = variables(QQ)
+    assert _minors((X, Y), (X, Y), (Y, Z))[0].is_zero  # rows (0,1) are equal
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, QQ], ids=["F2", "F101", "QQ"])
+def test_minors_are_det_of_row_pairs(field):
+    rng = SplitMix64(31)
+    for _ in range(20):
+        rows = [[random_form(field, 1, rng) for _ in range(2)] for _ in range(3)]
+        pairs = ((0, 1), (0, 2), (1, 2))
+        assert _minors(*rows) == [det_poly(PolyMatrix(field, [rows[i], rows[j]])) for i, j in pairs]
 
 
 def _x2_presentation(q1, l11, l12, q2, l21, l22, f1, q11, q12, l1, f2, q21, q22, l2, field=F101):
