@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,26 @@ def test_sampling_reproducible_bytes():
     digest = hashlib.sha256(dumps(sample(req)).encode()).hexdigest()
     # frozen stream contract: these bytes may only change with a format bump
     assert digest == "524e36ae2a6becc0e90d00571f9bca911aaed4e69935059baa43cbcc371591a9"
+
+
+def test_sample_bytes_pinned_across_fields():
+    # One digest over every stratum at seeds 0-2 over small, int64-array,
+    # object-array and beyond-2^64 primes and Q: it fixes the coefficient
+    # draws of every field path.  Object arrays must hold exact Python
+    # scalars, never numpy integers, which would wrap in later arithmetic.
+    digest = hashlib.sha256()
+    for field in (GF(2), F101, GF(2**31 - 1), GF(2**31 + 11), GF(2**64 + 13), QQ):
+        scalar = Fraction if field.kind == "rational" else int
+        for label in StratumLabel:
+            for seed in range(3):
+                P = sample(SampleRequest(label, field, seed))
+                digest.update(dumps(P).encode())
+                for row in P.matrix.entries:
+                    for f in row:
+                        assert f.array.dtype == field.dtype
+                        if field.dtype is object:
+                            assert all(type(c) is scalar for c in f.array.tolist()), (field, label, seed)
+    assert digest.hexdigest() == "7ac407102a7553efce141b2121501d224164c4087f0de3456b14beef86fbcd48"
 
 
 def test_samples_classify_correctly():
