@@ -12,7 +12,9 @@ Runs the CLI in one process under sys.setprofile:
 * one usage error, a removed option, which must exit 1.
 
 The hook is installed before the package is imported, so what runs at
-import counts as reached.  Every function or method defined in the
+import counts as reached.  The probe files are written outside the hook,
+and every functools.lru_cache of the package is emptied after them, so
+no cached call made there hides a function from the commands.  Every function or method defined in the
 package that no call reached, and that is neither a dunder (a protocol
 hook such as __repr__, __hash__, an immutability guard or an error
 constructor, which Python calls and no entry point needs to) nor listed
@@ -90,7 +92,6 @@ def probe_files(tmp: Path) -> dict:
         rows = [[Form.zero(field, 1) if i >= 2 and j < 3 else random_form(field, 1, rng) for j in range(5)]
                 for i in range(4)]
         files[name] = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(field, rows))
-    # built without variables(F101), whose per-field cache would hide its call under the hook
     conic = Form(F101, 2, {(2, 0, 0): 1, (0, 1, 1): 1})
     files["conic"] = Presentation((-2,), (0,), PolyMatrix(F101, [[conic]]))
     paths = {}
@@ -98,6 +99,17 @@ def probe_files(tmp: Path) -> dict:
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(dumps(P), encoding="utf-8")
     return paths
+
+
+def clear_caches() -> None:
+    """Empty every functools.lru_cache of the package, so that a call made
+    before the hook runs (writing the probe files) cannot leave a cached
+    function's body unrun under it."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "sextic_strata":
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
 
 
 def commands(tmp: Path, probes: dict):
@@ -142,6 +154,7 @@ def main() -> int:
         from sextic_strata import cli
     with tempfile.TemporaryDirectory() as tmp:
         probes = probe_files(Path(tmp))
+        clear_caches()
         for argv, expected in commands(Path(tmp), probes):
             out = io.StringIO()
             with profiled(), contextlib.redirect_stdout(out):

@@ -14,7 +14,8 @@ followed by `reduce`.  There is one way in: `array` turns any values
 (ints of any size, Fractions and floats with denominators prime to p,
 numpy integers, bools) into canonical elements, entry by entry exactly as
 `normalize` does; a float is read as the exact binary fraction it holds,
-in both fields.  `inv` divides.
+in both fields.  `from_draws` is `array` for the random stream's draws,
+which an int64 field takes as they are.  `inv` divides.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ class _ExactField:
                 return self.reduce(a.reshape(shape))
         entries = np.array(values, dtype=object).ravel().tolist()
         return np.array([self.normalize(x) for x in entries], dtype=self.dtype).reshape(shape)
+
+    def from_draws(self, draws: np.ndarray, shape) -> np.ndarray:
+        """`array` of the uint64 `draws` of `rng.next_below_block(p, k)`, which
+        an int64 field takes as they are: they are canonical already."""
+        if self.dtype is object:
+            return self.array(draws.tolist(), shape)
+        return draws.astype(np.int64).reshape(shape)
 
 
 class RationalField(_ExactField):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -224,6 +224,21 @@ class Form:
 
     def __repr__(self):
         return f"Form({self.pretty()})"
+
+
+def form_views(field: Field, buf: np.ndarray, layout: Sequence[Tuple[int, bool]]) -> List[Form]:
+    """One form per (degree, is_zero) of `layout`, in order, whose payloads
+    are consecutive views of `buf`, made read-only here.  A negative
+    degree takes no coefficients, and its zero form is shared."""
+    buf.flags.writeable = False
+    forms, start, zeros = [], 0, {}
+    for degree, is_zero in layout:
+        stop = start + dim_forms(degree)
+        if degree < 0 and degree not in zeros:
+            zeros[degree] = Form._of(field, degree, buf[:0], True)
+        forms.append(zeros[degree] if degree < 0 else Form._of(field, degree, buf[start:stop], is_zero))
+        start = stop
+    return forms
 
 
 def _position(degree: int, e: Exponent) -> int:

@@ -341,8 +341,8 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     rng = SplitMix64(CERTIFICATE_SEED)
     bound = F.p if F.kind == "prime" else 19
     for tries in range(1, CERTIFICATE_TRIES + 1):
-        Es = [ScalarMatrix(F, [[rng.next_below(bound) for _ in range(K.n)] for _ in range(K.m)])
-              for _ in K.slices]
+        draws = rng.next_below_block(bound, len(K.slices) * K.m * K.n)
+        Es = [ScalarMatrix._wrap(F, E) for E in F.from_draws(draws, (len(K.slices), K.m, K.n))]
         G = _blowup_element(K.slices, Es)
         if G.rank() == K.n * K.m:
             return SemistabilityResult("semistable", mode, None, tries, CERTIFICATE_TRIES)

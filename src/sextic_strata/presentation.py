@@ -54,7 +54,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import Field, field_from_json, json_int
-from .forms import Form, block_mult_map, dim_forms, monomial_index
+from .forms import Form, block_mult_map, dim_forms, form_views, monomial_index
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -413,7 +413,7 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
     """
     zero, decode = field.zero(), field.decode_coeff
     flat: list = []
-    layout = []  # (degree, start, is_zero) per cell, row by row
+    layout = []  # (degree, is_zero) per cell, row by row
     for row, d in zip(raw, target):
         if type(row) is not list or len(row) != len(source):
             raise ValueError("matrix column count does not match source twists")
@@ -435,19 +435,8 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
                     raise ValueError(f"monomial {e} is listed twice")
                 seen.add(k)
                 flat[start + k] = decode(c)
-            layout.append((degree, start, not any(flat[start:])))
-    buf = np.array(flat, dtype=field.dtype)
-    buf.flags.writeable = False
-    zeros: Dict[int, Form] = {}
-    forms = []
-    for degree, start, is_zero in layout:
-        if degree >= 0:
-            f = Form._of(field, degree, buf[start:start + dim_forms(degree)], is_zero)
-        elif degree in zeros:
-            f = zeros[degree]
-        else:
-            f = zeros[degree] = Form._of(field, degree, buf[:0], True)
-        forms.append(f)
+            layout.append((degree, not any(flat[start:])))
+    forms = form_views(field, np.array(flat, dtype=field.dtype), layout)
     m = len(source)
     return [forms[k:k + m] for k in range(0, len(forms), m)]
 

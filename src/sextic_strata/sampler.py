@@ -12,11 +12,14 @@ integer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .errors import DivisibilityFailure, MembershipFailure, RejectionBudgetExceeded
 from .fields import Field, field_name
-from .forms import Form, block_mult_map, divides, monomial_basis
+from .forms import Form, block_mult_map, dim_forms, divides, form_views
 from .polymatrix import PolyMatrix
 from .presentation import Presentation, fitting_determinant
 from .rng import SplitMix64
@@ -37,13 +40,22 @@ class SampleRequest:
         object.__setattr__(self, "label", StratumLabel(self.label))
 
 
+def random_forms(field: Field, degrees: Sequence[int], rng: SplitMix64) -> List[Form]:
+    """Forms of `degrees` with uniform coefficients, small integers over Q,
+    drawn in one block in order as views of one read-only buffer."""
+    sizes = [dim_forms(d) for d in degrees]
+    total = sum(sizes)
+    if field.kind == "prime":
+        buf = field.from_draws(rng.next_below_block(field.p, total), total)
+    else:
+        buf = field.from_draws(rng.next_below_block(19, total), total) - 9
+    nonzero = np.logical_or.reduceat(buf != 0, list(accumulate(sizes[:-1], initial=0))).tolist() if total else []
+    return form_views(field, buf, [(d, not nz) for d, nz in zip(degrees, nonzero)])
+
+
 def random_form(field: Field, degree: int, rng: SplitMix64) -> Form:
     """Uniform coefficients in monomial order; small integers over Q."""
-    if field.kind == "prime":
-        vec = [rng.next_below(field.p) for _ in monomial_basis(degree)]
-    else:
-        vec = [rng.next_below(19) - 9 for _ in monomial_basis(degree)]
-    return Form.from_coeff_vector(field, degree, vec)
+    return random_forms(field, [degree], rng)[0]
 
 
 def _build_matrix(
@@ -63,18 +75,12 @@ def _build_matrix(
             constants[(0, 2)] = 1
         else:
             zeros = {(0, 2)}
-    entries = []
-    for i, d in enumerate(target):
-        row = []
-        for j, s in enumerate(source):
-            deg = d - s
-            if deg < 0 or (i, j) in zeros:
-                row.append(Form.zero(field, deg))
-            elif (i, j) in constants:
-                row.append(Form.constant(field, constants[(i, j)]))
-            else:
-                row.append(random_form(field, deg, rng))
-        entries.append(row)
+    cells = [[(d - s, (i, j)) for j, s in enumerate(source)] for i, d in enumerate(target)]
+    free = [deg for row in cells for deg, ij in row if deg >= 0 and ij not in zeros and ij not in constants]
+    drawn = iter(random_forms(field, free, rng))
+    entries = [[Form.zero(field, deg) if deg < 0 or ij in zeros
+                else Form.constant(field, constants[ij]) if ij in constants else next(drawn)
+                for deg, ij in row] for row in cells]
     return PolyMatrix(field, entries)
 
 

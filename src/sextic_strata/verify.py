@@ -51,7 +51,7 @@ from .presentation import (
     section_matrix,
 )
 from .rng import SplitMix64, derive_seed
-from .sampler import SampleRequest, construct_x5, random_form, sample
+from .sampler import SampleRequest, construct_x5, random_form, random_forms, sample
 from .strata import (
     EXPECTED_PROFILES,
     SHAPES,
@@ -280,11 +280,8 @@ def criterion_6_x1_oracle(seed: int) -> Tuple[bool, str]:
     disagreements = 0
     for k in range(ORACLE_MATRICES):
         rng = SplitMix64(derive_seed(seed, 700_000 + k))
-        entries = [
-            [random_form(field, tgt[i] - src[j], rng) for j in range(3)]
-            for i in range(3)
-        ]
-        P = Presentation(src, tgt, PolyMatrix(field, entries))
+        forms = random_forms(field, [d - s for d in tgt for s in src], rng)
+        P = Presentation(src, tgt, PolyMatrix(field, [forms[3 * i:3 * i + 3] for i in range(3)]))
         fast = {p.value for p in x1_patterns(P)}
         slow = {p.value for p in orbit_patterns(P)}
         if fast != slow:
@@ -300,15 +297,8 @@ def criterion_6_x1_oracle(seed: int) -> Tuple[bool, str]:
 def _block_module(field, dims, rng) -> KroneckerModule:
     """A 4x5 module of linear forms vanishing on the (dimS, dimT) block."""
     s, t = dims
-    entries = []
-    for i in range(4):
-        row = []
-        for j in range(5):
-            if i >= t and j < s:
-                row.append(Form.zero(field, 1))
-            else:
-                row.append(random_form(field, 1, rng))
-        entries.append(row)
+    drawn = iter(random_forms(field, [1] * (20 - (4 - t) * s), rng))
+    entries = [[Form.zero(field, 1) if i >= t and j < s else next(drawn) for j in range(5)] for i in range(4)]
     return KroneckerModule(PolyMatrix(field, entries))
 
 
@@ -326,10 +316,8 @@ def criterion_7_kronecker(seed: int) -> Tuple[bool, str]:
     for k in range(60):
         rng = SplitMix64(derive_seed(seed, 800_000 + k))
         n, m = (4, 5) if k % 2 == 0 else (3, 2)
-        entries = [
-            [random_form(field, 1, rng) for _ in range(m)] for _ in range(n)
-        ]
-        K = KroneckerModule(PolyMatrix(field, entries))
+        forms = random_forms(field, [1] * (n * m), rng)
+        K = KroneckerModule(PolyMatrix(field, [forms[m * i:m * i + m] for i in range(n)]))
         res = decide(K, f"module {k}")
         if res.verdict == "unstable":
             unstable_seen += 1

@@ -12,10 +12,10 @@ from sextic_strata.errors import (
     RejectionBudgetExceeded,
 )
 from sextic_strata.fields import GF, QQ
-from sextic_strata.forms import Form, divides, variables
+from sextic_strata.forms import Form, dim_forms, divides, variables
 from sextic_strata.presentation import dual, dumps, fitting_determinant
 from sextic_strata.rng import SplitMix64, derive_seed
-from sextic_strata.sampler import SampleRequest, construct_x5, random_form, sample
+from sextic_strata.sampler import SampleRequest, construct_x5, random_form, random_forms, sample
 from sextic_strata.strata import SHAPES, StratumLabel, classify, validate_shape
 
 F101 = GF(101)
@@ -40,13 +40,31 @@ def test_sample_bytes_pinned_across_fields():
         for label in StratumLabel:
             for seed in range(3):
                 P = sample(SampleRequest(label, field, seed))
-                digest.update(dumps(P).encode())
                 for row in P.matrix.entries:
                     for f in row:
                         assert f.array.dtype == field.dtype
                         if field.dtype is object:
                             assert all(type(c) is scalar for c in f.array.tolist()), (field, label, seed)
+                digest.update(dumps(P).encode())
     assert digest.hexdigest() == "7ac407102a7553efce141b2121501d224164c4087f0de3456b14beef86fbcd48"
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 + 11), GF(2**64 + 13), QQ], ids=repr)
+def test_random_forms_match_coefficient_loop(field):
+    # the reference: one next_below per coefficient, in monomial order
+    degrees = [0, 1, 3, 2, 0, 6]
+    block, sequential = SplitMix64(404), SplitMix64(404)
+    forms = random_forms(field, degrees, block)
+    for f, d in zip(forms, degrees):
+        if field.kind == "prime":
+            vec = [sequential.next_below(field.p) for _ in range(dim_forms(d))]
+        else:
+            vec = [sequential.next_below(19) - 9 for _ in range(dim_forms(d))]
+        assert f == Form.from_coeff_vector(field, d, vec) and f.degree == d
+        assert f.is_zero == (not any(vec)) and not f.array.flags.writeable
+        assert f.array.base is forms[0].array.base
+    assert block.state == sequential.state
+    assert random_forms(field, [], block) == [] and block.state == sequential.state
 
 
 def test_samples_classify_correctly():
