@@ -386,18 +386,9 @@ def criterion_9_negative_controls(seed: int) -> Tuple[bool, str]:
             while l.is_zero:
                 l = random_form(field, 1, rng)
             c = rng.next_below(101)
-            entries = [
-                [l, l.scale(c), Form.zero(field, -1), Form.zero(field, -1)],
-            ]
-            for i in range(3):
-                entries.append(
-                    [
-                        random_form(field, 3, rng),
-                        random_form(field, 3, rng),
-                        random_form(field, 1, rng),
-                        random_form(field, 1, rng),
-                    ]
-                )
+            forms = random_forms(field, [3, 3, 1, 1] * 3, rng)
+            entries = [[l, l.scale(c), Form.zero(field, -1), Form.zero(field, -1)]]
+            entries += [forms[4 * i:4 * i + 4] for i in range(3)]
             P = Presentation(src3, tgt3, PolyMatrix(field, entries))
             if is_injective(P):
                 break
@@ -414,8 +405,7 @@ def criterion_9_negative_controls(seed: int) -> Tuple[bool, str]:
             while u.is_zero:
                 u = random_form(field, 1, rng)
             q = l * u
-            h = random_form(field, 4, rng)
-            g = random_form(field, 5, rng)
+            h, g = random_forms(field, [4, 5], rng)
             P = Presentation(src5, tgt5, PolyMatrix(field, [[h, l], [g, q]]))
             if is_injective(P):
                 break
