@@ -87,8 +87,8 @@ class _ExactField:
         return np.array([self.normalize(x) for x in entries], dtype=self.dtype).reshape(shape)
 
     def from_draws(self, draws: np.ndarray, shape) -> np.ndarray:
-        """`array` of the uint64 `draws` of `rng.next_below_block(p, k)`, which
-        an int64 field takes as they are: they are canonical already."""
+        """`array` of uint64 `draws` from `rng.next_below_block`; an int64
+        field takes its draws below p as they are, canonical already."""
         if self.dtype is object:
             return self.array(draws.tolist(), shape)
         return draws.astype(np.int64).reshape(shape)
