@@ -8,6 +8,8 @@ Runs the CLI in one process under sys.setprofile:
   module, each with a destabilizing (3, 2) zero block (verdict unstable);
 * classify on a conic O(-2) -> O over GF(101), which must exit 2: its
   Hilbert polynomial 2m+1 is not in the table;
+* kron check on a 9 x 9 GF(101) module and cohomology of a sample at
+  twists 0 to 10^9, which must exit 3: both are past their budgets;
 * kron window and verify --suite all;
 * one usage error, a removed option, which must exit 1.
 
@@ -21,8 +23,9 @@ constructor, which Python calls and no entry point needs to) nor listed
 in ALLOWED, is printed and makes the exit code 1.  So does an ALLOWED
 entry that was reached after all or names no function, which keeps the
 list short and true, and so does any command that exits with another
-code than the one listed for it (0 for all but the conic and the usage
-error): a failing command reaches the code of its failure, not the code it names.
+code than the one listed for it (0 for all but the conic, the two
+budget probes and the usage error): a failing command reaches the code
+of its failure, not the code it names.
 Run from the repository root:
 
     PYTHONPATH=src python scripts/reachability.py
@@ -73,9 +76,10 @@ def package_functions() -> dict:
 
 def probe_files(tmp: Path) -> dict:
     """Presentation files beyond the samples: one semistable GF(3) module,
-    a GF(101) and a Q module with a destabilizing (3, 2) zero block, and
-    a conic O(-2) -> O over GF(101), whose Hilbert polynomial 2m+1 keeps
-    it out of the table."""
+    a GF(101) and a Q module with a destabilizing (3, 2) zero block, a
+    9 x 9 GF(101) module past the Kronecker module budget, and a conic
+    O(-2) -> O over GF(101), whose Hilbert polynomial 2m+1 keeps it out of
+    the table."""
     from sextic_strata.fields import GF, QQ
     from sextic_strata.forms import Form, variables
     from sextic_strata.polymatrix import PolyMatrix
@@ -92,6 +96,9 @@ def probe_files(tmp: Path) -> dict:
         rows = [[Form.zero(field, 1) if i >= 2 and j < 3 else random_form(field, 1, rng) for j in range(5)]
                 for i in range(4)]
         files[name] = Presentation((-2,) * 5, (-1,) * 4, PolyMatrix(field, rows))
+    rng = SplitMix64(9)
+    rows = [[random_form(F101, 1, rng) for _ in range(9)] for _ in range(9)]
+    files["past_budget"] = Presentation((-2,) * 9, (-1,) * 9, PolyMatrix(F101, rows))
     conic = Form(F101, 2, {(2, 0, 0): 1, (0, 1, 1): 1})
     files["conic"] = Presentation((-2,), (0,), PolyMatrix(F101, [[conic]]))
     paths = {}
@@ -125,7 +132,9 @@ def commands(tmp: Path, probes: dict):
     for name in ("semistable", "unstable", "unstable_qq"):
         yield ["kron", "check", str(probes[name])], 0
     yield ["classify", str(probes["conic"])], 2
-    yield ["--human", "kron", "window"], 0
+    yield ["kron", "check", str(probes["past_budget"])], 3
+    yield ["cohomology", str(tmp / "p101_X0.json"), "--tmin", "0", "--tmax", "1000000000"], 3
+    yield ["kron", "window"], 0
     yield ["kron", "window", "--grid", "700"], 1
     yield ["verify", "--suite", "all"], 0
 

@@ -2,12 +2,14 @@
 
 Subcommands: classify, sample, dual, det, cohomology, kron check,
 kron window, verify.  Every report, error documents included, is one
-schema-versioned JSON document in canonical encoding, written by `_emit`;
---human renders it as text.  Exit codes: 0 success, 1 malformed input
-or a usage error (--help exits 0), 2 contract violation (off-table profile / non-semistable cokernel /
+schema-versioned JSON document in canonical encoding, written by `_emit`
+(`sample` and `dual` without --out print the presentation file).  Exit
+codes: 0 success, 1 malformed input or a usage error (--help exits 0),
+2 contract violation (off-table profile / non-semistable cokernel /
 non-injective or non-square matrix / failed criterion, with the offending
-data in the report), 3 budget exceeded; each package error names its own
-as `exit_code`.
+data in the report), 3 budget exceeded (a file, Kronecker module or
+cohomology table past its budget); each package error names its own as
+`exit_code`.  `verify` runs at DEFAULT_SEED, as its criteria are frozen.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import sys
 
 from .errors import (
+    BudgetExceededError,
     InvalidPresentationError,
     NotInjectiveError,
     NotSemistable,
@@ -45,28 +48,22 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_CONTRACT = 2
+MAX_TABLE_ROWS = 1024  # cohomology rows; 10^5 rows took 0.6 s and 70 MB at peak
 
 
-def _emit(doc: dict, human: bool) -> None:
-    """Print one report, stamped with the schema version: canonical JSON,
-    or text under --human."""
-    doc = {"schema_version": 1, **doc}
-    if human:
-        print(_render(doc))
+def _emit(doc: dict) -> None:
+    """Print one report, stamped with the schema version, as canonical JSON."""
+    print(json.dumps({"schema_version": 1, **doc}, sort_keys=True, separators=(",", ":")))
+
+
+def _write(P: Presentation, out, kind: str, **fields) -> int:
+    """Save P to `out` and report it, or print P's file text when `out` is unset."""
+    if out:
+        save(P, out)
+        _emit({"kind": kind, "written": out, **fields})
     else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-
-
-def _render(doc: dict, indent: int = 0) -> str:
-    pad = "  " * indent
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render(value, indent + 1))
-        else:
-            lines.append(f"{pad}{key}: {value}")
-    return "\n".join(lines)
+        sys.stdout.write(dumps(P))
+    return EXIT_OK
 
 
 def _load_presentation(path: str) -> Presentation:
@@ -91,9 +88,9 @@ def cmd_classify(args) -> int:
             doc["hilbert"] = exc.hilbert
         if isinstance(exc, NotSemistable):
             doc["violations"] = exc.violations
-        _emit(doc, args.human)
+        _emit(doc)
         return EXIT_CONTRACT
-    _emit(report, args.human)
+    _emit(report)
     return EXIT_OK
 
 
@@ -101,34 +98,25 @@ def cmd_sample(args) -> int:
     field = parse_field(args.field)
     label = StratumLabel(args.stratum)
     P = sample(SampleRequest(label, field, args.seed))
-    if args.out:
-        save(P, args.out)
-        _emit({"kind": "sample", "written": args.out, "metadata": P.metadata}, args.human)
-    else:
-        sys.stdout.write(dumps(P))
-    return EXIT_OK
+    return _write(P, args.out, "sample", metadata=P.metadata)
 
 
 def cmd_dual(args) -> int:
     P = _load_presentation(args.file)
-    G = dual_presentation(P)
-    if args.out:
-        save(G, args.out)
-        _emit({"kind": "dual", "written": args.out}, args.human)
-    else:
-        sys.stdout.write(dumps(G))
-    return EXIT_OK
+    return _write(dual_presentation(P), args.out, "dual")
 
 
 def cmd_det(args) -> int:
     P = _load_presentation(args.file)
     det = fitting_determinant(P)
     _emit({"kind": "determinant", "degree": det.degree, "form": det.to_encoding(),
-           "pretty": det.pretty()}, args.human)
+           "pretty": det.pretty()})
     return EXIT_OK
 
 
 def cmd_cohomology(args) -> int:
+    if args.tmax - args.tmin >= MAX_TABLE_ROWS:
+        raise BudgetExceededError(f"{args.tmax - args.tmin + 1} rows are past the table budget {MAX_TABLE_ROWS}")
     P = _load_presentation(args.file)
     # h0 and h1 assume det != 0; checked once here, not on every twist.
     if not is_injective(P):
@@ -138,7 +126,7 @@ def cmd_cohomology(args) -> int:
     for t in range(args.tmin, args.tmax + 1):
         a, b = h0(P, t), h1(P, t)
         rows.append({"t": t, "h0": a, "h1": b, "chi": a - b})
-    _emit({"kind": "cohomology_table", "hilbert": list(hp), "rows": rows}, args.human)
+    _emit({"kind": "cohomology_table", "hilbert": list(hp), "rows": rows})
     return EXIT_OK
 
 
@@ -155,33 +143,30 @@ def cmd_kron_check(args) -> int:
     }
     if res.witness is not None:
         doc["witness"] = res.witness.report(P.field)
-    _emit(doc, args.human)
+    _emit(doc)
     return EXIT_OK
 
 
 def cmd_kron_window(args) -> int:
-    _emit({"kind": "polarization_windows", **polarization_windows()}, args.human)
+    _emit({"kind": "polarization_windows", **polarization_windows()})
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, seed=args.seed)
+    results = run_suite(args.suite)
     passed = sum(r.passed for r in results)
-    _emit(
-        {
-            "kind": "verification",
-            "suite": args.suite,
-            "seed": args.seed,
-            "passed": passed,
-            "total": len(results),
-            "criteria": {
-                str(r.number): {"name": r.name, "passed": r.passed, "details": r.details,
-                                "seconds": round(r.seconds, 3)}
-                for r in results
-            },
+    _emit({
+        "kind": "verification",
+        "suite": args.suite,
+        "seed": DEFAULT_SEED,
+        "passed": passed,
+        "total": len(results),
+        "criteria": {
+            str(r.number): {"name": r.name, "passed": r.passed, "details": r.details,
+                            "seconds": round(r.seconds, 3)}
+            for r in results
         },
-        args.human,
-    )
+    })
     return EXIT_OK if passed == len(results) else EXIT_CONTRACT
 
 
@@ -195,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sextic-strata",
         description="Exact classification of degree-6 Euler-characteristic-1 plane sheaf presentations.",
     )
-    ap.add_argument("--human", action="store_true", help="render reports as text instead of JSON")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a presentation file into its stratum")
@@ -234,19 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_verify)
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = argparse.Namespace(human=False)  # what a usage error is rendered with
     try:
-        build_parser().parse_args(argv, namespace=args)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (SexticStrataError, OSError, ValueError) as exc:
-        _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)}, args.human)
+        _emit({"kind": "error", "error": type(exc).__name__, "message": str(exc)})
         return exc.exit_code if isinstance(exc, SexticStrataError) else EXIT_MALFORMED
 
 

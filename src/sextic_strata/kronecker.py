@@ -44,6 +44,7 @@ from .polymatrix import PolyMatrix
 from .rng import SplitMix64
 
 EXACT_LATTICE_BUDGET = 10_000_000
+MAX_MODULE_ENTRIES = 64  # n*m; a blow-up element is (nm) x (nm), its rank costs (nm)^3
 # echelon bases per batched rank elimination in exact_smallfield; small
 # enough that every array of a chunk stays well under a megabyte
 ENUMERATION_CHUNK = 512
@@ -306,8 +307,11 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     skips the source dimensions below the least destabilizing one, none of
     which can hold the witness.  Raises BudgetExceededError, before any
     enumeration, when the source lattice has more than
-    EXACT_LATTICE_BUDGET elements.
+    EXACT_LATTICE_BUDGET elements.  Both modes raise it first, before any
+    draw or enumeration, when n*m > MAX_MODULE_ENTRIES.
     """
+    if K.n * K.m > MAX_MODULE_ENTRIES:
+        raise BudgetExceededError(f"a {K.n} x {K.m} module is past the budget n*m <= {MAX_MODULE_ENTRIES}")
     if mode == "exact_smallfield":
         F = K.field
         if F.kind != "prime":

@@ -5,20 +5,22 @@ import time
 
 import pytest
 
-from sextic_strata.cli import main
-from sextic_strata.errors import ProfileNotInTable
-from sextic_strata.fields import GF
+from sextic_strata.cli import MAX_TABLE_ROWS, main
+from sextic_strata.errors import BudgetExceededError, ProfileNotInTable
+from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import variables
+from sextic_strata.kronecker import MAX_MODULE_ENTRIES
 from sextic_strata.polymatrix import PolyMatrix
-from sextic_strata.presentation import MAX_CELL_DEGREE, MAX_LOAD_COEFFICIENTS, Presentation, save
+from sextic_strata.presentation import MAX_CELL_DEGREE, MAX_LOAD_COEFFICIENTS, Presentation, load, save
 from sextic_strata.sampler import SampleRequest, sample
 from sextic_strata.strata import StratumLabel, classify
+from sextic_strata.verify import DEFAULT_SEED
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    if code != 0 and "--human" not in argv:
+    if code != 0:
         # every error document is schema-versioned
         assert json.loads(out)["schema_version"] == 1, out
     return code, out
@@ -258,6 +260,7 @@ def test_many_negative_degree_cells_exit_2(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, out = run(capsys, "classify", "/nonexistent/path.json")
     assert code == 1
+    assert json.loads(out)["error"] == "FileNotFoundError"
 
 
 def test_directory_path_exit_code(tmp_path, capsys):
@@ -279,6 +282,29 @@ def test_det_and_cohomology(tmp_path, capsys):
     assert doc["hilbert"] == [6, 1]
     for row in doc["rows"]:
         assert row["chi"] == 6 * row["t"] + 1
+    # an empty range keeps its empty table
+    code, out = run(capsys, "cohomology", str(f), "--tmin", "5", "--tmax", "-5")
+    assert code == 0 and json.loads(out)["rows"] == []
+
+
+def test_cohomology_table_budget_exit_3(tmp_path, capsys, monkeypatch):
+    from sextic_strata import cli
+
+    f = tmp_path / "x0.json"
+    run(capsys, "sample", "--stratum", "X0", "--field", "p:101", "--seed", "1", "--out", str(f))
+    code, out = run(capsys, "cohomology", str(f), "--tmin", "0", "--tmax", str(MAX_TABLE_ROWS - 1))
+    assert code == 0 and len(json.loads(out)["rows"]) == MAX_TABLE_ROWS
+    # past the budget the command refuses before the injectivity check or any row
+    monkeypatch.setattr(cli, "is_injective", lambda P: pytest.fail("is_injective ran"))
+    monkeypatch.setattr(cli, "h0", lambda P, t: pytest.fail("a row was built"))
+    for tmax in (MAX_TABLE_ROWS, 1_000_000_000):
+        t0 = time.perf_counter()
+        code, out = run(capsys, "cohomology", str(f), "--tmin", "0", "--tmax", str(tmax))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        err = json.loads(out)
+        assert (err["kind"], err["error"]) == ("error", "BudgetExceededError")
+        assert f"{tmax + 1} rows" in err["message"] and str(MAX_TABLE_ROWS) in err["message"]
 
 
 def test_cohomology_rejects_zero_determinant(tmp_path, capsys):
@@ -356,6 +382,43 @@ def test_kron_check_budget_exit(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["error"] == "BudgetExceededError"
 
 
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["gf101", "rational"])
+def test_kron_check_module_past_budget_exits_3(tmp_path, capsys, monkeypatch, field):
+    from sextic_strata import kronecker
+    from sextic_strata.rng import SplitMix64
+    from sextic_strata.sampler import random_form
+
+    def module_file(n, m):
+        rng = SplitMix64(5)
+        rows = [[random_form(field, 1, rng) for _ in range(m)] for _ in range(n)]
+        f = tmp_path / f"module_{n}x{m}.json"
+        save(Presentation((-2,) * m, (-1,) * n, PolyMatrix(field, rows)), f)
+        return f
+
+    # 8 x 8 is at the budget and decides
+    assert 8 * 8 == MAX_MODULE_ENTRIES
+    code, out = run(capsys, "kron", "check", str(module_file(8, 8)))
+    assert code == 0 and json.loads(out)["verdict"] == "semistable"
+
+    # past it no blow-up element is built and no lattice enumerated
+    def never(*args):
+        raise AssertionError("the module budget was not checked first")
+
+    monkeypatch.setattr(kronecker, "_blowup_element", never)
+    monkeypatch.setattr(kronecker, "echelon_chunks", never)
+    f = module_file(9, 9)
+    t0 = time.perf_counter()
+    code, out = run(capsys, "kron", "check", str(f))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    err = json.loads(out)
+    assert (err["kind"], err["error"]) == ("error", "BudgetExceededError")
+    assert "9 x 9" in err["message"] and str(MAX_MODULE_ENTRIES) in err["message"]
+    # and the exact mode checks the same budget first
+    with pytest.raises(BudgetExceededError):
+        kronecker.is_semistable(kronecker.KroneckerModule(load(f).matrix), mode="exact_smallfield")
+
+
 def test_kron_window(capsys):
     code, out = run(capsys, "kron", "window")
     assert code == 0
@@ -368,25 +431,25 @@ def test_kron_window(capsys):
     }
 
 
-@pytest.mark.parametrize("argv", [
-    ("sample", "--stratum", "X9", "--seed", "1"),
-    ("kron", "window", "--grid", "abc"),
-    ("kron", "window", "--grid", "700"),  # the option is gone
-    ("sample", "--stratum", "X5", "--seed", "1", "--max-rejects", "5"),  # gone too
-    ("verify", "--suite", "table"),  # so is this suite
+@pytest.mark.parametrize("argv, named", [
+    (("sample", "--stratum", "X9", "--seed", "1"), "X9"),
+    (("kron", "window", "--grid", "abc"), "abc"),
+    (("kron", "window", "--grid", "700"), "--grid 700"),  # the option is gone
+    (("sample", "--stratum", "X5", "--seed", "1", "--max-rejects", "5"), "--max-rejects 5"),  # gone too
+    (("verify", "--suite", "table"), "table"),  # so is this suite
+    (("kron", "window", "--human"), "--human"),  # and every report's text rendering
+    (("verify", "--suite", "dims", "--seed", "7"), "--seed 7"),  # verify runs at DEFAULT_SEED only
 ], ids=["unknown-choice", "unknown-option-bad-value", "unknown-option", "removed-max-rejects",
-        "removed-suite"])
-def test_usage_error_exits_1_with_error_document(capsys, argv):
+        "removed-suite", "removed-human", "removed-verify-seed"])
+def test_usage_error_exits_1_with_error_document(capsys, argv, named):
     code, out = run(capsys, *argv)
     assert code == 1
     err = json.loads(out)
     assert (err["kind"], err["error"]) == ("error", "ValueError")
-    assert argv[-1] in err["message"]
+    assert named in err["message"]
 
 
-def test_usage_error_under_human_and_help(capsys):
-    code, out = run(capsys, "--human", "sample", "--stratum", "X9", "--seed", "1")
-    assert code == 1 and "kind: error" in out
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kron", "--help"])
     assert exc.value.code == 0
@@ -398,6 +461,7 @@ def test_verify_dims_suite(capsys):
     doc = json.loads(out)
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert (doc["schema_version"], doc["kind"], doc["passed"], doc["total"]) == (1, "verification", 2, 2)
+    assert doc["seed"] == DEFAULT_SEED
     assert doc["criteria"]["4"]["details"] == "16/16 identities hold"
     assert all(c["passed"] and c["seconds"] >= 0 for c in doc["criteria"].values())
 
@@ -406,10 +470,6 @@ def test_verify_prints_criteria_in_order(capsys):
     code, out = run(capsys, "verify", "--suite", "dims")
     assert code == 0
     assert list(json.loads(out)["criteria"]) == ["4", "5"]
-    code, out = run(capsys, "--human", "verify", "--suite", "dims")
-    assert code == 0
-    assert "kind: verification" in out and "passed: 2" in out
-    assert out.index("  4:") < out.index("    name: dimension arithmetic") < out.index("  5:")
 
 
 def test_verify_failing_criterion_exits_2(capsys, monkeypatch):
@@ -452,17 +512,6 @@ def test_kron_check_unstable_block_module(tmp_path, capsys):
     doc = json.loads(out)
     assert (doc["verdict"], doc["mode"]) == ("unstable", "certificate")
     assert (doc["witness"]["dimS"], doc["witness"]["dimT"]) == (3, 2)
-
-
-def test_human_rendering(tmp_path, capsys):
-    f = tmp_path / "x1.json"
-    run(capsys, "sample", "--stratum", "X1", "--field", "p:101", "--seed", "2", "--out", str(f))
-    code, out = run(capsys, "--human", "classify", str(f))
-    assert code == 0
-    assert "label: X1" in out
-    code, out = run(capsys, "--human", "det", str(tmp_path / "missing.json"))
-    assert code == 1
-    assert "kind: error" in out and "error: FileNotFoundError" in out
 
 
 def test_rectangular_presentation_exits_2(tmp_path, capsys):
