@@ -189,15 +189,6 @@ class Form:
         built from `array` on every access."""
         return MappingProxyType(dict(self._terms()))
 
-    def evaluate(self, point: Sequence) -> object:
-        """The value at `point`: `array` dotted with the monomials' values there."""
-        F = self.field
-        if self.is_zero:
-            return F.zero()
-        values = _monomial_values(F, self.degree, tuple(point))
-        dt = F.dot_dtype(values.size)
-        return F.normalize(self.array.astype(dt, copy=False) @ values.astype(dt, copy=False))
-
     def to_encoding(self) -> list:
         """Serialized as [[coeff, e_X, e_Y, e_Z], ...] in monomial order;
         `presentation.loads` reads it back."""
@@ -249,14 +240,21 @@ def _position(degree: int, e: Exponent) -> int:
     return k
 
 
-@lru_cache(maxsize=64)
-def _monomial_values(field: Field, degree: int, point: Tuple) -> np.ndarray:
-    """Values of the degree-d monomials at a point, in the monomial order
-    and the field's dtype."""
+@lru_cache(maxsize=256)
+def evaluation_matrix(field: Field, source_degrees: Tuple[int, ...], target_degrees: Tuple[int, ...],
+                      point: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """The matrix taking a nonempty grid's coefficients, cell by cell in rows
+    (a cell of negative degree has one zero slot), to its cells' values at
+    `point`: row k holds cell k's monomial values from slot starts[k] on, in
+    the largest cell's `dot_dtype`, kept as (weights, starts), not cells x slots."""
     x, y, z = (field.normalize(v) for v in point)
-    values = field.array([x ** a * y ** b * z ** c for a, b, c in monomial_basis(degree)], dim_forms(degree))
-    values.flags.writeable = False
-    return values
+    degrees = [c - b for c in target_degrees for b in source_degrees]
+    values = [[x ** a * y ** b * z ** c for a, b, c in monomial_basis(d)] if d >= 0 else [0] for d in degrees]
+    starts = np.array(list(accumulate(map(len, values), initial=0))[:-1], dtype=np.intp)
+    flat = [v for cell in values for v in cell]
+    weights = field.array(flat, len(flat)).astype(field.dot_dtype(max(map(len, values))))
+    weights.flags.writeable = starts.flags.writeable = False
+    return weights, starts
 
 
 @lru_cache(maxsize=16)

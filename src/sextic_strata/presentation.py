@@ -24,11 +24,11 @@ read off the twists, plus the rank of one block of constants:
 
 The section matrices (`section_matrix`, `dual_section_matrix`) give the
 same numbers by elimination; `verify` keeps them as the independent check.
-`is_injective` certifies injectivity (det phi != 0) without expanding the
-determinant: phi evaluated at a point of the plane is a scalar matrix,
-and full rank there proves det phi != 0.  The symbolic determinant
-(`fitting_determinant`) is expanded only when every probe point lies on
-the curve det phi = 0, which is what keeps the check exact over F_2.
+`is_injective` certifies det phi != 0 without expanding it: phi at a point
+of the plane, one product of the gathered cell coefficients with a cached
+evaluation matrix, is a scalar matrix, and full rank there proves it.  The
+determinant (`fitting_determinant`) is expanded only when every probe point
+lies on the curve det phi = 0, which is what keeps the check exact over F_2.
 
 Serialization is a frozen interchange format: `dumps` writes the twists
 and each cell's nonzero terms as [coeff, e_X, e_Y, e_Z] in canonical JSON,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import Field, field_from_json, json_int
-from .forms import Form, block_mult_map, dim_forms, form_views, monomial_index
+from .forms import Form, block_mult_map, dim_forms, evaluation_matrix, form_views, monomial_index
 from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
@@ -198,15 +198,23 @@ def is_injective(P: Presentation) -> bool:
     the first probe almost always decides.  Only when phi has deficient
     rank at every probe, which happens for det = 0 and for curves through
     all the probes (over F_2 the form XY(X+Y) vanishes on the whole
-    plane), is the determinant expanded by `det_poly`.
+    plane), is the determinant expanded by `det_poly`.  Each probe matrix
+    is one product (`_probe_matrices`), not one evaluation per cell.
     """
     _require_square(P)
     n = P.matrix.nrows
+    return any(M.rank() == n for M in _probe_matrices(P)) or not det_poly(P.matrix).is_zero
+
+
+def _probe_matrices(P: Presentation) -> Iterator[ScalarMatrix]:
+    """phi at each probe point: the cells' coefficients, gathered once, times `evaluation_matrix`."""
+    F, n = P.field, P.matrix.nrows
+    cells = zip(itertools.chain(*P.matrix.entries), (d - s for d in P.target for s in P.source))
+    vec = np.concatenate([np.full(dim_forms(e) or 1, F.zero(), F.dtype) if f.is_zero else f.array for f, e in cells])
     for point in PROBE_POINTS:
-        values = [[f.evaluate(point) for f in row] for row in P.matrix.entries]
-        if ScalarMatrix(P.field, values, shape=(n, n)).rank() == n:
-            return True
-    return not det_poly(P.matrix).is_zero
+        weights, starts = evaluation_matrix(F, P.source, P.target, point)
+        values = F.reduce(np.add.reduceat(vec.astype(weights.dtype, copy=False) * weights, starts))
+        yield ScalarMatrix._wrap(F, values.astype(F.dtype, copy=False).reshape(n, n))
 
 
 def validate_grid_only(P: Presentation) -> List[str]:

@@ -42,3 +42,16 @@ def _reference_mult_map(f, b):
 @pytest.fixture(scope="session")
 def reference_mult_map():
     return _reference_mult_map
+
+
+def _evaluate(f, point):
+    """The value of the form f at `point`, summed term by term: the per-cell
+    reference for the probe products of `presentation.is_injective`."""
+    F = f.field
+    x, y, z = (F.normalize(v) for v in point)
+    return F.normalize(sum(c * x ** a * y ** b * z ** e for (a, b, e), c in f.coeffs.items()))
+
+
+@pytest.fixture(scope="session")
+def evaluate():
+    return _evaluate

@@ -76,8 +76,11 @@ def test_criterion_5_king_windows():
 
 def test_criterion_6_x1_oracle_equivalence():
     # 1000 random F_2 matrices: derived pattern tests agree with the
-    # exhaustive 147456-pair orbit search on all four patterns; < 10 min
-    _report(criterion_6_x1_oracle(DEFAULT_SEED))
+    # exhaustive 147456-pair orbit search on all four patterns; < 10 min.
+    # The details hold no timing, so a second run prints the same bytes.
+    result = criterion_6_x1_oracle(DEFAULT_SEED)
+    _report(result)
+    assert criterion_6_x1_oracle(DEFAULT_SEED)[1] == result[1]
 
 
 def test_criterion_7_kronecker_oracle():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sextic_strata.linalg as linalg
 from sextic_strata.fields import GF, QQ
 from sextic_strata.linalg import ScalarMatrix
 
@@ -348,3 +349,56 @@ def test_forward_pivots_match_rref(shape, rank, data, field):
     assert M.pivots() == M.rref()[1] == ref_pivots
     assert M.rank() == len(ref_pivots)
     assert M.to_lists() == [[field.normalize(x) for x in row] for row in rows]  # M is untouched
+
+
+def _elimination_inputs(field, rng):
+    """Matrices on both sides of SMALL_ELIMINATION_ENTRIES: random ones,
+    ones with most entries zero (so pivots are found below the current row
+    and rows swap), rank-one and all-zero ones, and empty ones."""
+    bound = field.p if field.kind == "prime" else 19
+    entry = (lambda: rng.randrange(bound)) if field.kind == "prime" else (lambda: Fraction(rng.randrange(19) - 9, rng.randrange(1, 5)))
+    out = []
+    for nrows, ncols in ((1, 1), (2, 3), (4, 4), (5, 7), (6, 8), (12, 4), (7, 7), (5, 12), (13, 6)):
+        out.append([[entry() for _ in range(ncols)] for _ in range(nrows)])
+        for keep in (3, 6):
+            out.append([[entry() if rng.randrange(keep) == 0 else 0 for _ in range(ncols)] for _ in range(nrows)])
+        u, v = [entry() for _ in range(nrows)], [entry() for _ in range(ncols)]
+        out.append([[x * y for y in v] for x in u])
+        out.append([[0] * ncols for _ in range(nrows)])
+    return [ScalarMatrix(field, rows) for rows in out] + [
+        ScalarMatrix.zeros(field, *shape) for shape in ((0, 3), (3, 0), (0, 0))]
+
+
+def _exact(value):
+    """A value with the type of every entry, so that equal results are
+    equal to the byte: an int64 array's bytes, else nested (type, value)."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype, value.shape, value.tobytes() if value.dtype != object else _exact(value.tolist()))
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    return (type(value), value)
+
+
+def _eliminations(M, rhs):
+    R, pivots = M.rref()
+    return _exact([R.a, pivots, M.pivots(), M.rank(), M.kernel_basis(), M.solve(rhs), M.solve([0] * M.nrows)])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), INT64_MAX_PRIME, OBJECT_MIN_PRIME, QQ], ids=repr)
+def test_list_and_array_eliminations_agree(field, monkeypatch):
+    # The list path (up to SMALL_ELIMINATION_ENTRIES entries) and the numpy
+    # path must give the same pivots and the same canonical arrays, to the
+    # byte, on both sides of the cutoff: each input is run with the cutoff
+    # below every input, empty ones too, and above every input.
+    rng = random.Random(48)
+    runs = {}
+    for cutoff in (-1, 10**6):
+        monkeypatch.setattr(linalg, "SMALL_ELIMINATION_ENTRIES", cutoff)
+        rng.seed(48)
+        runs[cutoff] = []
+        for M in _elimination_inputs(field, rng):
+            rhs = [rng.randrange(7) for _ in range(M.nrows)]
+            runs[cutoff].append(_eliminations(M, rhs))
+    assert len(runs[-1]) == len(runs[10**6]) > 40
+    for numpy_run, list_run in zip(runs[-1], runs[10**6]):
+        assert numpy_run == list_run

@@ -291,16 +291,16 @@ def _padded(P, k, rng):
     return Presentation(P.source + (k,), P.target + (k,), PolyMatrix(F, entries))
 
 
-def _rank_of_constants(P):
+def _rank_of_constants(P, evaluate):
     """Rank of phi's constants on the rows with d_i = -1 and the columns with s_j = -1."""
     rows = [i for i, d in enumerate(P.target) if d == -1]
     cols = [j for j, s in enumerate(P.source) if s == -1]
-    C = [[P.matrix.entry(i, j).evaluate((1, 1, 1)) for j in cols] for i in rows]
+    C = [[evaluate(P.matrix.entry(i, j), (1, 1, 1)) for j in cols] for i in rows]
     return ScalarMatrix(P.field, C, shape=(len(rows), len(cols))).rank()
 
 
 @pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 + 11), QQ], ids=repr)
-def test_closed_forms_match_section_matrix_ranks(field):
+def test_closed_forms_match_section_matrix_ranks(field, evaluate):
     # Samples of every row at seeds 1-3, each also padded with a unit block
     # O(k) -> O(k), k = -2, -1, 0 by seed.  The pad at k = -1 puts a nonzero
     # constant into the block C of h0_omega, which no row's shape has; the
@@ -317,7 +317,7 @@ def test_closed_forms_match_section_matrix_ranks(field):
             while not is_injective(padded):
                 padded = _padded(P, k, rng)
             if k == -1:
-                assert _rank_of_constants(padded) >= 1
+                assert _rank_of_constants(padded, evaluate) >= 1
             cases += [P, padded]
     for P in cases:
         assert verify.rank_model_mismatches(P, twists) == [], (P, dumps(P))
@@ -434,6 +434,29 @@ def test_is_injective_agrees_with_det_poly(field):
             assert is_injective(P) == want, (label, singular)
             seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 + 11), QQ], ids=repr)
+def test_probe_products_match_cellwise_evaluation(field, evaluate):
+    # phi at every probe point, from the one product of `_probe_matrices`,
+    # against its cells evaluated one at a time: a sample of every row, and
+    # the same with a zero cell tagged with a degree other than its own.
+    # The X3, X4 and X5 shapes have cells of negative degree.
+    cases = []
+    for label in StratumLabel:
+        P = sample(SampleRequest(label, field, seed=7))
+        entries = [list(row) for row in P.matrix.entries]
+        entries[-1][0] = Form.zero(field, 7)
+        cases += [P, Presentation(P.source, P.target, PolyMatrix(field, entries))]
+    assert any(d < s for P in cases for d in P.target for s in P.source)
+    for P in cases:
+        probes = list(presentation._probe_matrices(P))
+        assert len(probes) == len(PROBE_POINTS)
+        for M, point in zip(probes, PROBE_POINTS):
+            want = [[evaluate(f, point) for f in row] for row in P.matrix.entries]
+            assert M.a.dtype == field.dtype
+            assert M.to_lists() == want, (P, point)
+            assert {type(x) for row in M.to_lists() for x in row} == {type(field.zero())}
 
 
 def test_probe_points_reduce_to_distinct_points():
