@@ -8,8 +8,10 @@ Runs the CLI in one process under sys.setprofile:
   module, each with a destabilizing (3, 2) zero block (verdict unstable);
 * classify on a conic O(-2) -> O over GF(101), which must exit 2: its
   Hilbert polynomial 2m+1 is not in the table;
-* kron check on a 9 x 9 GF(101) module and cohomology of a sample at
-  twists 0 to 10^9, which must exit 3: both are past their budgets;
+* kron check on a 9 x 9 GF(101) module, cohomology of a sample at
+  twists 0 to 10^9 and classify on a file of 65 x 65 empty cells, which
+  must exit 3: each is past its budget (module entries, table rows and
+  load cells);
 * kron window and verify --suite all;
 * one usage error, a removed option, which must exit 1.
 
@@ -23,7 +25,7 @@ constructor, which Python calls and no entry point needs to) nor listed
 in ALLOWED, is printed and makes the exit code 1.  So does an ALLOWED
 entry that was reached after all or names no function, which keeps the
 list short and true, and so does any command that exits with another
-code than the one listed for it (0 for all but the conic, the two
+code than the one listed for it (0 for all but the conic, the three
 budget probes and the usage error): a failing command reaches the code
 of its failure, not the code it names.
 Run from the repository root:
@@ -37,6 +39,7 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import json
 import sys
 import tempfile
 import time
@@ -77,9 +80,10 @@ def package_functions() -> dict:
 def probe_files(tmp: Path) -> dict:
     """Presentation files beyond the samples: one semistable GF(3) module,
     a GF(101) and a Q module with a destabilizing (3, 2) zero block, a
-    9 x 9 GF(101) module past the Kronecker module budget, and a conic
+    9 x 9 GF(101) module past the Kronecker module budget, a conic
     O(-2) -> O over GF(101), whose Hilbert polynomial 2m+1 keeps it out of
-    the table."""
+    the table, and 65 x 65 empty cells of degree -1, past the load cell
+    budget."""
     from sextic_strata.fields import GF, QQ
     from sextic_strata.forms import Form, variables
     from sextic_strata.polymatrix import PolyMatrix
@@ -105,6 +109,12 @@ def probe_files(tmp: Path) -> dict:
     for name, P in files.items():
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(dumps(P), encoding="utf-8")
+    n = 65
+    paths["many_cells"] = tmp / "many_cells.json"
+    paths["many_cells"].write_text(json.dumps({
+        "format_version": 1, "field": {"kind": "prime", "p": 101},
+        "source_twists": [0] * n, "target_twists": [-1] * n,
+        "matrix": [[[] for _ in range(n)] for _ in range(n)]}), encoding="utf-8")
     return paths
 
 
@@ -134,6 +144,7 @@ def commands(tmp: Path, probes: dict):
     yield ["classify", str(probes["conic"])], 2
     yield ["kron", "check", str(probes["past_budget"])], 3
     yield ["cohomology", str(tmp / "p101_X0.json"), "--tmin", "0", "--tmax", "1000000000"], 3
+    yield ["classify", str(probes["many_cells"])], 3
     yield ["kron", "window"], 0
     yield ["kron", "window", "--grid", "700"], 1
     yield ["verify", "--suite", "all"], 0

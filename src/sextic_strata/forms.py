@@ -372,9 +372,9 @@ def forms_rank(forms: Sequence[Form]) -> int:
 def divides(l: Form, q: Form) -> bool:
     """Whether the nonzero linear form l divides q.
 
-    Decided by one linear solve: q is divisible by l iff its coefficient
-    vector lies in the image of multiplication by l on forms of degree
-    deg(q) - 1.
+    q is divisible by l iff its coefficient vector lies in the image of
+    multiplication by l on forms of degree deg(q) - 1: q's column,
+    appended to that matrix, is in the span of the others.
     """
     if l.is_zero or l.degree != 1:
         raise ValueError("divisor must be a nonzero linear form")
@@ -383,7 +383,7 @@ def divides(l: Form, q: Form) -> bool:
     d = q.degree
     if d < 1:
         return False
-    return mult_map(l, d - 1).solve(q.array) is not None
+    return mult_map(l, d - 1).hstack(ScalarMatrix(l.field, q.array[:, None])).last_in_span()
 
 
 def common_factor(q1: Form, q2: Form) -> bool:
@@ -393,7 +393,7 @@ def common_factor(q1: Form, q2: Form) -> bool:
     degree d share a non-constant factor iff a1*q1 + a2*q2 = 0 has a
     solution with a1, a2 of degree d-1, not both zero.  That is a kernel
     rank test on the stacked multiplication matrices, so no polynomial
-    gcd machinery is needed.
+    gcd machinery is needed, nor a case of its own for constants or a zero form.
     """
     if q1.is_zero and q2.is_zero:
         raise ValueError("common_factor undefined for (0, 0)")
@@ -403,9 +403,5 @@ def common_factor(q1: Form, q2: Form) -> bool:
     if d1 != d2:
         raise ValueError(f"mixed degrees {d1}, {d2}")
     d = d1
-    if d == 0:
-        return False
-    if q1.is_zero or q2.is_zero:
-        return True
     A = block_mult_map(q1.field, [[q1, q2]], [d - 1, d - 1], [2 * d - 1])
     return A.rank() < 2 * dim_forms(d - 1)

@@ -10,9 +10,9 @@ the same pivots and canonical arrays.  It has two modes:
 
 * full (Gauss-Jordan), behind `rref`, `kernel_basis` and `solve`: each
   pivot clears its column in every row, so the array ends as the RREF;
-* forward, behind `pivots` and `rank`: each pivot clears only the rows
-  below it, since only the pivot columns are read.  They are the RREF's
-  pivot columns.
+* forward, behind `pivots`, `rank` and `last_in_span`: each pivot clears
+  only the rows below it, since only the pivot columns are read.  They
+  are the RREF's pivot columns.
 
 Every entry stays canonical at every step: the pivot row and each row
 update are reduced mod p as they are made.  An update subtracts one
@@ -147,6 +147,14 @@ class ScalarMatrix:
 
     def rank(self) -> int:
         return len(self.pivots())
+
+    def last_in_span(self, k: int = 1) -> bool:
+        """Whether some nonzero combination of the last k columns lies in the
+        span of the columns A before them: iff rank M < rank A + k, that is
+        iff the last k columns are not all pivots, since elimination runs
+        column by column, finds A's pivots first and adds one per pivot after."""
+        first = self.ncols - k
+        return sum(c >= first for c in self.pivots()) < k
 
     def _eliminate(self, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
         """Gaussian elimination on a copy of the payload: (array, pivots).

@@ -4,9 +4,12 @@ Matrices coming from twisted resolutions have heterogeneous cell degrees
 but a constant total degree along every permutation, so determinants are
 again homogeneous.  `det_poly` expands cofactors with minors memoized by
 column subset, about 2^n form products for n x n.  The table's matrices
-are at most 5 x 5, but `loads` admits linear cells up to n = 147: 3.9 s
-at n = 14 over GF(101), 11.2 s at n = 12 over Q.  ROADMAP item 17 is
-to replace the expansion by a polynomial-time elimination.
+are at most 5 x 5, but `loads` admits linear cells up to n = 64: 3.9 s
+at n = 14 over GF(101), 11.2 s at n = 12 over Q.  Over Q the cost grows
+with the cell degree too, so a bound on n alone would not bound it: dense
+10 x 10 cells took 1.3 s linear, 19.1 s cubic (single runs, 2-vCPU Xeon
+VM).  ROADMAP item 17 is to replace the expansion by a polynomial-time
+elimination.
 
 Injectivity does not need the expansion (`presentation.is_injective`
 evaluates the matrix at points and falls back to `det_poly` only when

@@ -41,7 +41,6 @@ per cell.  The cells of one negative degree share one zero form.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
@@ -59,27 +58,16 @@ from .linalg import ScalarMatrix
 from .polymatrix import PolyMatrix, det_poly
 
 FORMAT_VERSION = 1
-# Load budgets, checked from the twists before any cell is built as its
-# dim_forms(d_i - s_j) coefficients: the largest cell degree, so that one
-# twist far from the others cannot cost memory quadratic in it, and the
-# largest total over all cells, so that many cells cannot either.  A table
-# shape has cells of degree at most 5 and at most 90 coefficients (X0), and
-# shifting all twists by one amount keeps both, so 64 (2145 coefficients a
-# cell) and 2^16 leave wide room for every presentation in scope.
+# Three load budgets, checked from the twists before any cell is built as
+# its dim_forms(d_i - s_j) coefficients: the largest cell degree, so one
+# far twist cannot cost memory quadratic in it; the number of cells, which
+# bounds cells of negative degree and the plain sum behind the third, the
+# total of coefficients.  A table shape has at most 25 cells, of degree at
+# most 5, with 90 coefficients (X0), and shifts keep all three, so 64 (2145
+# coefficients a cell), 64 x 64 cells and 2^16 leave room for every shape.
 MAX_CELL_DEGREE = 64
+MAX_LOAD_CELLS = 4096
 MAX_LOAD_COEFFICIENTS = 2 ** 16
-
-
-def _coefficient_count(source: Sequence[int], target: Sequence[int]) -> int:
-    """Sum over cells of dim_forms(t - s), from prefix sums of the sorted
-    sources: 2 dim_forms(t - s) = (t + 1)(t + 2) - (2t + 3) s + s^2 for s <= t."""
-    src = sorted(source)
-    sums, squares = [0, *itertools.accumulate(src)], [0, *itertools.accumulate(s * s for s in src)]
-    total = 0
-    for t in target:
-        k = bisect.bisect_right(src, t)
-        total += k * (t + 1) * (t + 2) - (2 * t + 3) * sums[k] + squares[k]
-    return total // 2
 
 
 def chi_line_bundle(e: int) -> int:
@@ -400,7 +388,10 @@ def presentation_from_dict(doc: dict) -> Presentation:
     if source and target and max(target) - min(source) > MAX_CELL_DEGREE:
         raise BudgetExceededError(f"cell degree {max(target) - min(source)} is past the "
                                   f"load budget {MAX_CELL_DEGREE}")
-    if _coefficient_count(source, target) > MAX_LOAD_COEFFICIENTS:
+    if len(source) * len(target) > MAX_LOAD_CELLS:
+        raise BudgetExceededError(f"{len(target)} x {len(source)} cells are past the load budget "
+                                  f"{MAX_LOAD_CELLS}")
+    if sum(dim_forms(d - s) for d in target for s in source) > MAX_LOAD_COEFFICIENTS:
         raise BudgetExceededError(f"the cells hold more coefficients than the load budget "
                                   f"{MAX_LOAD_COEFFICIENTS}")
     raw = doc["matrix"]

@@ -214,8 +214,8 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
 
     P2 and P4 both need l1, l2 dependent, so their rank is computed once;
     P2 is then one kernel plus a determinant test (`_pencil_degenerates`),
-    and P3 and P4 one elimination each.  An empty set means the matrix is
-    admissible for X1.
+    and P3 and P4 one `last_in_span` each, the quadric columns last.  An
+    empty set means the matrix is admissible for X1.
     """
     _require_shape(P, StratumLabel.X1)
     M = P.matrix
@@ -228,8 +228,9 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
     tests = (
         (PatternId.P1, l1.is_zero and l2.is_zero),
         (PatternId.P2, dependent and _pencil_degenerates(field, l1, l2, q11, q12, q21, q22)),
-        (PatternId.P3, _row_clearing_exists(field, l1, l2, q11, q12, q21, q22)),
-        (PatternId.P4, dependent and _in_linear_ideal_slice(field, q, l1, l2)),
+        (PatternId.P3, block_mult_map(field, [[l1, q11, q21], [l2, q12, q22]],
+                                      [1, 0, 0], [2, 2]).last_in_span(2)),
+        (PatternId.P4, dependent and block_mult_map(field, [[l1, l2, q]], [1, 1, 0], [2]).last_in_span()),
     )
     return {pattern for pattern, found in tests if found}
 
@@ -271,28 +272,6 @@ def _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) -> bool:
     else:
         square = pow(disc, (field.p - 1) // 2, field.p) != field.p - 1
     return A == 0 or square
-
-
-def _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) -> bool:
-    """P3 test: solutions of alpha*(q11,q12) + beta*(q21,q22) + v*(l1,l2) = 0.
-
-    Columns: v against X, Y, Z, then the two stacked quadric pairs.  A
-    solution with (alpha, beta) != 0 exists iff the kernel is strictly
-    larger than the kernel of the v-only columns, that is iff the two
-    quadric columns are not both pivots.
-    """
-    M = block_mult_map(field, [[l1, q11, q21], [l2, q12, q22]], [1, 0, 0], [2, 2])
-    return not {3, 4} <= set(M.pivots())
-
-
-def _in_linear_ideal_slice(field, q, l1, l2) -> bool:
-    """Whether q lies in the degree-2 slice of the ideal (l1, l2).
-
-    q is in the image of (l1, l2) on pairs of one-forms iff its column,
-    the last, is not a pivot.
-    """
-    M = block_mult_map(field, [[l1, l2, q]], [1, 1, 0], [2])
-    return M.ncols - 1 not in M.pivots()
 
 
 def _minors(a, b, c) -> List[Form]:
@@ -351,7 +330,8 @@ def x4_conditions(P: Presentation) -> List[str]:
     must share no factor: a common factor cutting out a line or a conic C
     gives a quotient O_C(-1) of slope 0 or -1/2, below the sheaf's 1/6.
     Case ii, c = 0: independent one-forms l1, l2 up top, l = phi_12 != 0,
-    and no linear forms u, v1, v2 solve (q1, q2) = u*(l1, l2) + l*(v1, v2).
+    and no linear forms u, v1, v2 solve (q1, q2) = u*(l1, l2) + l*(v1, v2):
+    (q1, q2)'s column is not in the span of the columns of u, v1 and v2.
     """
     _require_shape(P, StratumLabel.X4)
     M = P.matrix
@@ -369,17 +349,11 @@ def x4_conditions(P: Presentation) -> List[str]:
         violations.append("l_1, l_2 dependent")
     if l.is_zero:
         violations.append("l = 0")
-    if not violations and _x4_syzygy_solvable(P.field, l1, l2, l, q1, q2):
+    zero = Form.zero(P.field, 1)
+    if not violations and block_mult_map(P.field, [[l1, l, zero, q1], [l2, zero, l, q2]],
+                                         [1, 1, 1, 0], [2, 2]).last_in_span():
         violations.append("linear forms u, v_1, v_2 solve (q_1, q_2) = u(l_1, l_2) + l(v_1, v_2)")
     return violations
-
-
-def _x4_syzygy_solvable(field, l1, l2, l, q1, q2) -> bool:
-    # 12 equations (two stacked quadrics), 9 unknowns (coefficients of u, v1,
-    # v2); (q1, q2) is in their span iff its column, the last, is not a pivot.
-    zero = Form.zero(field, 1)
-    M = block_mult_map(field, [[l1, l, zero, q1], [l2, zero, l, q2]], [1, 1, 1, 0], [2, 2])
-    return M.ncols - 1 not in M.pivots()
 
 
 def x5_conditions(P: Presentation) -> List[str]:

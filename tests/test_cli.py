@@ -11,7 +11,14 @@ from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import variables
 from sextic_strata.kronecker import MAX_MODULE_ENTRIES
 from sextic_strata.polymatrix import PolyMatrix
-from sextic_strata.presentation import MAX_CELL_DEGREE, MAX_LOAD_COEFFICIENTS, Presentation, load, save
+from sextic_strata.presentation import (
+    MAX_CELL_DEGREE,
+    MAX_LOAD_CELLS,
+    MAX_LOAD_COEFFICIENTS,
+    Presentation,
+    load,
+    save,
+)
 from sextic_strata.sampler import SampleRequest, sample
 from sextic_strata.strata import StratumLabel, classify
 from sextic_strata.verify import DEFAULT_SEED
@@ -243,18 +250,33 @@ def test_many_cells_past_load_budget_exit_3(tmp_path, capsys):
     assert err["error"] == "BudgetExceededError" and str(MAX_LOAD_COEFFICIENTS) in err["message"]
 
 
+def _empty_cells_file(path, n):
+    """n x n empty cells of degree -1: they hold no coefficient, so only
+    the cell budget bounds them."""
+    path.write_text(json.dumps({"format_version": 1, "field": {"kind": "prime", "p": 101},
+                                "source_twists": [0] * n, "target_twists": [-1] * n,
+                                "matrix": [[[] for _ in range(n)] for _ in range(n)]}))
+    return path
+
+
 def test_many_negative_degree_cells_exit_2(tmp_path, capsys):
-    # 300 x 300 empty cells of degree -1 hold no coefficient, so the load
-    # budget passes them; they share one zero form and classify exits 2
-    n = 300
-    doc = {"format_version": 1, "field": {"kind": "prime", "p": 101},
-           "source_twists": [0] * n, "target_twists": [-1] * n,
-           "matrix": [[[] for _ in range(n)] for _ in range(n)]}
-    f = tmp_path / "empty.json"
-    f.write_text(json.dumps(doc))
-    code, out = run(capsys, "classify", str(f))
+    # 64 x 64 cells, exactly at the cell budget, load; they share one zero
+    # form and classify exits 2
+    assert 64 * 64 == MAX_LOAD_CELLS
+    code, out = run(capsys, "classify", str(_empty_cells_file(tmp_path / "empty.json", 64)))
     assert code == 2
     assert json.loads(out)["error"] == "NotInjectiveError"
+
+
+def test_many_cells_past_cell_budget_exit_3(tmp_path, capsys):
+    # 300 x 300 cells are refused from the twists, before any cell is read
+    f = _empty_cells_file(tmp_path / "empty.json", 300)
+    t0 = time.perf_counter()
+    code, out = run(capsys, "classify", str(f))
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    err = json.loads(out)
+    assert err["error"] == "BudgetExceededError" and str(MAX_LOAD_CELLS) in err["message"]
 
 
 def test_missing_file_exit_code(capsys):

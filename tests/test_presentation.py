@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import sextic_strata.presentation as presentation
 import sextic_strata.strata as strata
 import sextic_strata.verify as verify
-from sextic_strata.errors import InvalidPresentationError, NotSquareError
+from sextic_strata.errors import BudgetExceededError, InvalidPresentationError, NotSquareError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import Form, dim_forms, mult_map, variables
 from sextic_strata.linalg import ScalarMatrix
@@ -600,7 +600,20 @@ def test_format_version_checked():
         presentation_from_dict(doc)
 
 
-@given(src=st.lists(st.integers(-80, 10), max_size=8), tgt=st.lists(st.integers(-80, 10), max_size=8))
-def test_coefficient_count_closed_form(src, tgt):
-    # the load budget's count equals the coefficients the cells would hold
-    assert presentation._coefficient_count(src, tgt) == sum(dim_forms(d - s) for d in tgt for s in src)
+@settings(deadline=None)
+@given(src=st.lists(st.integers(-54, 10), min_size=1, max_size=8),
+       tgt=st.lists(st.integers(-54, 10), min_size=1, max_size=8))
+def test_coefficient_budget_is_plain_total(src, tgt):
+    # within the cell budget the coefficient budget is the plain total over
+    # the cells: a file of empty cells loads at that total and is refused
+    # (BudgetExceededError, exit 3) one below it
+    total = sum(dim_forms(d - s) for d in tgt for s in src)
+    text = json.dumps({"format_version": 1, "field": {"kind": "prime", "p": 101},
+                       "source_twists": src, "target_twists": tgt,
+                       "matrix": [[[] for _ in src] for _ in tgt]})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentation, "MAX_LOAD_COEFFICIENTS", total)
+        assert presentation.loads(text).source == tuple(src)
+        mp.setattr(presentation, "MAX_LOAD_COEFFICIENTS", total - 1)
+        with pytest.raises(BudgetExceededError, match="coefficients"):
+            presentation.loads(text)

@@ -19,11 +19,8 @@ from sextic_strata.strata import (
     PatternId,
     StratumLabel,
     _ascending_twists,
-    _in_linear_ideal_slice,
     _minors,
     _pencil_degenerates,
-    _row_clearing_exists,
-    _x4_syzygy_solvable,
     classification_report,
     classify,
     stratum_dimensions,
@@ -873,7 +870,7 @@ def test_stratum_dimensions_table():
 
 
 # ---------------------------------------------------------------------------
-# span membership by one solve
+# span membership by one span predicate
 # ---------------------------------------------------------------------------
 
 
@@ -888,12 +885,14 @@ def _in_span_by_two_ranks(field, cols, rhs):
 
 @pytest.mark.parametrize("field", [GF(3), F101, QQ], ids=["GF3", "GF101", "QQ"])
 def test_span_membership_matches_two_rank_formula(field):
-    # divides, the P4 ideal-slice test and the X4 syzygy test each ask one
-    # span-membership question among quadrics; the P3 row-clearing test asks
-    # whether two stacked quadric columns both raise the rank of the others.
+    # divides, P4 and the X4 syzygy each ask one span-membership question
+    # among quadrics; P3 asks whether two stacked quadric columns both raise
+    # the rank of the others.  Each is reached through its public function.
     rng = SplitMix64(derive_seed(4242, field.p if field.kind == "prime" else 0))
     XYZ = variables(field)
     zero = [field.zero()] * 6
+    x4_src, x4_tgt = SHAPES[StratumLabel.X4]
+    syzygy = "linear forms u, v_1, v_2 solve (q_1, q_2) = u(l_1, l_2) + l(v_1, v_2)"
 
     def rand(d):
         return random_form(field, d, rng)
@@ -907,21 +906,26 @@ def test_span_membership_matches_two_rank_formula(field):
     def vec(f):
         return f.array.tolist() if not f.is_zero else zero
 
-    answers = {divides: set(), _in_linear_ideal_slice: set(), _x4_syzygy_solvable: set(),
-               _row_clearing_exists: set()}
+    def x1(q, l1, l2, q11, q12, q21, q22):
+        return x1_patterns(_x1_presentation(q, l1, l2, rand(3), q11, q12, rand(3), q21, q22, field=field))
+
+    answers = {"divides": set(), "P4": set(), "syzygy": set(), "P3": set()}
     for _ in range(12):
-        l1, l2, l = nonzero_linear(), rand(1), nonzero_linear()
+        l1, l2, l = nonzero_linear(), nonzero_linear(), nonzero_linear()
+        while forms_rank([l1, l2]) != 2:
+            l2 = nonzero_linear()
         u, v1, v2 = rand(1), rand(1), rand(1)
         for q in (l1 * u, rand(2)):
             want = _in_span_by_two_ranks(field, [vec(v * l1) for v in XYZ], vec(q))
             assert divides(l1, q) == want
-            answers[divides].add(want)
-        for m in (l2, l1.scale(2)):
-            for q in (v1 * l1 + v2 * m, rand(2)):
-                cols = [vec(v * f) for f in (l1, m) for v in XYZ]
-                want = _in_span_by_two_ranks(field, cols, vec(q))
-                assert _in_linear_ideal_slice(field, q, l1, m) == want
-                answers[_in_linear_ideal_slice].add(want)
+            answers["divides"].add(want)
+        # the gate asks P4 only of dependent l1, l2
+        m = l1.scale(2)
+        for q in (v1 * l1 + v2 * m, rand(2)):
+            cols = [vec(v * f) for f in (l1, m) for v in XYZ]
+            want = _in_span_by_two_ranks(field, cols, vec(q))
+            assert (PatternId.P4 in x1(q, l1, m, rand(2), rand(2), rand(2), rand(2))) == want
+            answers["P4"].add(want)
         for q1, q2 in ((u * l1 + l * v1, u * l2 + l * v2), (rand(2), rand(2))):
             cols = (
                 [vec(v * l1) + vec(v * l2) for v in XYZ]
@@ -929,14 +933,16 @@ def test_span_membership_matches_two_rank_formula(field):
                 + [zero + vec(v * l) for v in XYZ]
             )
             want = _in_span_by_two_ranks(field, cols, vec(q1) + vec(q2))
-            assert _x4_syzygy_solvable(field, l1, l2, l, q1, q2) == want
-            answers[_x4_syzygy_solvable].add(want)
+            P = Presentation(x4_src, x4_tgt, PolyMatrix(field, [
+                [l1, l2, Form.zero(field, 0)], [q1, q2, l], [rand(4), rand(4), rand(3)]]))
+            assert x4_conditions(P) == ([syzygy] if want else [])
+            answers["syzygy"].add(want)
         # (q21, q22) = a*(q11, q12) + u*(l1, l2) clears the row; random pairs rarely do
         q11, q12, a = rand(2), rand(2), field.normalize(1 + rng.next_below(2))
         for q21, q22 in ((q11.scale(a) + u * l1, q12.scale(a) + u * l2), (rand(2), rand(2))):
             v_cols = [vec(v * l1) + vec(v * l2) for v in XYZ]
             cols = [vec(q11) + vec(q12), vec(q21) + vec(q22)] + v_cols
             want = _column_rank(field, cols) < _column_rank(field, v_cols) + 2
-            assert _row_clearing_exists(field, l1, l2, q11, q12, q21, q22) == want
-            answers[_row_clearing_exists].add(want)
+            assert (PatternId.P3 in x1(rand(2), l1, l2, q11, q12, q21, q22)) == want
+            answers["P3"].add(want)
     assert all(seen == {True, False} for seen in answers.values())
