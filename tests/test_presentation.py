@@ -575,6 +575,44 @@ def test_loaded_cells_keep_the_form_invariants(field):
     assert Q.matrix.entry(3, 3).is_zero and Q.matrix.entry(3, 3).array.size == 3
 
 
+_P101, _PBIG, _QQ = ({"kind": "prime", "p": 101}, {"kind": "prime", "p": 2**64 + 13}, {"kind": "rational"})
+
+
+@pytest.mark.parametrize("field, degree, cell, error, message", [
+    (_P101, 1, [[1, 0, 0]], ValueError, "not enough values to unpack (expected 4, got 3)"),
+    (_P101, 1, [[1, 1, 0, 0, 0]], ValueError, "too many values to unpack (expected 4)"),
+    (_P101, 1, [7], TypeError, "cannot unpack non-iterable int object"),
+    (_P101, 1, [[1, True, 0, 0]], ValueError, "exponents must be integers, not (True, 0, 0)"),
+    (_P101, 1, [[1, 0, 1.0, 0]], ValueError, "exponents must be integers, not (0, 1.0, 0)"),
+    (_P101, 1, [[1, 0, 0, "1"]], ValueError, "exponents must be integers, not (0, 0, '1')"),
+    (_P101, 1, [[1, 1, 1, 0]], ValueError, "exponent (1, 1, 0) does not have degree 1"),
+    (_P101, 1, [[1, 2, -1, 0]], ValueError, "exponent (2, -1, 0) does not have degree 1"),
+    (_P101, -1, [[1, -1, 0, 0]], ValueError, "exponent (-1, 0, 0) does not have degree -1"),
+    (_P101, -1, [[0, 0, 0, 0]], ValueError, "exponent (0, 0, 0) does not have degree -1"),
+    (_P101, 1, [[1, 1, 0, 0], [2, 1, 0, 0]], ValueError, "monomial (1, 0, 0) is listed twice"),
+    (_P101, 1, [[0, 0, 1, 0], [0, 0, 1, 0]], ValueError, "monomial (0, 1, 0) is listed twice"),
+    (_P101, 1, [[3, 0, 0, 1], [0, 0, 0, 1]], ValueError, "monomial (0, 0, 1) is listed twice"),
+    # the duplicate is found before its coefficient is decoded
+    (_P101, 1, [[3, 0, 0, 1], [101, 0, 0, 1]], ValueError, "monomial (0, 0, 1) is listed twice"),
+    (_P101, 1, [[101, 1, 0, 0]], ValueError, "coefficient 101 outside [0, 101)"),
+    (_P101, 1, [[-1, 1, 0, 0]], ValueError, "coefficient -1 outside [0, 101)"),
+    (_P101, 1, [["0x10", 1, 0, 0]], ValueError, "invalid literal for int() with base 10: '0x10'"),
+    (_PBIG, 1, [[2**64 + 13, 1, 0, 0]], ValueError,
+     "coefficient 18446744073709551629 outside [0, 18446744073709551629)"),
+    (_PBIG, 1, [["-1", 1, 0, 0]], ValueError, "coefficient -1 outside [0, 18446744073709551629)"),
+    (_PBIG, 1, [["12a", 1, 0, 0]], ValueError, "invalid literal for int() with base 10: '12a'"),
+    (_QQ, 1, [["1/0", 1, 0, 0]], ValueError, "zero denominator in rational coefficient '1/0'"),
+])
+def test_loads_names_the_first_malformed_term(field, degree, cell, error, message):
+    # the second cell is well formed and the first malformed term decides;
+    # the exact messages are what the CLI error documents carry
+    text = json.dumps({"format_version": 1, "field": field, "source_twists": [-degree, 0],
+                       "target_twists": [0], "matrix": [[cell, [[1, 0, 0, 0]]]]})
+    with pytest.raises(error) as exc:
+        loads(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_negative_degree_cells_share_one_zero_form():
     # one load builds one zero form per negative degree, however many cells
     # have it; cells of other degrees are forms of their own
