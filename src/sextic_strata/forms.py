@@ -71,15 +71,12 @@ class Form:
             vec[_position(degree, tuple(e))] = c
         self._fill(field, degree, field.array(vec, len(vec)))
 
-    def _fill(self, field: Field, degree: int, array: np.ndarray, is_zero=None) -> None:
-        if is_zero is None:
-            array.flags.writeable = False
-            is_zero = not array.any()
-        setter = object.__setattr__
-        setter(self, "field", field)
-        setter(self, "degree", degree)
-        setter(self, "array", array)
-        setter(self, "is_zero", is_zero)
+    def _fill(self, field: Field, degree: int, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        _set_field(self, field)
+        _set_degree(self, degree)
+        _set_array(self, array)
+        _set_is_zero(self, not array.any())
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Form is immutable")
@@ -87,16 +84,11 @@ class Form:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _of(cls, field: Field, degree: int, array: np.ndarray, is_zero=None) -> "Form":
-        """The form whose payload is `array`, which no one may write.
-
-        Either `array` is new and no one else holds it, and it is made
-        read-only here, or it is a view of a read-only buffer shared by
-        several forms (the cells `loads` decodes), and the caller passes
-        the `is_zero` it already knows, which spares the scan.
-        """
+    def _of(cls, field: Field, degree: int, array: np.ndarray) -> "Form":
+        """The form whose payload is `array`, which is new, held by no one
+        else and made read-only here; `form_views` builds forms on views."""
         f = cls.__new__(cls)
-        f._fill(field, degree, array, is_zero)
+        f._fill(field, degree, array)
         return f
 
     @classmethod
@@ -217,17 +209,30 @@ class Form:
         return f"Form({self.pretty()})"
 
 
+# Form's slot setters, which fill a form past its __setattr__ guard.
+_set_field, _set_degree, _set_array, _set_is_zero = (Form.__dict__[name].__set__ for name in Form.__slots__)
+
+
 def form_views(field: Field, buf: np.ndarray, layout: Sequence[Tuple[int, bool]]) -> List[Form]:
-    """One form per (degree, is_zero) of `layout`, in order, whose payloads
-    are consecutive views of `buf`, made read-only here.  A negative
-    degree takes no coefficients, and its zero form is shared."""
+    """One form per (degree, is_zero) of `layout`, in order, its slots set
+    as `Form._fill` sets them but `is_zero` taken, not scanned, and its payload
+    the next view of `buf`, made read-only here.  A negative degree takes no
+    coefficients, and its zero form is shared."""
     buf.flags.writeable = False
     forms, start, zeros = [], 0, {}
     for degree, is_zero in layout:
+        if degree in zeros:
+            forms.append(zeros[degree])
+            continue
         stop = start + dim_forms(degree)
-        if degree < 0 and degree not in zeros:
-            zeros[degree] = Form._of(field, degree, buf[:0], True)
-        forms.append(zeros[degree] if degree < 0 else Form._of(field, degree, buf[start:stop], is_zero))
+        f = Form.__new__(Form)
+        _set_field(f, field)
+        _set_degree(f, degree)
+        _set_array(f, buf[start:stop])
+        _set_is_zero(f, is_zero)
+        if degree < 0:
+            zeros[degree] = f
+        forms.append(f)
         start = stop
     return forms
 

@@ -30,13 +30,14 @@ evaluation matrix, is a scalar matrix, and full rank there proves it.  The
 determinant (`fitting_determinant`) is expanded only when every probe point
 lies on the curve det phi = 0, which is what keeps the check exact over F_2.
 
-Serialization is a frozen interchange format: `dumps` writes the twists
-and each cell's nonzero terms as [coeff, e_X, e_Y, e_Z] in canonical JSON,
+Serialization is a frozen interchange format: `dumps` writes the twists and
+each cell's nonzero terms as [coeff, e_X, e_Y, e_Z] in canonical JSON,
 byte-stable.  `loads` checks the twists against the load budgets before it
-reads a cell, then decodes every cell in one pass into one flat list of
-coefficients, checking each term; one read-only array holds that list and
-each cell's form is a view of its slice, so a load makes one array, not one
-per cell.  The cells of one negative degree share one zero form.
+reads a cell, then fills each cell's list of monomial slots in one pass,
+through `monomial_index` and the field's `decode_coeff`: a slot found filled
+is a duplicate, and the list gives the cell's zero flag.  One read-only
+array holds the lists, each cell's form is a view of its slice, and the
+cells of one negative degree share one zero form.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def validate_grid_only(P: Presentation) -> List[str]:
 
 
 def _require_square(P: Presentation) -> None:
-    if not P.is_square:
+    if len(P.source) != len(P.target):
         raise NotSquareError(
             f"presentation is {P.matrix.nrows}x{P.matrix.ncols}; "
             "only square resolutions are in scope"
@@ -272,24 +273,41 @@ def dual_section_matrix(P: Presentation, t: int) -> ScalarMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _net_forms(plus: Sequence[int], minus: Sequence[int], base: int, sign: int) -> int:
+    """sum dim_forms(base + sign * x) over `plus` less that over `minus`, in one integer loop."""
+    total = 0
+    for x in plus:
+        e = base + sign * x
+        if e >= 0:
+            total += (e + 1) * (e + 2)
+    for x in minus:
+        e = base + sign * x
+        if e >= 0:
+            total -= (e + 1) * (e + 2)
+    return total // 2
+
+
 def h0(P: Presentation, t: int) -> int:
     """h^0(F(t)) = sum_i dim_forms(d_i + t) - sum_j dim_forms(s_j + t).
 
     The caller certifies that phi is injective (`is_injective`); then H^0
     of the twisted resolution is exact, as the module docstring derives.
+    `classify`, `strata.validate_shape` and CLI `cohomology` certify it
+    first.  Otherwise this is the twists' number, not the cokernel's: on
+    `O(-2) -> O` with a zero cell it reads 1, 3, 5, 7 at t = 0..3, not 1, 3, 6, 10.
     """
     _require_square(P)
-    return sum(dim_forms(d + t) for d in P.target) - sum(dim_forms(s + t) for s in P.source)
+    return _net_forms(P.target, P.source, t, 1)
 
 
 def h1(P: Presentation, t: int) -> int:
     """h^1(F(t)) = sum_j dim_forms(-3 - s_j - t) - sum_i dim_forms(-3 - d_i - t).
 
     H^1 F(t) is the kernel of H^2 A(t) -> H^2 B(t), a surjection, and
-    h^2(O(e)) = h^0(O(-3 - e)); the caller certifies that phi is injective.
+    h^2(O(e)) = h^0(O(-3 - e)); the caller certifies injectivity, as for `h0`.
     """
     _require_square(P)
-    return sum(dim_forms(-3 - s - t) for s in P.source) - sum(dim_forms(-3 - d - t) for d in P.target)
+    return _net_forms(P.source, P.target, -3 - t, -1)
 
 
 def _h0_twisted_omega(k: int) -> int:
@@ -318,7 +336,8 @@ def h0_omega(P: Presentation) -> int:
 
 
 def profile(P: Presentation) -> CohomologyProfile:
-    """The classifying quadruple (h0 F(-1), h1 F, h0(F x Omega^1(1)), h1 F(1))."""
+    """The classifying quadruple (h0 F(-1), h1 F, h0(F x Omega^1(1)), h1 F(1)),
+    in closed form: like `h0`, the twists' numbers unless phi is injective."""
     return CohomologyProfile(
         a=h0(P, -1),
         b=h1(P, 0),
@@ -405,10 +424,11 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
     """The cells of `raw`, rows of `to_encoding` lists, as views of one
     read-only buffer (module docstring).
 
-    Cell (i, j) holds its dim_forms(target[i] - source[j]) coefficients
-    from `start` on in the flat list.  Every listed exponent must be a
-    monomial of the cell's degree, even under a zero coefficient, and be
-    listed once, so a cell of negative degree lists no term.
+    Cell (i, j) has one slot per monomial of degree target[i] - source[j];
+    a slot no term fills is zero, and a cell of as many terms as slots fills
+    them all.  Every listed exponent must be a monomial of the cell's degree,
+    even under a zero coefficient, and be listed once, so a cell of negative
+    degree lists no term.
     """
     zero, decode = field.zero(), field.decode_coeff
     flat: list = []
@@ -419,10 +439,9 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
         for cell, s in zip(row, source):
             if type(cell) is not list:
                 raise ValueError(f"a cell is a list of terms, not {cell!r}")
-            degree, start = d - s, len(flat)
+            degree = d - s
             index = monomial_index(degree) if degree >= 0 else {}
-            flat += [zero] * len(index)
-            seen = set()
+            slots = [None] * len(index)
             for c, ex, ey, ez in cell:
                 e = (ex, ey, ez)
                 if not (type(ex) is type(ey) is type(ez) is int):
@@ -430,11 +449,11 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
                 k = index.get(e)
                 if k is None:
                     raise ValueError(f"exponent {e} does not have degree {degree}")
-                if k in seen:
+                if slots[k] is not None:
                     raise ValueError(f"monomial {e} is listed twice")
-                seen.add(k)
-                flat[start + k] = decode(c)
-            layout.append((degree, not any(flat[start:])))
+                slots[k] = decode(c)
+            layout.append((degree, not any(slots)))
+            flat += slots if len(cell) == len(slots) else [zero if v is None else v for v in slots]
     forms = form_views(field, np.array(flat, dtype=field.dtype), layout)
     m = len(source)
     return [forms[k:k + m] for k in range(0, len(forms), m)]

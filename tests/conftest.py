@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sextic_strata.errors import NotSquareError
 from sextic_strata.fields import GF, QQ
 from sextic_strata.forms import dim_forms, monomial_basis, monomial_index
 
@@ -55,3 +56,32 @@ def _evaluate(f, point):
 @pytest.fixture(scope="session")
 def evaluate():
     return _evaluate
+
+
+def _require_square(P):
+    if not P.is_square:
+        raise NotSquareError(f"presentation is {P.matrix.nrows}x{P.matrix.ncols}")
+
+
+def _reference_h0(P, t):
+    """h^0(F(t)) as generator sums of `dim_forms`, the reference for the
+    closed form `presentation.h0`."""
+    _require_square(P)
+    return sum(dim_forms(d + t) for d in P.target) - sum(dim_forms(s + t) for s in P.source)
+
+
+def _reference_h1(P, t):
+    """h^1(F(t)) as generator sums of `dim_forms`, the reference for the
+    closed form `presentation.h1`."""
+    _require_square(P)
+    return sum(dim_forms(-3 - s - t) for s in P.source) - sum(dim_forms(-3 - d - t) for d in P.target)
+
+
+@pytest.fixture(scope="session")
+def reference_h0():
+    return _reference_h0
+
+
+@pytest.fixture(scope="session")
+def reference_h1():
+    return _reference_h1

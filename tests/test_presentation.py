@@ -262,6 +262,25 @@ def test_euler_identity(label, seed, t):
     assert h0(P, t) - h1(P, t) == 6 * t + 1
 
 
+def _zero_presentation(src, tgt, field=GF(2)):
+    return Presentation(src, tgt, PolyMatrix(field, [[Form.zero(field, d - s) for s in src] for d in tgt]))
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_closed_forms_match_generator_sums(n, data, reference_h0, reference_h1):
+    # the closed forms read only the twists, so a zero matrix carries any
+    # twist vectors; a last target twist makes the shape rectangular
+    twists = st.lists(st.integers(-70, 70), min_size=n, max_size=n)
+    src, tgt, t = data.draw(twists), data.draw(twists), data.draw(st.integers(-200, 200))
+    P = _zero_presentation(src, tgt)
+    assert h0(P, t) == reference_h0(P, t) and h1(P, t) == reference_h1(P, t)
+    R = _zero_presentation(src, tgt + [data.draw(st.integers(-70, 70))])
+    for f in (h0, h1, reference_h0, reference_h1):
+        with pytest.raises(NotSquareError):
+            f(R, t)
+
+
 def test_h1_vanishes_from_twist_two_on():
     # all source twists are >= -4, so the dual section space dies at t >= 2
     for label in StratumLabel:
@@ -550,7 +569,7 @@ def test_serialization_roundtrip_arbitrary_shapes(seed, src, tgt, field):
     assert validate_grid_only(Q) == validate_grid_only(P) == []
 
 
-@pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 - 1), GF(2**31 + 11), QQ], ids=repr)
+@pytest.mark.parametrize("field", [GF(2), F101, GF(2**31 - 1), GF(2**31 + 11), GF(2**64 + 13), QQ], ids=repr)
 def test_loaded_cells_keep_the_form_invariants(field):
     # each loaded cell is a view of one read-only buffer, and must hold what
     # a form built on its own holds
@@ -559,9 +578,14 @@ def test_loaded_cells_keep_the_form_invariants(field):
     entries = [[random_form(field, d - s, rng).scale(Fraction(1, 3)) if d >= s and rng.next_below(3)
                 else Form.zero(field, d - s) for s in src] for d in tgt]
     entries[3][3] = Form.zero(field, 1)
+    entries[3][2] = Form.zero(field, 2)
+    entries[3][1] = Form.monomial(field, (0, 2, 1), 1)
     P = Presentation(src, tgt, PolyMatrix(field, entries))
     doc = json.loads(dumps(P))
-    doc["matrix"][3][3] = [[field.encode_coeff(field.zero()), 0, 1, 0]]  # a zero coefficient, listed
+    zero = field.encode_coeff(field.zero())
+    doc["matrix"][3][3] = [[zero, 0, 1, 0]]  # a zero coefficient, listed
+    doc["matrix"][3][2] = [[zero, *e] for e in ((0, 0, 2), (2, 0, 0), (1, 1, 0))]  # only zeros, listed
+    doc["matrix"][3][1] = [[zero, 3, 0, 0], [1, 0, 2, 1], [zero, 0, 0, 3]]  # zeros around one term
     Q = presentation.presentation_from_dict(doc)
     assert Q == P
     for i, (row, d) in enumerate(zip(Q.matrix.entries, tgt)):
@@ -573,6 +597,15 @@ def test_loaded_cells_keep_the_form_invariants(field):
             built = Form(field, d - s, dict(P.matrix.entry(i, j).coeffs))
             assert f == built and hash(f) == hash(built)
     assert Q.matrix.entry(3, 3).is_zero and Q.matrix.entry(3, 3).array.size == 3
+    for f, degree in ((Q.matrix.entry(3, 3), 1), (Q.matrix.entry(3, 2), 2)):
+        assert f.is_zero and f.degree == degree
+        assert f == Form.zero(field, degree) and hash(f) == hash(Form.zero(field, degree))
+    mixed = Q.matrix.entry(3, 1)
+    assert not mixed.is_zero and mixed == Form.monomial(field, (0, 2, 1), 1)
+    for f in (mixed, Q.matrix.entry(3, 2), Q.matrix.entry(0, 3)):
+        for name in ("field", "degree", "array", "is_zero"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, getattr(f, name))
 
 
 _P101, _PBIG, _QQ = ({"kind": "prime", "p": 101}, {"kind": "prime", "p": 2**64 + 13}, {"kind": "rational"})
