@@ -214,10 +214,10 @@ _set_field, _set_degree, _set_array, _set_is_zero = (Form.__dict__[name].__set__
 
 
 def form_views(field: Field, buf: np.ndarray, layout: Sequence[Tuple[int, bool]]) -> List[Form]:
-    """One form per (degree, is_zero) of `layout`, in order, its slots set
-    as `Form._fill` sets them but `is_zero` taken, not scanned, and its payload
-    the next view of `buf`, made read-only here.  A negative degree takes no
-    coefficients, and its zero form is shared."""
+    """One form per (degree, is_zero) of `layout`, in order, whose payloads
+    are consecutive views of `buf`, made read-only here.  The slots are set
+    directly, with the given `is_zero` in place of `Form._fill`'s scan.  A
+    negative degree takes no coefficients, and its zero form is shared."""
     buf.flags.writeable = False
     forms, start, zeros = [], 0, {}
     for degree, is_zero in layout:

@@ -222,7 +222,7 @@ def validate_grid_only(P: Presentation) -> List[str]:
 
 
 def _require_square(P: Presentation) -> None:
-    if len(P.source) != len(P.target):
+    if not P.is_square:
         raise NotSquareError(
             f"presentation is {P.matrix.nrows}x{P.matrix.ncols}; "
             "only square resolutions are in scope"
