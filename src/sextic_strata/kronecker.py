@@ -14,9 +14,10 @@ full rank nm proves semistability (King 1994; Derksen-Weyman 2000); the
 second Wong sequence of a rank-deficient one may yield a destabilizing
 pair that `verify_witness` re-checks (Ivanyos-Qiao-Subrahmanyam 2017).
 Each drawn element is one certificate attempt, decided on its own.  Over a
-small prime field, enumerating the subspace lattice is the reference; it
-takes dim T of a whole chunk of echelon bases from one matrix product and
-one batched rank elimination, in the frozen order of `echelon_chunks`.
+small prime field the exact verdict enumerates the subspace lattice in the
+frozen order of `echelon_chunks`; it takes dim T of a whole chunk of
+echelon bases from one matrix product and one batched rank elimination,
+and stops at the first violating subspace, whose index is `checked`.
 
 The slope test is symmetric under transposition, so the target lattice
 bounds the search from the other side.  For T of dim n - b, with rows U
@@ -25,7 +26,9 @@ S_max(T) = ker (UA; UB; UC).  Some S of dim a destabilizes iff some T has
 dim S_max(T) >= a > m dim T / n, so the least destabilizing dimension is
 the least floor(m dim T / n) + 1 that a T's S_max reaches.  When n < m the
 target lattice is the smaller one: one pass over it either proves
-semistability or says where the source enumeration may start.
+semistability or gives that least a together with a destabilizing S of
+dim a inside S_max(T), so the source enumeration starts at dimension a
+and ranks nothing after S: the first witness lies at or before it.
 """
 
 from __future__ import annotations
@@ -232,21 +235,23 @@ def echelon_chunks(field: PrimeField, m: int, a: int) -> Iterator[np.ndarray]:
 def _batched_ranks(a: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of the matrices a[k], a of shape (N, R, n) with entries in [0, p).
 
-    One fraction-free elimination step per column, vectorized over N: every
-    row is scaled by the pivot (a unit) and loses its multiple of the first
-    row with a nonzero entry in the column, which clears the column and the
-    pivot row itself.  The column is then dropped, so the rank counts the
-    columns that had a pivot, and no inverse mod p is ever computed.
+    One fraction-free elimination step per column, vectorized over N on a
+    contiguous (R, n, N) copy, batch axis last: every row is scaled by the
+    pivot (a unit) and loses its multiple of the first row with a nonzero
+    entry in the column, which clears the column and the pivot row itself.
+    The column is then dropped, so the rank counts the columns that had a
+    pivot, and no inverse mod p is ever computed.
     """
-    rank = np.zeros(a.shape[0], dtype=np.int64)
-    everyone = np.arange(a.shape[0])
-    for _ in range(a.shape[2]):
-        col = a[:, :, 0]
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))
+    rank = np.zeros(a.shape[2], dtype=np.int64)
+    everyone = np.arange(a.shape[2])
+    for _ in range(a.shape[1]):
+        col = a[:, 0]
         nonzero = col != 0
-        has_pivot = nonzero.any(axis=1)
-        pivot_row = a[everyone, nonzero.argmax(axis=1)]
-        scale = np.where(has_pivot, pivot_row[:, 0], 1)
-        a = (scale[:, None, None] * a[:, :, 1:] - col[:, :, None] * pivot_row[:, None, 1:]) % p
+        has_pivot = nonzero.any(axis=0)
+        pivot_row = a[nonzero.argmax(axis=0), :, everyone].T
+        scale = np.where(has_pivot, pivot_row[0], 1)
+        a = (scale * a[:, 1:] - col[:, None] * pivot_row[1:]) % p
         rank += has_pivot
     return rank
 
@@ -260,23 +265,29 @@ def _stacked_ranks(F: PrimeField, bases: np.ndarray, W: np.ndarray) -> np.ndarra
     return _batched_ranks(images.reshape(N, 3 * a, W.shape[1] // 3), F.p)
 
 
-def _smallest_destabilizing_dim(K: KroneckerModule) -> Optional[int]:
-    """The least dim S of a destabilizing source subspace, None if K is
-    semistable, from one pass over the target lattice of F_p^n.
+def _destabilizing_subspace(K: KroneckerModule) -> Optional[np.ndarray]:
+    """A destabilizing source subspace of the least dimension a, as its
+    reduced echelon basis of shape (a, m), None if K is semistable, from
+    one pass over the target lattice of F_p^n.
 
     Annihilators U of dim b come in echelon chunks; the rank of
     (UA; UB; UC) gives dim S_max(T) = m - rank.  Its T of dim n - b
     destabilizes from dimension a = floor(m (n - b) / n) + 1 on, which
     shrinks as b grows, so b runs downward and the first b with a
-    qualifying T gives the least a.
+    qualifying T gives the least a.  S is the first a rows of the reduced
+    echelon basis of S_max(T) for the first such T: S lies in S_max(T), so
+    dim T(S) <= n - b < n a / m.
     """
     F, n, m = K.field, K.n, K.m
     ABC = np.hstack([S.a for S in K.slices]).astype(F.dot_dtype(n))
     for b in range(n, 0, -1):
         a = m * (n - b) // n + 1
         for U in echelon_chunks(F, n, b):
-            if (m - _stacked_ranks(F, U, ABC) >= a).any():
-                return a
+            hits = np.flatnonzero(m - _stacked_ranks(F, U, ABC) >= a)
+            if hits.size:
+                UABC = F.reduce(U[hits[0]].astype(ABC.dtype) @ ABC).reshape(3 * b, m)
+                S_max = ScalarMatrix(F, ScalarMatrix(F, UABC.tolist()).kernel_basis())
+                return S_max.rref()[0].a[:a]
     return None
 
 
@@ -303,10 +314,12 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     from 1 (the lattice size when semistable), and `budget` is the lattice
     size.  `checked` is not the number of subspaces whose rank was taken:
     when n < m, one pass over the smaller target lattice
-    (`_smallest_destabilizing_dim`) first returns "semistable" outright or
+    (`_destabilizing_subspace`) first returns "semistable" outright or
     skips the source dimensions below the least destabilizing one, none of
-    which can hold the witness.  Raises BudgetExceededError, before any
-    enumeration, when the source lattice has more than
+    which can hold the witness, and hands over a destabilizing subspace S
+    of that dimension; the source enumeration stops at S, so it ranks no
+    subspace after S in the frozen order.  Raises BudgetExceededError,
+    before any enumeration, when the source lattice has more than
     EXACT_LATTICE_BUDGET elements.  Both modes raise it first, before any
     draw or enumeration, when n*m > MAX_MODULE_ENTRIES.
     """
@@ -321,15 +334,21 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
             raise BudgetExceededError(
                 f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
-        start, checked = 1, 0
+        start, checked, S = 1, 0, None
         if K.n < K.m:
-            start = _smallest_destabilizing_dim(K)
-            if start is None:
+            S = _destabilizing_subspace(K)
+            if S is None:
                 return SemistabilityResult("semistable", mode, None, size, size)
+            start = len(S)
             checked = sum(gaussian_binomial(K.m, a, F.p) for a in range(1, start))
         W = K.stacked_slices().a.astype(F.dot_dtype(K.m))
         for a in range(start, K.m + 1):
             for bases in echelon_chunks(F, K.m, a):
+                if S is not None:
+                    # S destabilizes, so nothing after it can be the first witness
+                    hit = (bases == S).all(axis=(1, 2))
+                    if hit.any():
+                        bases = bases[:hit.argmax() + 1]
                 dim_T = _stacked_ranks(F, bases, W)
                 violating = np.flatnonzero(K.n * a - K.m * dim_T > 0)
                 if violating.size:

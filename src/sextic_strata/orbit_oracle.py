@@ -15,10 +15,11 @@ characterizations; it is the oracle those characterizations are tested
 against.
 
 Forms are packed into bitmasks over the frozen monomial order, so a row
-or column operation is a table lookup plus XOR.  The fast path enumerates,
-for each pattern, the group coordinates its zero cells actually involve
-(the remaining coordinates act trivially on those cells, so the factored
-product covers all 147456 pairs).  The tests check it against a plain
+or column operation is a table lookup plus XOR.  `orbit_patterns` walks
+the six G2 once on Python ints and, for each pattern, searches only the
+group coordinates its zero cells actually involve, as set lookups (the
+remaining coordinates act trivially on those cells, so the factored
+search covers all 147456 pairs).  The tests check it against a plain
 loop over all 384 x 384 pairs that builds the whole sandwich.
 """
 
@@ -63,10 +64,8 @@ GL2_F2: Tuple[Tuple[int, int, int, int], ...] = tuple(
     for d in (0, 1)
     if (a * d - b * c) % 2 == 1
 )
-# the entries (h22, h23, h32, h33) of each H2 in GL2(F_2), and the eight
-# one-forms u or v as bitmasks
-_H22, _H23, _H32, _H33 = np.array(GL2_F2, dtype=np.int64).T
-_V = np.arange(8, dtype=np.int64)
+# MUL11 as lists of Python ints, row u holding the products u * v
+_MUL = MUL11.tolist()
 
 
 def _pack(f: Form) -> int:
@@ -85,68 +84,40 @@ def _extract_masks(P: Presentation) -> Dict[Tuple[int, int], int]:
     return {(i, j): _pack(P.matrix.entry(i, j)) for i in range(3) for j in range(3)}
 
 
-def _g_side_arrays(masks):
-    """Per-G2 column mixes of the l and q blocks (int64 arrays of length 6)."""
-    l1, l2 = masks[(0, 1)], masks[(0, 2)]
-    q11, q12 = masks[(1, 1)], masks[(1, 2)]
-    q21, q22 = masks[(2, 1)], masks[(2, 2)]
-    L2 = np.array([(a and l1) ^ (c and l2) for a, b, c, d in GL2_F2], dtype=np.int64)
-    L3 = np.array([(b and l1) ^ (d and l2) for a, b, c, d in GL2_F2], dtype=np.int64)
-    A2 = np.array([(a and q11) ^ (c and q12) for a, b, c, d in GL2_F2], dtype=np.int64)
-    A3 = np.array([(b and q11) ^ (d and q12) for a, b, c, d in GL2_F2], dtype=np.int64)
-    B2 = np.array([(a and q21) ^ (c and q22) for a, b, c, d in GL2_F2], dtype=np.int64)
-    B3 = np.array([(b and q21) ^ (d and q22) for a, b, c, d in GL2_F2], dtype=np.int64)
-    return L2, L3, A2, A3, B2, B3
-
-
-def _reaches(masks, g_side, pattern: PatternId) -> bool:
-    """Whether some group pair carries the matrix with these masks and G-side
-    arrays onto the pattern's zero cells."""
-    L2, L3, A2, A3, B2, B3 = g_side
-    if pattern is PatternId.P1:
-        # cells (0,1), (0,2) depend only on G2
-        return bool(np.any((L2 == 0) & (L3 == 0)))
-
-    if pattern is PatternId.P4:
-        # cell (0,0) over (u21, u31); cell (0,1) over G2
-        q = masks[(0, 0)]
-        l1, l2 = masks[(0, 1)], masks[(0, 2)]
-        cell00 = q ^ MUL11[_V, l1][:, None] ^ MUL11[_V, l2][None, :]
-        return bool(np.any(cell00 == 0) and np.any(L2 == 0))
-
-    if pattern is PatternId.P2:
-        # cell (0,2) = L3[i]; cell (1,2) = v21*L3[i] + h22*A3[i] + h23*B3[i]
-        cell12 = (
-            MUL11[_V[None, None, :], L3[:, None, None]]
-            ^ (_H22[None, :, None] * A3[:, None, None])
-            ^ (_H23[None, :, None] * B3[:, None, None])
-        )
-        ok = (L3[:, None, None] == 0) & (cell12 == 0)
-        return bool(np.any(ok))
-
-    if pattern is PatternId.P3:
-        # cells (2,1), (2,2) over (G2, H2 row, v31)
-        cell21 = (
-            MUL11[_V[None, None, :], L2[:, None, None]]
-            ^ (_H32[None, :, None] * A2[:, None, None])
-            ^ (_H33[None, :, None] * B2[:, None, None])
-        )
-        cell22 = (
-            MUL11[_V[None, None, :], L3[:, None, None]]
-            ^ (_H32[None, :, None] * A3[:, None, None])
-            ^ (_H33[None, :, None] * B3[:, None, None])
-        )
-        return bool(np.any((cell21 == 0) & (cell22 == 0)))
-
-    raise ValueError(f"unknown pattern {pattern!r}")
-
-
 def orbit_patterns(P: Presentation) -> Set[PatternId]:
     """The forbidden patterns some group pair carries the matrix onto.
 
-    Exhaustive over the full automorphism group over F_2; each pattern is
-    vectorized over the group coordinates its zero cells depend on.
+    Exhaustive over the full automorphism group over F_2, in one loop over
+    the six G2 on Python ints.  G2 mixes the columns of the l and q
+    blocks into L2, L3, A2, A3, B2, B3, and the row (h, k) of H2 that
+    reaches a cell runs over the three nonzero rows of F_2^2:
+
+    P1: L2 = L3 = 0.
+    P2: L3 = 0 (cell (0,2)), and cell (1,2) = v21*L3 + h*A3 + k*B3 = 0.
+    P3: h*A2 + k*B2 = v31*L2 and h*A3 + k*B3 = v31*L3 for some one-form v31.
+    P4: some L2 = 0 (cell (0,1)), and cell (0,0) = q + u21*l1 + u31*l2 = 0
+        for some one-forms u21, u31.
     """
     masks = _extract_masks(P)
-    g_side = _g_side_arrays(masks)
-    return {p for p in PatternId if _reaches(masks, g_side, p)}
+    q, l1, l2 = masks[(0, 0)], masks[(0, 1)], masks[(0, 2)]
+    q11, q12, q21, q22 = masks[(1, 1)], masks[(1, 2)], masks[(2, 1)], masks[(2, 2)]
+    found: Set[PatternId] = set()
+    L2_vanishes = False
+    for a, b, c, d in GL2_F2:
+        L2, L3 = a * l1 ^ c * l2, b * l1 ^ d * l2
+        A2, A3 = a * q11 ^ c * q12, b * q11 ^ d * q12
+        B2, B3 = a * q21 ^ c * q22, b * q21 ^ d * q22
+        rows = ((A2, A3), (B2, B3), (A2 ^ B2, A3 ^ B3))  # h*(A2, A3) + k*(B2, B3)
+        L2_vanishes |= L2 == 0
+        if L2 == L3 == 0:
+            found.add(PatternId.P1)
+        if L3 == 0 and any(x3 == 0 for _, x3 in rows):
+            found.add(PatternId.P2)
+        spans = {(_MUL[v][L2], _MUL[v][L3]) for v in range(8)}
+        if any(row in spans for row in rows):
+            found.add(PatternId.P3)
+    if L2_vanishes:
+        multiples = {_MUL[v][l2] for v in range(8)}
+        if any(q ^ _MUL[u][l1] in multiples for u in range(8)):
+            found.add(PatternId.P4)
+    return found

@@ -49,6 +49,14 @@ def random_module(field, n, m, seed):
     return module_from(field, [[random_form(field, 1, rng) for _ in range(m)] for _ in range(n)])
 
 
+def sparse_module(field, n, m, seed):
+    """Each entry zero with probability 1/2, else a random linear form."""
+    rng = SplitMix64(seed)
+    z = Form.zero(field, 1)
+    return module_from(field, [[random_form(field, 1, rng) if rng.next_below(2) else z for _ in range(m)]
+                               for _ in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # subspace enumeration
 # ---------------------------------------------------------------------------
@@ -300,8 +308,6 @@ def zero_block_module(field):
 
 
 def _equivalence_cases():
-    from sextic_strata.verify import _block_module
-
     for p in (2, 3, 5):
         field = GF(p)
         shapes = [(4, 5), (3, 2), (5, 4), (2, 3), (1, 2), (3, 1)] + [(2, 4)] * (p < 5)
@@ -318,10 +324,27 @@ def _equivalence_cases():
         if p < 5:
             yield pytest.param(equality_module(field), id=f"F{p}-equality")
             yield pytest.param(zero_block_module(field), id=f"F{p}-zero-block")
-    # the block modules of criterion 7
+    for K, name in itertools.chain(criterion_7_modules(), cut_modules()):
+        yield pytest.param(K, id=name)
+
+
+def criterion_7_modules():
+    """The block modules of criterion 7."""
+    from sextic_strata.verify import _block_module
+
     for idx, dims in enumerate([(1, 0), (2, 1), (3, 2), (4, 3)]):
         K = _block_module(F3, dims, SplitMix64(derive_seed(20260801, 900_000 + idx)))
-        yield pytest.param(K, id=f"F3-block{dims[0]}{dims[1]}")
+        yield K, f"F3-block{dims[0]}{dims[1]}"
+
+
+def cut_modules():
+    """Unstable n < m modules where the target pass's subspace S is not the
+    plain case: two sparse F_2 3x5 whose first witness comes before S, and
+    an F_3 3x5 whose S, the witness too, lies past the first
+    ENUMERATION_CHUNK planes; CUT_POSITIONS holds where."""
+    for k in (12, 23):
+        yield sparse_module(GF(2), 3, 5, derive_seed(5150, k)), f"F2-sparse-3x5-{k}"
+    yield random_module(F3, 3, 5, derive_seed(5151, 0)), "F3-3x5-late-S"
 
 
 @pytest.mark.parametrize("K", list(_equivalence_cases()))
@@ -347,6 +370,47 @@ def test_target_pass_skips_dimensions_that_cannot_destabilize(monkeypatch):
         source_dims = [a for m, a in calls if m == K.m]
         assert source_dims == ([] if verdict == "semistable" else [3])
         assert [a for m, a in calls if m == K.n] and all(m in (K.n, K.m) for m, _ in calls)
+
+
+def position_in_frozen_order(K, S):
+    """The index of the echelon basis S among the bases of its dimension."""
+    seen = 0
+    for bases in echelon_chunks(K.field, K.m, len(S)):
+        hit = (bases == S).all(axis=(1, 2))
+        if hit.any():
+            return seen + int(hit.argmax())
+        seen += len(bases)
+    raise AssertionError("S is not a reduced echelon basis")
+
+
+# (index of the first witness, index of S) among the planes of F_p^5
+CUT_POSITIONS = {"F2-sparse-3x5-12": (52, 121), "F2-sparse-3x5-23": (24, 148),
+                 "F3-3x5-late-S": (1186, 1186)}
+
+
+@pytest.mark.parametrize("K, name", [pytest.param(K, name, id=name) for K, name in
+                                     itertools.chain(criterion_7_modules(), cut_modules())])
+def test_source_pass_ranks_nothing_after_the_target_subspace(monkeypatch, K, name):
+    S = kronecker._destabilizing_subspace(K)
+    assert _make_witness(K, ScalarMatrix(K.field, S.tolist())) is not None
+    position = position_in_frozen_order(K, S)
+    ranked = []
+    stacked_ranks = kronecker._stacked_ranks
+
+    def recording(F, bases, W):
+        if bases.shape[2] == K.m:  # the source pass; the target pass walks F_p^n
+            ranked.append(bases.shape[:2])
+        return stacked_ranks(F, bases, W)
+
+    monkeypatch.setattr(kronecker, "_stacked_ranks", recording)
+    res = is_semistable(K, mode="exact_smallfield")
+    assert res.verdict == "unstable" and res.witness.dim_S == len(S)
+    assert {a for _, a in ranked} == {len(S)}
+    assert sum(N for N, _ in ranked) <= position + 1
+    skipped = sum(gaussian_binomial(K.m, a, K.field.p) for a in range(1, len(S)))
+    assert res.checked <= skipped + position + 1
+    if name in CUT_POSITIONS:
+        assert (res.checked - skipped - 1, position) == CUT_POSITIONS[name]
 
 
 @pytest.mark.parametrize("p", [2, 3])

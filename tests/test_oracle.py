@@ -36,7 +36,7 @@ def orbit_patterns_bruteforce(P):
     """All patterns reachable, by plainly looping over all 147456 pairs.
 
     Builds the complete sandwich h*phi*g for every pair and inspects the
-    zero cells.  Slow; the reference the vectorized oracle is checked against.
+    zero cells.  Slow; the reference the factored oracle is checked against.
     """
     masks = _extract_masks(P)
     mul11 = MUL11.tolist()
@@ -158,7 +158,7 @@ def test_oracle_requires_x1_shape():
 
 
 def test_fast_oracle_matches_bruteforce():
-    # the vectorized factored enumeration against the plain 147456-pair loop
+    # the factored search against the plain 147456-pair loop
     for k in range(6):
         P = rand_x1(derive_seed(424242, k))
         assert orbit_patterns(P) == orbit_patterns_bruteforce(P)
@@ -177,6 +177,19 @@ def test_fast_oracle_matches_bruteforce_structured():
     for entries in cases:
         P = Presentation(SRC, TGT, PolyMatrix(F2, entries))
         assert orbit_patterns(P) == orbit_patterns_bruteforce(P)
+
+
+@pytest.mark.parametrize("k, expected", [
+    (0, set()),
+    (29, {PatternId.P4}),  # q = u21*l1 with u21 != 0: no multiple of l2
+    (44, {PatternId.P2}),
+    (152, {PatternId.P1, PatternId.P2}),
+    (226, {PatternId.P2, PatternId.P4}),
+], ids=["none", "P4", "P2", "P1-P2", "P2-P4"])
+def test_fast_oracle_matches_bruteforce_on_every_pattern_set(k, expected):
+    # seeded draws with the pattern sets the structured cases leave out
+    P = rand_x1(derive_seed(2718, k))
+    assert orbit_patterns(P) == orbit_patterns_bruteforce(P) == set(x1_patterns(P)) == expected
 
 
 def test_characterizations_match_oracle_sample():
