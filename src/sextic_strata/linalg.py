@@ -148,13 +148,11 @@ class ScalarMatrix:
     def rank(self) -> int:
         return len(self.pivots())
 
-    def last_in_span(self, k: int = 1) -> bool:
-        """Whether some nonzero combination of the last k columns lies in the
-        span of the columns A before them: iff rank M < rank A + k, that is
-        iff the last k columns are not all pivots, since elimination runs
-        column by column, finds A's pivots first and adds one per pivot after."""
-        first = self.ncols - k
-        return sum(c >= first for c in self.pivots()) < k
+    def last_in_span(self) -> bool:
+        """Whether the last column lies in the span of the columns A before
+        it: iff rank M = rank A, that is iff the last column is not a pivot,
+        since elimination runs column by column and finds A's pivots first."""
+        return self.ncols - 1 not in self.pivots()[-1:]
 
     def _eliminate(self, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
         """Gaussian elimination on a copy of the payload: (array, pivots).

@@ -442,10 +442,16 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
             degree = d - s
             index = monomial_index(degree) if degree >= 0 else {}
             slots = [None] * len(index)
-            for c, ex, ey, ez in cell:
+            for term in cell:
+                # Only a failed check looks at the whole term: a valid one costs no test.
+                try:
+                    c, ex, ey, ez = term
+                except (TypeError, ValueError):
+                    c = ex = ey = ez = None
                 e = (ex, ey, ez)
                 if not (type(ex) is type(ey) is type(ez) is int):
-                    raise ValueError(f"exponents must be integers, not {e!r}")
+                    raise ValueError(f"exponents must be integers, not {e!r}" if type(term) is list and len(term) == 4
+                                     else f"a term is a list [coefficient, e_X, e_Y, e_Z], not {term!r}")
                 k = index.get(e)
                 if k is None:
                     raise ValueError(f"exponent {e} does not have degree {degree}")

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
@@ -44,7 +45,7 @@ from .errors import (
     ProfileNotInTable,
     WrongShapeError,
 )
-from .forms import Form, block_mult_map, dim_forms, forms_rank, divides, common_factor
+from .forms import Form, block_mult_map, dim_forms, forms_rank, divides, common_factor, product_rows
 from .kronecker import KroneckerModule, is_semistable, moduli_dimension
 from .presentation import (
     CohomologyProfile,
@@ -203,59 +204,94 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
     The group acting is Aut(O(-3)+2O(-2)) x Aut(O(-1)+2O).  Working out
     which entries of h*phi*g can be cleared yields linear-algebra
     characterizations (cross-validated against the exhaustive orbit
-    oracle over F_2):
+    oracle over F_2), with L = (l1, l2):
 
-      P1  <=>  l1 = l2 = 0
+      P1  <=>  L = 0
       P2  <=>  some (a,b) != 0 kills a*l1 + b*l2 and makes the pair
                (a*q11 + b*q12, a*q21 + b*q22) linearly dependent
-      P3  <=>  alpha*(q11,q12) + beta*(q21,q22) + v*(l1,l2) = (0,0) has a
+      P3  <=>  alpha*(q11,q12) + beta*(q21,q22) + v*L = (0,0) has a
                solution with scalars (alpha,beta) != 0 and v a one-form
       P4  <=>  l1, l2 dependent and q lies in <l1, l2> * V*
 
-    P2 and P4 both need l1, l2 dependent, so their rank is computed once;
-    P2 is then one kernel plus a determinant test (`_pencil_degenerates`),
-    and P3 and P4 one `last_in_span` each, the quadric columns last.  An
-    empty set means the matrix is admissible for X1.
+    Each is decided on the cells' coefficient lists, mod p or over Q:
+
+    * L = 0: P2 is `_pencil_degenerates`, P3 says (q11, q12) and
+      (q21, q22) are dependent, P4 that q = 0.
+    * l1, l2 independent: they are coprime, so f*l2 = g*l1 iff (f, g) is
+      v*L; only P3 can hold, iff the cubics q_i1*l2 - q_i2*l1 are dependent.
+    * L = l*(lam, mu) != 0, l = l1 unless l1 = 0: (a, b) = (l2[k], -l1[k])
+      at l[k] != 0 spans ker L, and P2 says r_i = a*q_i1 + b*q_i2 are
+      dependent.  A binary quadric with three zeros on P^1 is zero, so a
+      quadric lies in l*V* iff it vanishes at the points u, w, u+w of
+      l = 0, which every field has; P4 says q does.  A pair (f, g) with
+      a*f + b*g = 0 is h*(lam, mu) with h = c*f + d*g for any
+      c*lam + d*mu = 1, here (c, d) = (1, 0) or, if l1 = 0, (0, 1).  So P3
+      asks for alpha*r1 + beta*r2 = 0 with alpha*s1 + beta*s2 in l*V*, for
+      s_i = c*q_i1 + d*q_i2: the 9-vectors (r_i, s_i at u, w, u+w) are
+      dependent.  It implies P2.
+
+    An empty set means the matrix is admissible for X1.
     """
     _require_shape(P, StratumLabel.X1)
-    M = P.matrix
-    q = M.entry(0, 0)
-    l1, l2 = M.entry(0, 1), M.entry(0, 2)
-    q11, q12 = M.entry(1, 1), M.entry(1, 2)
-    q21, q22 = M.entry(2, 1), M.entry(2, 2)
-    field = P.field
-    dependent = forms_rank([l1, l2]) <= 1
-    tests = (
-        (PatternId.P1, l1.is_zero and l2.is_zero),
-        (PatternId.P2, dependent and _pencil_degenerates(field, l1, l2, q11, q12, q21, q22)),
-        (PatternId.P3, block_mult_map(field, [[l1, q11, q21], [l2, q12, q22]],
-                                      [1, 0, 0], [2, 2]).last_in_span(2)),
-        (PatternId.P4, dependent and block_mult_map(field, [[l1, l2, q]], [1, 1, 0], [2]).last_in_span()),
-    )
-    return {pattern for pattern, found in tests if found}
+    M, F = P.matrix, P.field
+    p = F.p if F.kind == "prime" else None
+    red = (lambda v: [x % p for x in v]) if p else (lambda v: v)
+    # A zero cell may carry any degree tag.
+    q, l1, l2, q11, q12, q21, q22 = (f.array.tolist() if not f.is_zero else [0] * n for f, n in zip(
+        (*M.entries[0], *M.entries[1][1:], *M.entries[2][1:]), (6, 3, 3, 6, 6, 6, 6)))
+    if not (any(l1) or any(l2)):
+        found = (True, _pencil_degenerates(F, *M.entries[1][1:], *M.entries[2][1:]),
+                 _dependent(p, q11 + q12, q21 + q22), not any(q))
+    elif not _dependent(p, l1, l2):
+        (a1, a2, a3), (b1, b2, b3), cubics = l2, l1, []
+        for f, g in ((q11, q12), (q21, q22)):  # f*l2 - g*l1
+            out = [0] * 10
+            for (m1, m2, m3), x, y in zip(product_rows(2, 1).tolist(), f, g):
+                out[m1] += x * a1 - y * b1
+                out[m2] += x * a2 - y * b2
+                out[m3] += x * a3 - y * b3
+            cubics.append(red(out))
+        found = (False, False, _dependent(p, *cubics), False)
+    else:
+        l = l1 if any(l1) else l2
+        k = next(k for k, x in enumerate(l) if x)
+        a, b = l2[k], -l1[k]
+        r1 = red([a * x + b * y for x, y in zip(q11, q12)])
+        r2 = red([a * x + b * y for x, y in zip(q21, q22)])
+        u, w = ([l[k] if i == j else -l[j] if i == k else 0 for i in range(3)] for j in range(3) if j != k)
+        # the frozen degree-2 monomial order: X^2, XY, XZ, Y^2, YZ, Z^2
+        values = [[x * x, x * y, x * z, y * y, y * z, z * z] for x, y, z in (u, w, [s + t for s, t in zip(u, w)])]
+        on_line = lambda f: red([sum(map(mul, f, vals)) for vals in values])  # f at u, w, u + w
+        s1, s2 = (q11, q21) if l is l1 else (q12, q22)
+        pencil = _dependent(p, r1, r2)
+        found = (False, pencil, pencil and _dependent(p, r1 + on_line(s1), r2 + on_line(s2)),
+                 not any(on_line(q)))
+    return {pattern for pattern, hit in zip(PatternId, found) if hit}
 
 
-def _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) -> bool:
-    """P2 test: a rank-one 2 x 2 matrix in the kernel W of one linear map.
+def _dependent(p: Optional[int], u: list, v: list) -> bool:
+    """Whether the lists u (reduced) and v are dependent over F_p, or over Q if p is None."""
+    for a, b in zip(u, v):
+        if a:
+            if p:
+                return not any([(a * y - b * x) % p for x, y in zip(u, v)])
+            return not any([a * y - b * x for x, y in zip(u, v)])
+    return True
 
-    P2 asks for (a, b) != 0 and (alpha, beta) != 0 with a*l1 + b*l2 = 0
-    and alpha*(a*q11 + b*q12) + beta*(a*q21 + b*q22) = 0.  With
-    X = (alpha, beta)^T (a, b) that is a rank-one X in the kernel W of
 
-        X -> (sum X_ij * q_ij, X_11*l1 + X_12*l2, X_21*l1 + X_22*l2).
+def _pencil_degenerates(field, q11, q12, q21, q22) -> bool:
+    """P2 test at L = 0: a rank-one 2 x 2 matrix X = (alpha, beta)^T (a, b)
+    with alpha*(a*q11 + b*q12) + beta*(a*q21 + b*q22) = 0, so in the kernel
+    W of X -> sum X_ij * q_ij.
 
     With K1, K2, ... the kernel basis, decide by dim W.  dim W >= 3: true,
     since W meets the plane of matrices with zero second row, all of rank
     one.  dim W = 1: det K1 = 0.  dim W = 2: the binary quadratic
     det(s*K1 + t*K2) = A s^2 + B st + C t^2 has a nontrivial zero, that is
     A = 0 or B^2 - 4AC is a square; over F_2, its value A, C or A + B + C
-    at one of the three points of P^1 is zero.  When l1, l2 are dependent
-    but not both zero, every X in W has rank one, and the same rule
-    answers true for any W != 0.
+    at one of the three points of P^1 is zero.
     """
-    zero = Form.zero(field, 1)
-    cells = [[q11, q12, q21, q22], [l1, l2, zero, zero], [zero, zero, l1, l2]]
-    W = block_mult_map(field, cells, [0] * 4, [2, 1, 1]).kernel_basis()
+    W = block_mult_map(field, [[q11, q12, q21, q22]], [0] * 4, [2]).kernel_basis()
 
     def det(X):
         return field.normalize(X[0] * X[3] - X[1] * X[2])

@@ -612,9 +612,9 @@ _P101, _PBIG, _QQ = ({"kind": "prime", "p": 101}, {"kind": "prime", "p": 2**64 +
 
 
 @pytest.mark.parametrize("field, degree, cell, error, message", [
-    (_P101, 1, [[1, 0, 0]], ValueError, "not enough values to unpack (expected 4, got 3)"),
-    (_P101, 1, [[1, 1, 0, 0, 0]], ValueError, "too many values to unpack (expected 4)"),
-    (_P101, 1, [7], TypeError, "cannot unpack non-iterable int object"),
+    (_P101, 1, [[1, 0, 0]], ValueError, "a term is a list [coefficient, e_X, e_Y, e_Z], not [1, 0, 0]"),
+    (_P101, 1, [[1, 1, 0, 0, 0]], ValueError, "a term is a list [coefficient, e_X, e_Y, e_Z], not [1, 1, 0, 0, 0]"),
+    (_P101, 1, [7], ValueError, "a term is a list [coefficient, e_X, e_Y, e_Z], not 7"),
     (_P101, 1, [[1, True, 0, 0]], ValueError, "exponents must be integers, not (True, 0, 0)"),
     (_P101, 1, [[1, 0, 1.0, 0]], ValueError, "exponents must be integers, not (0, 1.0, 0)"),
     (_P101, 1, [[1, 0, 0, "1"]], ValueError, "exponents must be integers, not (0, 0, '1')"),
@@ -635,6 +635,12 @@ _P101, _PBIG, _QQ = ({"kind": "prime", "p": 101}, {"kind": "prime", "p": 2**64 +
     (_PBIG, 1, [["-1", 1, 0, 0]], ValueError, "coefficient -1 outside [0, 18446744073709551629)"),
     (_PBIG, 1, [["12a", 1, 0, 0]], ValueError, "invalid literal for int() with base 10: '12a'"),
     (_QQ, 1, [["1/0", 1, 0, 0]], ValueError, "zero denominator in rational coefficient '1/0'"),
+    (_P101, 1, ["abcd"], ValueError, "a term is a list [coefficient, e_X, e_Y, e_Z], not 'abcd'"),
+    (_P101, 1, [{"c": 1, "x": 1, "y": 0, "z": 0}], ValueError,
+     "a term is a list [coefficient, e_X, e_Y, e_Z], not {'c': 1, 'x': 1, 'y': 0, 'z': 0}"),
+    # terms before the first malformed one are read as usual
+    (_P101, 1, [[1, 1, 0, 0], [2, 0, 1]], ValueError, "a term is a list [coefficient, e_X, e_Y, e_Z], not [2, 0, 1]"),
+    (_P101, 1, [[1, 1, 0, 0], [1, 1, 0, 0], 7], ValueError, "monomial (1, 0, 0) is listed twice"),
 ])
 def test_loads_names_the_first_malformed_term(field, degree, cell, error, message):
     # the second cell is well formed and the first malformed term decides;

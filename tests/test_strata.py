@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
 
 from sextic_strata.errors import NotInjectiveError, NotSemistable, ProfileNotInTable, WrongShapeError
 from sextic_strata.fields import GF, QQ
-from sextic_strata.forms import Form, divides, forms_rank, variables
+from sextic_strata.forms import Form, block_mult_map, divides, forms_rank, variables
 from sextic_strata.linalg import ScalarMatrix
+from sextic_strata.orbit_oracle import orbit_patterns
 from sextic_strata.polymatrix import PolyMatrix, det_poly
 from sextic_strata.presentation import Presentation, fitting_determinant, hilbert_polynomial, profile
 from sextic_strata.rng import SplitMix64, derive_seed
@@ -549,7 +551,6 @@ def _pencil_with_rank_one_member(field, a, b, rng):
 def test_pencil_root_search_matches_enumeration(p):
     field = GF(p)
     rng = SplitMix64(derive_seed(77, p))
-    zero = Form.zero(field, 1)
     seen = set()
     for k in range(16):
         member = ((1, 0), (0, 1), (1 + rng.next_below(p - 1), 1 + rng.next_below(p - 1)), None)[k % 4]
@@ -558,7 +559,7 @@ def test_pencil_root_search_matches_enumeration(p):
         else:
             q = _pencil_with_rank_one_member(field, *member, rng)
         want = _pencil_degenerates_by_enumeration(field, *q)
-        assert _pencil_degenerates(field, zero, zero, *q) == want, (k, member)
+        assert _pencil_degenerates(field, *q) == want, (k, member)
         seen.add(want)
     assert seen == {True, False}
 
@@ -601,7 +602,8 @@ def test_pencil_planted_kernels(field):
     for k, ((l1, l2, q11, q12, q21, q22), want) in enumerate(_planted_pencils(field)):
         if field.kind == "prime":
             assert _pencil_degenerates_by_enumeration(field, q11, q12, q21, q22, l1=l1, l2=l2) == want, k
-        assert _pencil_degenerates(field, l1, l2, q11, q12, q21, q22) == want, k
+        if l1.is_zero and l2.is_zero:
+            assert _pencil_degenerates(field, q11, q12, q21, q22) == want, k
         P = _x1_presentation(q11, l1, l2, z3, q11, q12, z3, q21, q22, field=field)
         assert (PatternId.P2 in x1_patterns(P)) == want, k
 
@@ -612,6 +614,7 @@ def test_pencil_with_dependent_forms_matches_enumeration(p):
     # to degenerate there
     field = GF(p)
     rng = SplitMix64(derive_seed(78, p))
+    z3 = Form.zero(field, 3)
     seen = set()
     for k in range(16):
         l1 = random_form(field, 1, rng)
@@ -624,9 +627,117 @@ def test_pencil_with_dependent_forms_matches_enumeration(p):
         else:
             q = _pencil_with_rank_one_member(field, *member, rng)
         want = _pencil_degenerates_by_enumeration(field, *q, l1=l1, l2=l2)
-        assert _pencil_degenerates(field, l1, l2, *q) == want, k
+        P = _x1_presentation(q[0], l1, l2, z3, q[0], q[1], z3, q[2], q[3], field=field)
+        assert (PatternId.P2 in x1_patterns(P)) == want, k
         seen.add(want)
     assert seen == {True, False}
+
+
+def _pencil_degenerates_by_kernel(field, l1, l2, q11, q12, q21, q22):
+    """Reference P2 test for any l1, l2: a rank-one 2 x 2 matrix in the
+    kernel W of X -> (sum X_ij q_ij, X_11 l1 + X_12 l2, X_21 l1 + X_22 l2).
+
+    Decided by dim W as `_pencil_degenerates` does; when l1, l2 are
+    dependent but not both zero, every X in W has rank one, and the same
+    rule answers true for any W != 0.
+    """
+    zero = Form.zero(field, 1)
+    cells = [[q11, q12, q21, q22], [l1, l2, zero, zero], [zero, zero, l1, l2]]
+    W = block_mult_map(field, cells, [0] * 4, [2, 1, 1]).kernel_basis()
+
+    def det(X):
+        return field.normalize(X[0] * X[3] - X[1] * X[2])
+
+    if len(W) != 2:
+        return len(W) >= 3 or (len(W) == 1 and det(W[0]) == 0)
+    K1, K2 = W
+    A, C, ABC = det(K1), det(K2), det([x + y for x, y in zip(K1, K2)])
+    if field.kind == "prime" and field.p == 2:
+        return 0 in (A, C, ABC)
+    disc = field.normalize((ABC - A - C) ** 2 - 4 * A * C)
+    if field.kind == "rational":
+        square = disc >= 0 and all(math.isqrt(n) ** 2 == n for n in (disc.numerator, disc.denominator))
+    else:
+        square = pow(disc, (field.p - 1) // 2, field.p) != field.p - 1
+    return A == 0 or square
+
+
+def _last_in_span(M, k):
+    """Whether some nonzero combination of M's last k columns lies in the
+    span of the columns before them: iff they are not all pivots."""
+    return sum(c >= M.ncols - k for c in M.pivots()) < k
+
+
+def _x1_patterns_by_ranks(P):
+    """Reference for `x1_patterns`: each pattern's characterization decided
+    by one elimination of the matrix of H^0 it names.  P2 and P4 need
+    l1, l2 dependent; P3 and P4 put the quadric columns last."""
+    M, field = P.matrix, P.field
+    q = M.entry(0, 0)
+    l1, l2 = M.entry(0, 1), M.entry(0, 2)
+    q11, q12 = M.entry(1, 1), M.entry(1, 2)
+    q21, q22 = M.entry(2, 1), M.entry(2, 2)
+    dependent = forms_rank([l1, l2]) <= 1
+    tests = (
+        (PatternId.P1, l1.is_zero and l2.is_zero),
+        (PatternId.P2, dependent and _pencil_degenerates_by_kernel(field, l1, l2, q11, q12, q21, q22)),
+        (PatternId.P3, _last_in_span(block_mult_map(field, [[l1, q11, q21], [l2, q12, q22]],
+                                                    [1, 0, 0], [2, 2]), 2)),
+        (PatternId.P4, dependent and _last_in_span(block_mult_map(field, [[l1, l2, q]], [1, 1, 0], [2]), 1)),
+    )
+    return {pattern for pattern, found in tests if found}
+
+
+# The two cells each pattern's normal form has zero.
+_PATTERN_ZEROS = {
+    PatternId.P1: ((0, 1), (0, 2)),
+    PatternId.P2: ((0, 2), (1, 2)),
+    PatternId.P3: ((2, 1), (2, 2)),
+    PatternId.P4: ((0, 0), (0, 1)),
+}
+
+
+def _x1_automorphism(field, rng):
+    """A random automorphism of O(t) + 2 O(t + 1): a nonzero constant, two
+    one-forms below it and an invertible constant 2 x 2 block.  Source
+    O(-3) + 2 O(-2) and target O(-1) + 2 O of X1 both have this form."""
+    p = field.p if field.kind == "prime" else 19
+    while True:
+        c = [field.normalize(rng.next_below(p)) for _ in range(5)]
+        if c[0] and field.normalize(c[1] * c[4] - c[2] * c[3]):
+            break
+    k, z = (lambda x: Form.constant(field, x)), Form.zero(field, -1)
+    return [[k(c[0]), z, z],
+            [random_form(field, 1, rng), k(c[1]), k(c[2])],
+            [random_form(field, 1, rng), k(c[3]), k(c[4])]]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(101), GF(2**31 + 11), QQ], ids=repr)
+def test_x1_patterns_match_rank_reference(field):
+    # every pattern's two zeros planted, singly and in pairs, then moved off
+    # their cells by a random h * phi * g; the closed forms must agree with
+    # the eliminations in each of the three cases on L = (l1, l2), and over
+    # F_2 with the exhaustive orbit oracle
+    rng = SplitMix64(derive_seed(79, field.p if field.kind == "prime" else 0))
+    src, tgt = SHAPES[StratumLabel.X1]
+    plans = [()] + [(a,) for a in PatternId] + [(a, b) for a in PatternId for b in PatternId if a < b]
+    cases, found = set(), set()
+    for _ in range(3):
+        for plan in plans:
+            entries = [[random_form(field, d - s, rng) for s in src] for d in tgt]
+            for i, j in (cell for pattern in plan for cell in _PATTERN_ZEROS[pattern]):
+                entries[i][j] = Form.zero(field, tgt[i] - src[j])
+            h, g = _x1_automorphism(field, rng), _x1_automorphism(field, rng)
+            P = _x1_presentation(*(f for row in poly_matmul(field, poly_matmul(field, h, entries), g) for f in row),
+                                 field=field)
+            pats = x1_patterns(P)
+            assert pats == _x1_patterns_by_ranks(P), plan
+            if field == GF(2):
+                assert pats == orbit_patterns(P), plan
+            L = [P.matrix.entry(0, 1), P.matrix.entry(0, 2)]
+            cases.add(forms_rank(L))
+            found |= pats
+    assert cases == {0, 1, 2} and found == set(PatternId)
 
 
 # ---------------------------------------------------------------------------
