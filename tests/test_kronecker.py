@@ -454,6 +454,81 @@ def test_one_column_over_object_dtype_prime():
 
 
 # ---------------------------------------------------------------------------
+# semistable counts against the Harder-Narasimhan recursion
+# ---------------------------------------------------------------------------
+
+
+def _euler(e, f):
+    """The Euler form of the 3-Kronecker quiver on e = (dim source, dim target)."""
+    return e[0] * f[0] + e[1] * f[1] - 3 * e[0] * f[1]
+
+
+def _slope(e):
+    # a submodule (S, T' >= T(S)) destabilizes iff its slope exceeds the module's
+    return Fraction(e[0], e[0] + e[1])
+
+
+def _hn_types(d):
+    """The tuples of nonzero dimension vectors with sum d and strictly
+    decreasing slope: the possible Harder-Narasimhan types of dimension d."""
+    if d == (0, 0):
+        yield ()
+        return
+    for e in itertools.product(range(d[0] + 1), range(d[1] + 1)):
+        if e != (0, 0):
+            for tail in _hn_types((d[0] - e[0], d[1] - e[1])):
+                if not tail or _slope(e) > _slope(tail[0]):
+                    yield (e,) + tail
+
+
+def reineke_semistable_count(d, q):
+    """Semistable modules of dimension vector d = (m, n) over F_q, by
+    Reineke's recursion (Reineke 2003): every module has exactly one
+    Harder-Narasimhan type (d^1, ..., d^s), and in volumes r(e) = |R^sst_e| /
+    |GL_e| those of that type weigh q^(-sum_{k<l} <d^l, d^k>) prod r(d^k),
+    while all q^(3 m n) modules weigh q^(3 m n) / |GL_d|."""
+    def gl(e):
+        out = 1
+        for k in e:
+            for i in range(k):
+                out *= q ** k - q ** i
+        return out
+
+    volumes = {}
+
+    def volume(e):
+        if e not in volumes:
+            rest = Fraction(0)
+            for parts in _hn_types(e):
+                if len(parts) > 1:
+                    term = Fraction(1, q ** sum(_euler(parts[l], parts[k]) for k, l in
+                                                itertools.combinations(range(len(parts)), 2)))
+                    for part in parts:
+                        term *= volume(part)
+                    rest += term
+            volumes[e] = Fraction(q ** (3 * e[0] * e[1]), gl(e)) - rest
+        return volumes[e]
+
+    count = volume(d) * gl(d)
+    assert count.denominator == 1
+    return int(count)
+
+
+@pytest.mark.parametrize("p, n, m, expected", [(3, 1, 2, 624), (3, 2, 1, 624), (2, 1, 3, 168),
+                                               (2, 2, 2, 3780)], ids=["F3-1x2", "F3-2x1", "F2-1x3", "F2-2x2"])
+def test_semistable_count_matches_harder_narasimhan_recursion(p, n, m, expected):
+    # every module of the shape, decided by the enumeration, against a count from outside the package
+    field = GF(p)
+    assert reineke_semistable_count((m, n), p) == expected
+    semistable = 0
+    for cube in itertools.product(range(p), repeat=3 * n * m):
+        cells = [Form.from_coeff_vector(field, 1, cube[3 * k:3 * k + 3]) for k in range(n * m)]
+        K = module_from(field, [cells[m * i:m * i + m] for i in range(n)])
+        semistable += is_semistable(K, mode="exact_smallfield").verdict == "semistable"
+    assert semistable == expected
+
+
+# ---------------------------------------------------------------------------
 # moduli dimensions
 # ---------------------------------------------------------------------------
 
