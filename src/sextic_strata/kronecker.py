@@ -23,16 +23,16 @@ The slope test is symmetric under transposition, so the target lattice
 bounds the search from the other side.  For T of dim n - b, with rows U
 spanning its annihilator, the largest S sent into T (x) V is
 S_max(T) = ker (UA; UB; UC).  Some S of dim a destabilizes iff some T has
-dim S_max(T) >= a > m dim T / n, so the least destabilizing dimension is
-the least floor(m dim T / n) + 1 that a T's S_max reaches.  When n < m the
-target lattice is the smaller one: one pass over it either proves
-semistability or gives that least a together with a destabilizing S of
-dim a inside S_max(T), so the source enumeration starts at dimension a
-and ranks nothing after S: the first witness lies at or before it.
+dim S_max(T) >= a > m dim T / n.  When n < m the target lattice is the
+smaller one, and one pass over it decides alone: it proves semistability,
+or it finds the least destabilizing a and the T whose S_max(T) hold every
+destabilizing S of dim a; the first such S in the frozen order, and its
+index, follow in closed form, so no source subspace is ranked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,24 +198,38 @@ def subspace_lattice_size(m: int, p: int) -> int:
     return sum(gaussian_binomial(m, a, p) for a in range(1, m + 1))
 
 
+def _free_slots(pivots, m: int) -> list:
+    """The free (row, column) entries of a reduced echelon basis of F_p^m
+    with these pivot columns, in row-major order."""
+    return [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, m) if j not in pivots]
+
+
 def echelon_chunks(field: PrimeField, m: int, a: int) -> Iterator[np.ndarray]:
     """All a-dimensional subspaces of F_p^m as reduced echelon bases.
 
     Yields int64 arrays of shape (N, a, m), N <= ENUMERATION_CHUNK, whose
     concatenation is the frozen enumeration order: pivot patterns in
     lexicographic order, then free entries in row-major lexicographic
-    order of their values (the base-p digits of a running index).
+    order of their values (the base-p digits of a running index).  A
+    dimension whose bases fit in one chunk is built once and shared, as a
+    read-only array; larger ones are streamed.
     """
-    p = field.p
+    if gaussian_binomial(m, a, field.p) <= ENUMERATION_CHUNK:
+        return iter((_one_chunk(field.p, m, a),))
+    return _echelon_stream(field.p, m, a)
+
+
+@functools.lru_cache(maxsize=32)
+def _one_chunk(p: int, m: int, a: int) -> np.ndarray:
+    chunk = next(_echelon_stream(p, m, a)).copy()
+    chunk.flags.writeable = False
+    return chunk
+
+
+def _echelon_stream(p: int, m: int, a: int) -> Iterator[np.ndarray]:
     out, filled = np.zeros((ENUMERATION_CHUNK, a, m), np.int64), 0
     for pivots in itertools.combinations(range(m), a):
-        pivot_set = set(pivots)
-        free_slots = [
-            (i, j)
-            for i in range(a)
-            for j in range(pivots[i] + 1, m)
-            if j not in pivot_set
-        ]
+        free_slots = _free_slots(pivots, m)
         total, start = p ** len(free_slots), 0
         while start < total:
             take = min(total - start, ENUMERATION_CHUNK - filled)
@@ -230,6 +244,20 @@ def echelon_chunks(field: PrimeField, m: int, a: int) -> Iterator[np.ndarray]:
                 out, filled = np.zeros((ENUMERATION_CHUNK, a, m), np.int64), 0
     if filled:
         yield out[:filled]
+
+
+def _frozen_index(p: int, basis: list) -> int:
+    """The position, counting from 1, of the reduced echelon rows `basis` in
+    the frozen order: each lower dimension, p^(free entries) per earlier
+    pivot pattern of its own, then its free entries as base-p digits."""
+    a, m = len(basis), len(basis[0])
+    pivots = tuple(row.index(1) for row in basis)
+    index = 1 + sum(gaussian_binomial(m, d, p) for d in range(1, a))
+    index += sum(p ** len(_free_slots(earlier, m)) for earlier in
+                 itertools.takewhile(pivots.__ne__, itertools.combinations(range(m), a)))
+    for s, (i, j) in enumerate(reversed(_free_slots(pivots, m))):
+        index += basis[i][j] * p ** s
+    return index
 
 
 def _batched_ranks(a: np.ndarray, p: int) -> np.ndarray:
@@ -265,29 +293,42 @@ def _stacked_ranks(F: PrimeField, bases: np.ndarray, W: np.ndarray) -> np.ndarra
     return _batched_ranks(images.reshape(N, 3 * a, W.shape[1] // 3), F.p)
 
 
-def _destabilizing_subspace(K: KroneckerModule) -> Optional[np.ndarray]:
-    """A destabilizing source subspace of the least dimension a, as its
-    reduced echelon basis of shape (a, m), None if K is semistable, from
-    one pass over the target lattice of F_p^n.
+def _first_violating_basis(K: KroneckerModule) -> Optional[list]:
+    """The first violating source subspace in the frozen order as reduced
+    echelon rows, None if semistable, ranking ENUMERATION_CHUNK at a time."""
+    F = K.field
+    W = K.stacked_slices().a.astype(F.dot_dtype(K.m))
+    for a in range(1, K.m + 1):
+        for bases in echelon_chunks(F, K.m, a):
+            violating = np.flatnonzero(K.n * a > K.m * _stacked_ranks(F, bases, W))
+            if violating.size:
+                return bases[violating[0]].tolist()
+    return None
 
-    Annihilators U of dim b come in echelon chunks; the rank of
-    (UA; UB; UC) gives dim S_max(T) = m - rank.  Its T of dim n - b
-    destabilizes from dimension a = floor(m (n - b) / n) + 1 on, which
-    shrinks as b grows, so b runs downward and the first b with a
-    qualifying T gives the least a.  S is the first a rows of the reduced
-    echelon basis of S_max(T) for the first such T: S lies in S_max(T), so
-    dim T(S) <= n - b < n a / m.
+
+def _first_destabilizing_basis(K: KroneckerModule) -> Optional[list]:
+    """`_first_violating_basis` for n < m from the target lattice alone.
+
+    dim S_max(T) is m less the rank of (UA; UB; UC), for the annihilators
+    U of dim b in echelon chunks.  T of dim t = n - b destabilizes from
+    a = floor(m t / n) + 1 on, which grows strictly with t as m > n; so
+    the first b, counting down, with a hit gives the least a, and each
+    destabilizing S of dim a lies in the S_max(T) of a hit at that b.  The
+    first a-subspace of a space in the frozen order is spanned by the first
+    a rows of its RREF, so the witness is the least of those over the hits.
     """
     F, n, m = K.field, K.n, K.m
     ABC = np.hstack([S.a for S in K.slices]).astype(F.dot_dtype(n))
     for b in range(n, 0, -1):
         a = m * (n - b) // n + 1
+        found = []
         for U in echelon_chunks(F, n, b):
-            hits = np.flatnonzero(m - _stacked_ranks(F, U, ABC) >= a)
-            if hits.size:
-                UABC = F.reduce(U[hits[0]].astype(ABC.dtype) @ ABC).reshape(3 * b, m)
+            for hit in np.flatnonzero(m - _stacked_ranks(F, U, ABC) >= a):
+                UABC = F.reduce(U[hit].astype(ABC.dtype) @ ABC).reshape(3 * b, m)
                 S_max = ScalarMatrix(F, ScalarMatrix(F, UABC.tolist()).kernel_basis())
-                return S_max.rref()[0].a[:a]
+                found.append(S_max.rref()[0].to_lists()[:a])
+        if found:
+            return min(found, key=functools.partial(_frozen_index, F.p))
     return None
 
 
@@ -306,22 +347,17 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     decides, exact_smallfield decides if the lattice fits its budget, and
     BudgetExceededError is raised if not.  Nothing is accepted by default.
 
-    exact_smallfield: the source subspace lattice over F_p in a frozen
-    order, by increasing dimension and lexicographic pivot pattern, batched
-    ENUMERATION_CHUNK echelon bases per rank elimination.  The first
-    violating subspace becomes the witness (rebuilt alone by
-    `minimal_span`), `checked` is its index in the frozen order, counting
-    from 1 (the lattice size when semistable), and `budget` is the lattice
-    size.  `checked` is not the number of subspaces whose rank was taken:
-    when n < m, one pass over the smaller target lattice
-    (`_destabilizing_subspace`) first returns "semistable" outright or
-    skips the source dimensions below the least destabilizing one, none of
-    which can hold the witness, and hands over a destabilizing subspace S
-    of that dimension; the source enumeration stops at S, so it ranks no
-    subspace after S in the frozen order.  Raises BudgetExceededError,
-    before any enumeration, when the source lattice has more than
-    EXACT_LATTICE_BUDGET elements.  Both modes raise it first, before any
-    draw or enumeration, when n*m > MAX_MODULE_ENTRIES.
+    exact_smallfield: the first violating source subspace in a frozen order
+    of the lattice over F_p, by increasing dimension and lexicographic pivot
+    pattern, is the witness (rebuilt alone by `minimal_span`).  It is found
+    by ranking the source lattice when n >= m (`_first_violating_basis`),
+    and by one pass over the smaller target lattice alone when n < m
+    (`_first_destabilizing_basis`).  `checked` is its index in that order,
+    counting from 1, computed by `_frozen_index`, not counted; `budget` is
+    the lattice size, and so is `checked` when semistable.  Raises
+    BudgetExceededError, before any enumeration, when the source lattice
+    has more than EXACT_LATTICE_BUDGET elements.  Both modes raise it
+    first, before any draw or enumeration, when n*m > MAX_MODULE_ENTRIES.
     """
     if K.n * K.m > MAX_MODULE_ENTRIES:
         raise BudgetExceededError(f"a {K.n} x {K.m} module is past the budget n*m <= {MAX_MODULE_ENTRIES}")
@@ -334,29 +370,11 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
             raise BudgetExceededError(
                 f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
-        start, checked, S = 1, 0, None
-        if K.n < K.m:
-            S = _destabilizing_subspace(K)
-            if S is None:
-                return SemistabilityResult("semistable", mode, None, size, size)
-            start = len(S)
-            checked = sum(gaussian_binomial(K.m, a, F.p) for a in range(1, start))
-        W = K.stacked_slices().a.astype(F.dot_dtype(K.m))
-        for a in range(start, K.m + 1):
-            for bases in echelon_chunks(F, K.m, a):
-                if S is not None:
-                    # S destabilizes, so nothing after it can be the first witness
-                    hit = (bases == S).all(axis=(1, 2))
-                    if hit.any():
-                        bases = bases[:hit.argmax() + 1]
-                dim_T = _stacked_ranks(F, bases, W)
-                violating = np.flatnonzero(K.n * a - K.m * dim_T > 0)
-                if violating.size:
-                    first = int(violating[0])
-                    w = _make_witness(K, ScalarMatrix(F, bases[first].tolist()))
-                    return SemistabilityResult("unstable", mode, w, checked + first + 1, size)
-                checked += len(bases)
-        return SemistabilityResult("semistable", mode, None, checked, size)
+        S = _first_destabilizing_basis(K) if K.n < K.m else _first_violating_basis(K)
+        if S is None:
+            return SemistabilityResult("semistable", mode, None, size, size)
+        w = _make_witness(K, ScalarMatrix(F, S))
+        return SemistabilityResult("unstable", mode, w, _frozen_index(F.p, S), size)
 
     if mode != "certificate":
         raise ValueError(f"unknown mode {mode!r}")

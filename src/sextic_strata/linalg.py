@@ -3,10 +3,11 @@
 Ranks, echelon forms, kernels and solves all come from one Gaussian
 elimination, whose pivot is the first nonzero entry at or below the current
 row, swapped up and scaled by `Field.inv`.  It runs on Python lists up to
-SMALL_ELIMINATION_ENTRIES entries, else on a copy of the numpy array whose
-dtype the field chooses (`Field.dtype`: int64 for primes below 2**31,
-Python scalars in an object array for Q and larger primes); the two give
-the same pivots and canonical arrays.  It has two modes:
+SMALL_ELIMINATION_ENTRIES entries (`eliminate_lists`), else on a copy of
+the numpy array whose dtype the field chooses (`Field.dtype`: int64 for
+primes below 2**31, Python scalars in an object array for Q and larger
+primes); the two give the same pivots and canonical arrays.  It has two
+modes:
 
 * full (Gauss-Jordan), behind `rref`, `kernel_basis` and `solve`: each
   pivot clears its column in every row, so the array ends as the RREF;
@@ -162,9 +163,11 @@ class ScalarMatrix:
         below it: the pivot columns are the same, and no array is returned.
         Every entry is canonical after every step.
         """
-        if self.a.size <= SMALL_ELIMINATION_ENTRIES:
-            return self._eliminate_lists(reduced)
         F = self.field
+        if self.a.size <= SMALL_ELIMINATION_ENTRIES:
+            rows = self.a.tolist()
+            pivots = eliminate_lists(F, rows, self.ncols, reduced)
+            return (np.array(rows, dtype=F.dtype).reshape(self.a.shape) if reduced else None), pivots
         a = self.a.copy()
         nrows, ncols = a.shape
         pivots: List[int] = []
@@ -189,28 +192,6 @@ class ScalarMatrix:
             pivots.append(c)
             r += 1
         return (a if reduced else None), pivots
-
-    def _eliminate_lists(self, reduced: bool) -> Tuple[Optional[np.ndarray], List[int]]:
-        """`_eliminate` on the rows as lists of Python scalars: the same steps,
-        each entry reduced mod p over F_p and a Fraction over Q."""
-        F, rows, (nrows, ncols) = self.field, self.a.tolist(), self.a.shape
-        p = F.p if F.kind == "prime" else None
-        pivots: List[int] = []
-        for c in range(ncols):
-            r = len(pivots)
-            i = next((k for k in range(r, nrows) if rows[k][c]), None)
-            if i is None:
-                continue
-            inv, pivot = F.inv(rows[i][c]), rows[i]
-            row = [x * inv % p for x in pivot[c:]] if p else [x * inv for x in pivot[c:]]
-            rows[i], rows[r] = rows[r], pivot[:c] + row
-            for k in range(0 if reduced else r + 1, nrows):
-                f, old = rows[k][c], rows[k]
-                if f and k != r:
-                    old[c:] = ([(x - f * y) % p for x, y in zip(old[c:], row)] if p
-                               else [x - f * y for x, y in zip(old[c:], row)])
-            pivots.append(c)
-        return (np.array(rows, dtype=F.dtype).reshape(nrows, ncols) if reduced else None), pivots
 
     def kernel_basis(self) -> List[list]:
         """Basis of the right kernel, one vector per free column.
@@ -244,3 +225,25 @@ class ScalarMatrix:
         x = np.full(self.ncols, F.zero(), dtype=F.dtype)
         x[pivots] = R.a[:len(pivots), -1]
         return x.tolist()
+
+
+def eliminate_lists(F: Field, rows: List[list], ncols: int, reduced: bool) -> List[int]:
+    """`ScalarMatrix._eliminate` in place on rows of canonical scalars, mod p
+    or in Fractions: returns the pivots, and leaves the RREF if `reduced`."""
+    p = F.p if F.kind == "prime" else None
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if i is None:
+            continue
+        inv, pivot = F.inv(rows[i][c]), rows[i]
+        row = [x * inv % p for x in pivot[c:]] if p else [x * inv for x in pivot[c:]]
+        rows[i], rows[r] = rows[r], pivot[:c] + row
+        for k in range(0 if reduced else r + 1, len(rows)):
+            f, old = rows[k][c], rows[k]
+            if f and k != r:
+                old[c:] = ([(x - f * y) % p for x, y in zip(old[c:], row)] if p
+                           else [x - f * y for x, y in zip(old[c:], row)])
+        pivots.append(c)
+    return pivots

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .forms import Form, block_mult_map, dim_forms, forms_rank, divides, common_factor, product_rows
 from .kronecker import KroneckerModule, is_semistable, moduli_dimension
+from .linalg import eliminate_lists
 from .presentation import (
     CohomologyProfile,
     HilbertPoly,
@@ -240,7 +241,7 @@ def x1_patterns(P: Presentation) -> Set[PatternId]:
     q, l1, l2, q11, q12, q21, q22 = (f.array.tolist() if not f.is_zero else [0] * n for f, n in zip(
         (*M.entries[0], *M.entries[1][1:], *M.entries[2][1:]), (6, 3, 3, 6, 6, 6, 6)))
     if not (any(l1) or any(l2)):
-        found = (True, _pencil_degenerates(F, *M.entries[1][1:], *M.entries[2][1:]),
+        found = (True, _pencil_degenerates(F, q11, q12, q21, q22),
                  _dependent(p, q11 + q12, q21 + q22), not any(q))
     elif not _dependent(p, l1, l2):
         (a1, a2, a3), (b1, b2, b3), cubics = l2, l1, []
@@ -280,9 +281,9 @@ def _dependent(p: Optional[int], u: list, v: list) -> bool:
 
 
 def _pencil_degenerates(field, q11, q12, q21, q22) -> bool:
-    """P2 test at L = 0: a rank-one 2 x 2 matrix X = (alpha, beta)^T (a, b)
-    with alpha*(a*q11 + b*q12) + beta*(a*q21 + b*q22) = 0, so in the kernel
-    W of X -> sum X_ij * q_ij.
+    """P2 test at L = 0 on coefficient lists: a rank-one 2 x 2 matrix
+    X = (alpha, beta)^T (a, b) with alpha*(a*q11 + b*q12) + beta*(a*q21 +
+    b*q22) = 0, so in the kernel W of the 6 x 4 matrix (q11 q12 q21 q22).
 
     With K1, K2, ... the kernel basis, decide by dim W.  dim W >= 3: true,
     since W meets the plane of matrices with zero second row, all of rank
@@ -291,7 +292,10 @@ def _pencil_degenerates(field, q11, q12, q21, q22) -> bool:
     A = 0 or B^2 - 4AC is a square; over F_2, its value A, C or A + B + C
     at one of the three points of P^1 is zero.
     """
-    W = block_mult_map(field, [[q11, q12, q21, q22]], [0] * 4, [2]).kernel_basis()
+    R = [list(row) for row in zip(q11, q12, q21, q22)]
+    pivots = eliminate_lists(field, R, 4, reduced=True)
+    W = [[-R[pivots.index(j)][c] if j in pivots else int(j == c) for j in range(4)]
+         for c in range(4) if c not in pivots]
 
     def det(X):
         return field.normalize(X[0] * X[3] - X[1] * X[2])

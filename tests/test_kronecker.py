@@ -320,6 +320,8 @@ def _equivalence_cases():
         z = Form.zero(field, 1)
         X, Y, Z = variables(field)
         yield pytest.param(module_from(field, [[z, z], [z, z], [z, z]]), id=f"F{p}-zero")
+        # S_max(0) is all of F_p^3, so the witness is its first line, not its last
+        yield pytest.param(module_from(field, [[z, z, z], [z, z, z]]), id=f"F{p}-zero-2x3")
         yield pytest.param(module_from(field, [[X, z, Y], [Y, z, Z], [Z, z, X]]), id=f"F{p}-zero-column")
         if p < 5:
             yield pytest.param(equality_module(field), id=f"F{p}-equality")
@@ -366,51 +368,57 @@ def test_target_pass_skips_dimensions_that_cannot_destabilize(monkeypatch):
         calls.clear()
         res = is_semistable(K, mode="exact_smallfield")
         assert res.verdict == verdict
-        # the target pass walks F_3^n; the source enumeration, if any, F_3^m
-        source_dims = [a for m, a in calls if m == K.m]
-        assert source_dims == ([] if verdict == "semistable" else [3])
-        assert [a for m, a in calls if m == K.n] and all(m in (K.n, K.m) for m, _ in calls)
+        # the target pass walks F_3^n; no dimension of F_3^m is enumerated
+        assert calls and all(m == K.n for m, _ in calls)
 
 
-def position_in_frozen_order(K, S):
-    """The index of the echelon basis S among the bases of its dimension."""
-    seen = 0
-    for bases in echelon_chunks(K.field, K.m, len(S)):
-        hit = (bases == S).all(axis=(1, 2))
-        if hit.any():
-            return seen + int(hit.argmax())
-        seen += len(bases)
-    raise AssertionError("S is not a reduced echelon basis")
+def tall_modules():
+    """Unstable sparse F_2 modules with n >= m and witnesses of dims 4 and 2."""
+    for n, m, k in [(4, 4, 22), (5, 4, 50)]:
+        yield sparse_module(GF(2), n, m, derive_seed(4244, k)), f"F2-sparse-{n}x{m}-{k}"
 
 
-# (index of the first witness, index of S) among the planes of F_p^5
-CUT_POSITIONS = {"F2-sparse-3x5-12": (52, 121), "F2-sparse-3x5-23": (24, 148),
-                 "F3-3x5-late-S": (1186, 1186)}
+@pytest.mark.parametrize("K, name", [pytest.param(K, name, id=name) for K, name in
+                                     itertools.chain(criterion_7_modules(), cut_modules(), tall_modules())])
+def test_chunk_boundaries_do_not_move_the_witness(monkeypatch, K, name):
+    # with 7 bases a chunk every dimension of either lattice is streamed in many chunks
+    want = is_semistable(K, mode="exact_smallfield")
+    monkeypatch.setattr(kronecker, "ENUMERATION_CHUNK", 7)
+    assert is_semistable(K, mode="exact_smallfield") == want
+
+
+@pytest.mark.parametrize("p, m", [(2, 5), (3, 4), (5, 3), (2, 6)])
+def test_frozen_index_is_the_position_in_the_enumeration(p, m):
+    # F_2^6 has 1395 three-dimensional subspaces, streamed in three chunks
+    bases = [B.tolist() for a in range(1, m + 1) for chunk in echelon_chunks(GF(p), m, a) for B in chunk]
+    assert [kronecker._frozen_index(p, B) for B in bases] == list(range(1, subspace_lattice_size(m, p) + 1))
+
+
+# the index of the first witness among the planes of F_p^5; in the F_2
+# modules it comes before the first qualifying target's subspace (at 121
+# and 148), in the F_3 module past the first ENUMERATION_CHUNK planes
+CUT_POSITIONS = {"F2-sparse-3x5-12": 52, "F2-sparse-3x5-23": 24, "F3-3x5-late-S": 1186}
 
 
 @pytest.mark.parametrize("K, name", [pytest.param(K, name, id=name) for K, name in
                                      itertools.chain(criterion_7_modules(), cut_modules())])
 def test_source_pass_ranks_nothing_after_the_target_subspace(monkeypatch, K, name):
-    S = kronecker._destabilizing_subspace(K)
-    assert _make_witness(K, ScalarMatrix(K.field, S.tolist())) is not None
-    position = position_in_frozen_order(K, S)
+    # for n < m the target pass alone finds the first witness: no source
+    # subspace is ranked, and `checked` is its index in closed form
     ranked = []
     stacked_ranks = kronecker._stacked_ranks
 
     def recording(F, bases, W):
-        if bases.shape[2] == K.m:  # the source pass; the target pass walks F_p^n
-            ranked.append(bases.shape[:2])
+        ranked.append(bases.shape[2])
         return stacked_ranks(F, bases, W)
 
     monkeypatch.setattr(kronecker, "_stacked_ranks", recording)
     res = is_semistable(K, mode="exact_smallfield")
-    assert res.verdict == "unstable" and res.witness.dim_S == len(S)
-    assert {a for _, a in ranked} == {len(S)}
-    assert sum(N for N, _ in ranked) <= position + 1
-    skipped = sum(gaussian_binomial(K.m, a, K.field.p) for a in range(1, len(S)))
-    assert res.checked <= skipped + position + 1
+    assert res.verdict == "unstable" and ranked and set(ranked) == {K.n}
+    assert res.checked == kronecker._frozen_index(K.field.p, [list(row) for row in res.witness.S_basis])
     if name in CUT_POSITIONS:
-        assert (res.checked - skipped - 1, position) == CUT_POSITIONS[name]
+        lines = gaussian_binomial(K.m, 1, K.field.p)
+        assert (res.witness.dim_S, res.checked - lines - 1) == (2, CUT_POSITIONS[name])
 
 
 @pytest.mark.parametrize("p", [2, 3])
