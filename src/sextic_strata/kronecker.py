@@ -293,7 +293,7 @@ def _stacked_ranks(F: PrimeField, bases: np.ndarray, W: np.ndarray) -> np.ndarra
     return _batched_ranks(images.reshape(N, 3 * a, W.shape[1] // 3), F.p)
 
 
-def _first_violating_basis(K: KroneckerModule) -> Optional[list]:
+def _first_witness_from_source(K: KroneckerModule) -> Optional[list]:
     """The first violating source subspace in the frozen order as reduced
     echelon rows, None if semistable, ranking ENUMERATION_CHUNK at a time."""
     F = K.field
@@ -306,8 +306,8 @@ def _first_violating_basis(K: KroneckerModule) -> Optional[list]:
     return None
 
 
-def _first_destabilizing_basis(K: KroneckerModule) -> Optional[list]:
-    """`_first_violating_basis` for n < m from the target lattice alone.
+def _first_witness_from_target(K: KroneckerModule) -> Optional[list]:
+    """`_first_witness_from_source` for n < m from the target lattice alone.
 
     dim S_max(T) is m less the rank of (UA; UB; UC), for the annihilators
     U of dim b in echelon chunks.  T of dim t = n - b destabilizes from
@@ -350,9 +350,9 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
     exact_smallfield: the first violating source subspace in a frozen order
     of the lattice over F_p, by increasing dimension and lexicographic pivot
     pattern, is the witness (rebuilt alone by `minimal_span`).  It is found
-    by ranking the source lattice when n >= m (`_first_violating_basis`),
+    by ranking the source lattice when n >= m (`_first_witness_from_source`),
     and by one pass over the smaller target lattice alone when n < m
-    (`_first_destabilizing_basis`).  `checked` is its index in that order,
+    (`_first_witness_from_target`).  `checked` is its index in that order,
     counting from 1, computed by `_frozen_index`, not counted; `budget` is
     the lattice size, and so is `checked` when semistable.  Raises
     BudgetExceededError, before any enumeration, when the source lattice
@@ -370,7 +370,7 @@ def is_semistable(K: KroneckerModule, mode: str = "certificate") -> Semistabilit
             raise BudgetExceededError(
                 f"subspace lattice has {size} elements > budget {EXACT_LATTICE_BUDGET}"
             )
-        S = _first_destabilizing_basis(K) if K.n < K.m else _first_violating_basis(K)
+        S = _first_witness_from_target(K) if K.n < K.m else _first_witness_from_source(K)
         if S is None:
             return SemistabilityResult("semistable", mode, None, size, size)
         w = _make_witness(K, ScalarMatrix(F, S))
