@@ -8,7 +8,7 @@ import pytest
 from sextic_strata.cli import MAX_TABLE_ROWS, main
 from sextic_strata.errors import BudgetExceededError, ProfileNotInTable
 from sextic_strata.fields import GF, QQ
-from sextic_strata.forms import variables
+from sextic_strata.forms import Form, variables
 from sextic_strata.kronecker import MAX_MODULE_ENTRIES
 from sextic_strata.polymatrix import PolyMatrix
 from sextic_strata.presentation import (
@@ -19,8 +19,9 @@ from sextic_strata.presentation import (
     load,
     save,
 )
-from sextic_strata.sampler import SampleRequest, sample
-from sextic_strata.strata import StratumLabel, classify
+from sextic_strata.rng import SplitMix64
+from sextic_strata.sampler import SampleRequest, random_form, sample
+from sextic_strata.strata import SHAPES, StratumLabel, classify, validate_shape
 from sextic_strata.verify import DEFAULT_SEED
 
 
@@ -547,3 +548,98 @@ def test_rectangular_presentation_exits_2(tmp_path, capsys):
         code, out = run(capsys, command, str(f))
         assert code == 2, command
         assert json.loads(out)["error"] == "NotSquareError", command
+
+
+def _outcome_inputs():
+    """One presentation per outcome of `classify`, each with the row whose
+    twist shape it has (None for a shape no row has)."""
+    field = GF(101)
+    X, Y, Z = variables(field)
+    seed42 = {label: sample(SampleRequest(label, field, 42)) for label in StratumLabel}
+
+    def with_cells(P, cells):
+        rows = [list(row) for row in P.matrix.entries]
+        for (i, j), f in cells.items():
+            rows[i][j] = f
+        return Presentation(P.source, P.target, PolyMatrix(field, rows))
+
+    x3, x5 = seed42[StratumLabel.X3], seed42[StratumLabel.X5]
+    rng = SplitMix64(3)
+    src, tgt = SHAPES[StratumLabel.X2]
+    inputs = {label.value: (P, label) for label, P in seed42.items()}
+    inputs.update({
+        "X3 reversed": (Presentation(x3.source[::-1], x3.target[::-1],
+                                     PolyMatrix(field, [row[::-1] for row in x3.matrix.entries[::-1]])),
+                        StratumLabel.X3),
+        "3x2": (Presentation((-1, -1), (0, 0, 0), PolyMatrix(field, [[X, Y], [Y, Z], [Z, X]])), None),
+        "zero 1x1": (Presentation((-1,), (0,), PolyMatrix(field, [[Form.zero(field, 1)]])), None),
+        "conic": (Presentation((-2,), (0,), PolyMatrix(field, [[X * X + Y * Z]])), None),
+        "sextic": (Presentation((-6,), (0,), PolyMatrix(field, [[X * X * X * X * X * X]])), None),
+        # test_x2_shape_out_of_normal_position_classifies_as_x1's matrix
+        "X2 with constants": (Presentation(src, tgt, PolyMatrix(
+            field, [[random_form(field, d - s, rng) for s in src] for d in tgt])), StratumLabel.X2),
+        "X1 with L = 0": (with_cells(seed42[StratumLabel.X1], {(0, 1): Form.zero(field, 1),
+                                                             (0, 2): Form.zero(field, 1)}), StratumLabel.X1),
+        "X5 with l | q": (with_cells(x5, {(1, 1): x5.matrix.entry(0, 1) * x5.matrix.entry(0, 1)}),
+                          StratumLabel.X5),
+        "X5 with det = 0": (with_cells(x5, {(0, 0): Form.zero(field, 4), (1, 0): Form.zero(field, 5)}),
+                            StratumLabel.X5),
+    })
+    return inputs
+
+
+def _classification(label, profile, violations="[]"):
+    return ('{"det_degree":6,"hilbert":[6,1],"kind":"classification","label":"%s","profile":%s,'
+            '"schema_version":1,"violations":%s}\n' % (label, profile, violations))
+
+
+def _not_semistable(profile, violation):
+    return ('{"error":"NotSemistable","hilbert":[6,1],"kind":"classification_error","message":"profile (%s) '
+            'is on a stratum row, but the cokernel is not semistable: %s","profile":[%s],"schema_version":1,'
+            '"violations":["%s"]}\n' % (profile, violation, profile.replace(" ", ""), violation))
+
+
+NOT_INJECTIVE = ('{"error":"NotInjectiveError","kind":"classification_error","message":"matrix has det = 0; '
+                 'the cokernel is not one-dimensional","schema_version":1}\n')
+
+# input -> (exit code, stdout of `classify`, `validate_shape` on the input's row)
+CLASSIFY_DOCUMENTS = {
+    "X0": (0, _classification("X0", "[0,0,0,0]"), []),
+    "X1": (0, _classification("X1", "[0,1,0,0]"), []),
+    "X2": (0, _classification("X2", "[0,1,1,0]"), []),
+    "X3": (0, _classification("X3", "[0,2,2,0]"), []),
+    "X4": (0, _classification("X4", "[1,2,3,0]"), []),
+    "X5": (0, _classification("X5", "[1,3,4,1]"), []),
+    "X3 reversed": (0, _classification("X3", "[0,2,2,0]"), [
+        "wrong twist shape: expected (-3, -3, -1, -1) -> (-2, 0, 0, 0), got (-1, -1, -3, -3) -> (0, 0, 0, -2)"]),
+    "3x2": (2, '{"error":"NotSquareError","kind":"classification_error","message":"presentation is 3x2; '
+               'only square resolutions are in scope","schema_version":1}\n', None),
+    "zero 1x1": (2, NOT_INJECTIVE, None),
+    "conic": (2, '{"error":"ProfileNotInTable","hilbert":[2,1],"kind":"classification_error","message":'
+                 '"profile (0, 0, 0, 0) with Hilbert polynomial 2m+1 is not in the table (needs 6m+1)",'
+                 '"profile":[0,0,0,0],"schema_version":1}\n', None),
+    "sextic": (2, '{"error":"ProfileNotInTable","hilbert":[6,-9],"kind":"classification_error","message":'
+                  '"profile (0, 10, 0, 6) with Hilbert polynomial 6m-9 is not in the table (needs 6m+1)",'
+                  '"profile":[0,10,0,6],"schema_version":1}\n', None),
+    "X2 with constants": (0, _classification("X1", "[0,1,0,0]", '["wrong twist shape: expected (-3, -2, -2) '
+                                             '-> (-1, 0, 0), got (-3, -2, -2, -1) -> (-1, -1, 0, 0)"]'),
+                          ["profile (0, 1, 0, 0) is not X2's (0, 1, 1, 0)"]),
+    "X1 with L = 0": (2, _not_semistable("0, 1, 0, 0", "matrix is equivalent to forbidden pattern P1"),
+                      ["matrix is equivalent to forbidden pattern P1"]),
+    "X5 with l | q": (2, _not_semistable("1, 3, 4, 1", "l divides q"), ["l divides q"]),
+    "X5 with det = 0": (2, NOT_INJECTIVE, ["not injective: det = 0"]),
+}
+
+
+def test_classify_documents_per_outcome(tmp_path, capsys):
+    # One input per outcome: the documents and exit codes of CLI `classify`
+    # and the violations `validate_shape` gives on the input's row, byte for byte.
+    inputs = _outcome_inputs()
+    assert inputs.keys() == CLASSIFY_DOCUMENTS.keys()
+    f = tmp_path / "input.json"
+    for name, (P, row) in inputs.items():
+        code, stdout, violations = CLASSIFY_DOCUMENTS[name]
+        save(P, f)
+        assert run(capsys, "classify", str(f)) == (code, stdout), name
+        if row is not None:
+            assert validate_shape(P, row) == violations, name
