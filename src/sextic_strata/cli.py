@@ -22,9 +22,6 @@ from .errors import (
     BudgetExceededError,
     InvalidPresentationError,
     NotInjectiveError,
-    NotSemistable,
-    NotSquareError,
-    ProfileNotInTable,
     SexticStrataError,
 )
 from .fields import parse_field
@@ -42,7 +39,7 @@ from .presentation import (
     dual as dual_presentation,
 )
 from .sampler import SampleRequest, sample
-from .strata import StratumLabel, classification_report
+from .strata import StratumLabel, decide
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
 EXIT_OK = 0
@@ -74,24 +71,9 @@ def _load_presentation(path: str) -> Presentation:
 
 
 def cmd_classify(args) -> int:
-    P = _load_presentation(args.file)
-    try:
-        report = classification_report(P)
-    except (ProfileNotInTable, NotInjectiveError, NotSquareError) as exc:
-        doc = {
-            "kind": "classification_error",
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        if isinstance(exc, ProfileNotInTable):
-            doc["profile"] = list(exc.profile)
-            doc["hilbert"] = exc.hilbert
-        if isinstance(exc, NotSemistable):
-            doc["violations"] = exc.violations
-        _emit(doc)
-        return EXIT_CONTRACT
-    _emit(report)
-    return EXIT_OK
+    decision = decide(_load_presentation(args.file))
+    _emit(decision.report())
+    return EXIT_OK if decision.error is None else EXIT_CONTRACT
 
 
 def cmd_sample(args) -> int:

@@ -63,14 +63,9 @@ class ProfileNotInTable(SexticStrataError):
 
 
 class NotSemistable(ProfileNotInTable):
-    """Profile matches a stratum row, but the matrix fails that row's conditions.
-
-    Raised only on the row's canonical twist shape, where the conditions
-    are invariant under Aut(source) x Aut(target) and failing them means
-    the cokernel is not semistable.  Carries the profile, the Hilbert
-    polynomial (6m+1, checked before the row), and the violated conditions
-    as `violations`.
-    """
+    """Profile matches a stratum row, but the matrix fails that row's
+    conditions at `strata.decide`'s gate.  Carries the profile, the Hilbert
+    polynomial 6m+1 and the violated conditions as `violations`."""
 
     def __init__(self, profile, violations):
         self.profile = tuple(profile)

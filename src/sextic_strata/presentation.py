@@ -292,9 +292,9 @@ def h0(P: Presentation, t: int) -> int:
 
     The caller certifies that phi is injective (`is_injective`); then H^0
     of the twisted resolution is exact, as the module docstring derives.
-    `classify`, `strata.validate_shape` and CLI `cohomology` certify it
-    first.  Otherwise this is the twists' number, not the cokernel's: on
-    `O(-2) -> O` with a zero cell it reads 1, 3, 5, 7 at t = 0..3, not 1, 3, 6, 10.
+    `strata.decide` and CLI `cohomology` certify it first.  Otherwise this
+    is the twists' number, not the cokernel's: on `O(-2) -> O` with a zero
+    cell it reads 1, 3, 5, 7 at t = 0..3, not 1, 3, 6, 10.
     """
     _require_square(P)
     return _net_forms(P.target, P.source, t, 1)
@@ -462,7 +462,7 @@ def _decode_cells(field: Field, source: Sequence[int], target: Sequence[int], ra
             flat += slots if len(cell) == len(slots) else [zero if v is None else v for v in slots]
     forms = form_views(field, np.array(flat, dtype=field.dtype), layout)
     m = len(source)
-    return [forms[k:k + m] for k in range(0, len(forms), m)]
+    return [forms[i * m:(i + 1) * m] for i in range(len(target))]
 
 
 def dumps(P: Presentation) -> str:

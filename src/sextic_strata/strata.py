@@ -17,12 +17,12 @@ conditions on the matrix:
     X5  (1,3,4,1)  O(-4)+O(-1) -> O+O(1)       l != 0 and l does not divide q
 
 The classifier's domain is semistable sheaves with Hilbert polynomial
-6m+1.  It maps the profile of a valid injective presentation with that
-Hilbert polynomial to the unique row above and rejects every other
-presentation.  When the presentation has the row's twist shape, up to
-the order of its twists, it also checks that row's matrix conditions and
-rejects a cokernel that fails them as not semistable.  That gate is the
-only place the classifier runs the conditions.  On each row's shape every
+6m+1.  `decide` is its one path, and every caller reads its `Decision`:
+it maps the profile of a valid injective presentation with that Hilbert
+polynomial to the unique row above and rejects every other presentation.
+On the row's twist shape, up to the order of its twists, it also checks
+the row's matrix conditions and rejects a cokernel that fails them as
+not semistable; no other place runs them.  On each row's shape every
 condition is invariant under Aut(source) x Aut(target), so none needs
 normal position: X0's is the certified Kronecker decision on the linear block,
 which the group moves by GL_4 x GL_5; X1, X3 and X5 have only forms of
@@ -37,11 +37,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
     NotInjectiveError,
     NotSemistable,
+    NotSquareError,
     ProfileNotInTable,
     WrongShapeError,
 )
@@ -53,7 +54,6 @@ from .presentation import (
     HilbertPoly,
     Presentation,
     hilbert_polynomial,
-    is_injective,
     profile,
     validate,
 )
@@ -112,40 +112,80 @@ def _require_shape(P: Presentation, label: StratumLabel) -> None:
 # ---------------------------------------------------------------------------
 
 
-def classify(P: Presentation) -> StratumLabel:
-    """Map a valid injective presentation of a semistable sheaf to its stratum.
+class Decision(NamedTuple):
+    """What `decide` proved about a presentation.
 
-    Raises ProfileNotInTable when the Hilbert polynomial is not 6m+1 or the
-    quadruple matches no row; that error signals the cokernel is not a
-    semistable sheaf with Hilbert polynomial 6m+1, or an arithmetic bug, and
-    carries the profile and the Hilbert polynomial.  Raises its subclass
-    NotSemistable when the presentation has the canonical twist shape of its
-    row, up to the order of its twists, but fails that row's matrix
-    conditions, so the cokernel is not semistable; it carries the profile
-    and the violated conditions, every forbidden pattern of an X1 matrix
-    included.
+    `error` is the contract outcome `classify` raises, held as a value
+    (NotSquareError, NotInjectiveError, ProfileNotInTable, NotSemistable),
+    or None.  `label` is the profile's row, under NotSemistable too;
+    `profile` and `hilbert` are None until computed.  `violations` are the
+    row's failed conditions under NotSemistable, `validate`'s finding under
+    NotInjectiveError, and otherwise the wrong-shape finding: on the row's
+    sorted shape the gate has proved the conditions.
     """
-    return _classify(P)[0]
+
+    error: Optional[Exception]
+    label: Optional[StratumLabel]
+    profile: Optional[CohomologyProfile]
+    hilbert: Optional[HilbertPoly]
+    violations: List[str]
+
+    def report(self) -> dict:
+        """The `classification` document, or the `classification_error`
+        document of `error` (docs/reports.md)."""
+        if self.error is None:
+            return {"schema_version": 1, "kind": "classification", "label": self.label.value,
+                    "profile": list(self.profile), "hilbert": list(self.hilbert),
+                    "det_degree": self.hilbert.r, "violations": self.violations}
+        doc = {"schema_version": 1, "kind": "classification_error",
+               "error": type(self.error).__name__, "message": str(self.error)}
+        if self.profile is not None:
+            doc.update(profile=list(self.profile), hilbert=list(self.hilbert))
+        if self.label is not None:
+            doc["violations"] = self.violations
+        return doc
 
 
-def _classify(P: Presentation) -> Tuple[StratumLabel, CohomologyProfile, HilbertPoly, List[str]]:
-    """`classify`, also returning the profile and Hilbert polynomial it
-    computed and the wrong-shape finding (empty on the row's shape)."""
-    if not is_injective(P):
-        raise NotInjectiveError("matrix has det = 0; the cokernel is not one-dimensional")
+def decide(P: Presentation) -> Decision:
+    """The classifier's steps, each run once, in order: squareness,
+    injectivity, profile and Hilbert polynomial, the row, the sorted twist
+    shape, then the row's conditions.  A contract outcome is returned as
+    `Decision.error`; X0's BudgetExceededError still raises.  det != 0 is
+    certified without expanding it, and its degree is the r of 6m+1.
+    """
+    try:
+        hp = hilbert_polynomial(P)
+    except NotSquareError as exc:
+        return Decision(exc, None, None, None, [])
+    found = validate(P)
+    if found:
+        return Decision(NotInjectiveError("matrix has det = 0; the cokernel is not one-dimensional"),
+                        None, None, None, found)
     pr = profile(P)
-    hp = hilbert_polynomial(P)
     label = PROFILE_TO_LABEL.get(pr) if hp == (6, 1) else None
     if label is None:
-        raise ProfileNotInTable(pr, hp)
+        return Decision(ProfileNotInTable(pr, hp), None, pr, hp, [])
     Q = _ascending_twists(P)
     # compared sorted, quoted as the input lists them
-    wrong = _wrong_shape(P, label) if (Q.source, Q.target) != SHAPES[label] else []
-    if not wrong:
-        violations = _conditions(Q, label)
-        if violations:
-            raise NotSemistable(pr, violations)
-    return label, pr, hp, wrong
+    if (Q.source, Q.target) != SHAPES[label]:
+        return Decision(None, label, pr, hp, _wrong_shape(P, label))
+    violations = _conditions(Q, label)
+    return Decision(NotSemistable(pr, violations) if violations else None, label, pr, hp, violations)
+
+
+def classify(P: Presentation) -> StratumLabel:
+    """The stratum `decide` proves for a presentation; raises its `error` otherwise.
+
+    ProfileNotInTable (the Hilbert polynomial is not 6m+1 or the quadruple
+    matches no row) signals that the cokernel is not a semistable sheaf with
+    Hilbert polynomial 6m+1, or an arithmetic bug.  Its subclass
+    NotSemistable carries the failed conditions of the row whose shape the
+    presentation has, every forbidden X1 pattern included.
+    """
+    decision = decide(P)
+    if decision.error is not None:
+        raise decision.error
+    return decision.label
 
 
 def _ascending_twists(P: Presentation) -> Presentation:
@@ -161,23 +201,11 @@ def _ascending_twists(P: Presentation) -> Presentation:
 
 
 def classification_report(P: Presentation) -> dict:
-    """Structured classification result including the wrong-shape finding.
-
-    Each quantity is computed once.  With det != 0 certified, its degree is
-    r = sum d_i - sum s_j of the Hilbert polynomial, and `validate(P)` is
-    empty.  On the row's canonical shape the gate has just proved its
-    conditions hold, so the only possible violation is a wrong twist shape.
-    """
-    label, pr, hp, wrong = _classify(P)
-    return {
-        "schema_version": 1,
-        "kind": "classification",
-        "label": label.value,
-        "profile": list(pr),
-        "hilbert": list(hp),
-        "det_degree": hp.r,
-        "violations": wrong,
-    }
+    """The `classification` document of `decide(P)`; raises what `classify` raises."""
+    decision = decide(P)
+    if decision.error is not None:
+        raise decision.error
+    return decision.report()
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +438,17 @@ def x5_conditions(P: Presentation) -> List[str]:
 
 
 def validate_shape(P: Presentation, label: StratumLabel) -> List[str]:
-    """Twist shape, injectivity, profile and the stratum's matrix conditions.
-
-    Returns all violations as data, every forbidden X1 pattern included;
-    an empty list certifies the presentation as a member of the stratum's
-    family on its canonical shape.  The samplers reject draws with it.
-    """
-    return _wrong_shape(P, label) or validate(P) or _wrong_profile(P, label) or _conditions(P, label)
-
-
-def _wrong_profile(P: Presentation, label: StratumLabel) -> List[str]:
-    pr, want = tuple(profile(P)), EXPECTED_PROFILES[label]
-    return [f"profile {pr} is not {label.value}'s {want}"] if pr != want else []
+    """`label`'s exact twist shape, then `decide`'s violations, with a profile
+    of another row reported as such; every forbidden X1 pattern is listed.  An
+    empty list certifies P as a member of the stratum's family on its
+    canonical shape.  The samplers reject draws with it."""
+    wrong = _wrong_shape(P, label)
+    if wrong:
+        return wrong
+    decision = decide(P)
+    if decision.profile is not None and decision.label is not label:
+        return [f"profile {tuple(decision.profile)} is not {label.value}'s {EXPECTED_PROFILES[label]}"]
+    return decision.violations
 
 
 def _wrong_shape(P: Presentation, label: StratumLabel) -> List[str]:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import NotInjectiveError, ProfileNotInTable
 from .fields import GF, QQ, Field
 from .forms import Form, block_mult_map, dim_forms, divides, variables
 from .linalg import ScalarMatrix
@@ -56,8 +55,7 @@ from .strata import (
     EXPECTED_PROFILES,
     SHAPES,
     StratumLabel,
-    _classify,
-    classify,
+    decide,
     stratum_dimensions,
     x1_patterns,
 )
@@ -176,9 +174,10 @@ def criterion_1_table(pool) -> Tuple[bool, str]:
         want = EXPECTED_PROFILES[label]
         for P in samples:
             total += 1
-            got_label, got = _classify(P)[:2]
-            if got_label != label or got != want:
-                bad.append((label.value, got_label.value, tuple(got)))
+            decision = decide(P)
+            got = decision.label.value if decision.error is None else type(decision.error).__name__
+            if got != label.value or decision.profile != want:
+                bad.append((label.value, got, decision.profile and tuple(decision.profile)))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 300
     detail = f"{total} samples, {len(bad)} mismatches" + ("" if elapsed < 300 else ", past the 300s budget")
@@ -422,13 +421,10 @@ def criterion_9_negative_controls(seed: int) -> Tuple[bool, str]:
 
 
 def _classify_outcome(P: Presentation, shape_label: StratumLabel) -> str:
-    try:
-        got = classify(P)
-    except ProfileNotInTable:
+    decision = decide(P)
+    if decision.error is not None:
         return "not_in_table"
-    except NotInjectiveError:
-        return "not_in_table"
-    return "same_label" if got == shape_label else "other_label"
+    return "same_label" if decision.label is shape_label else "other_label"
 
 
 # ---------------------------------------------------------------------------

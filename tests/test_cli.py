@@ -203,6 +203,21 @@ def test_malformed_file_exit_code(tmp_path, capsys):
         assert "Traceback" not in out
 
 
+@pytest.mark.parametrize("command", [["classify"], ["det"], ["cohomology"], ["kron", "check"]])
+def test_empty_twist_vector_exits_1_in_the_format_words(tmp_path, capsys, command):
+    # an empty source list used to reach range() with step 0 and report
+    # "range() arg 3 must not be zero"; both lists get the constructor's message
+    one_cell = {"format_version": 1, "field": {"kind": "prime", "p": 101},
+                "source_twists": [0], "target_twists": [0], "matrix": [[[]]]}
+    f = tmp_path / "empty.json"
+    for doc in (dict(one_cell, source_twists=[], matrix=[[]]), dict(one_cell, target_twists=[], matrix=[])):
+        f.write_text(json.dumps(doc))
+        code, out = run(capsys, *command, str(f))
+        assert code == 1, doc
+        assert json.loads(out) == {"schema_version": 1, "kind": "error", "error": "InvalidPresentationError",
+                                   "message": "twist vectors must be non-empty"}, doc
+
+
 def test_wrong_degree_cell_exit_code(tmp_path, capsys):
     # cell (1,1) of the X5 grid is a quadric; give its first term a cubic exponent
     f = tmp_path / "x5.json"
