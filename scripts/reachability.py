@@ -52,10 +52,10 @@ FIELDS = ("p:2", "p:3", "p:101", "p:2147483647", "p:2147483659", "rational")
 ALLOWED = {
     "sextic_strata.forms.Form.coeffs": "read by perfbench/workloads.py and tests/conftest.py",
     "sextic_strata.linalg.ScalarMatrix.shape": "read by ScalarMatrix.__eq__",
-    "sextic_strata.strata.classify": "the library's call, read by the README example and the tests; "
+    "sextic_strata.strata.classify": "called by the README example and the tests; "
                                      "the CLI and verify read strata.decide",
-    "sextic_strata.strata.classification_report": "read by perfbench/workloads.py (classify-f101) and the "
-                                                  "tests; CLI classify prints strata.decide's report",
+    "sextic_strata.strata.classification_report": "called by perfbench/workloads.py (classify-f101) and "
+                                                  "the tests; CLI classify prints strata.decide's report",
 }
 
 
